@@ -26,8 +26,7 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import CostTable, DisintConfig, cost_at, lq_norm, scrmk
-from .ot import transport
-from .parallel import fiber_map
+from .ot import coupling_rows, transport
 
 LAMBDA_TOL = 1e-12
 
@@ -204,57 +203,22 @@ def fiber_barycenter_lp(
     """
     K = len(fibers)
     s = support.size
-    sizes = [len(f) for f in fibers]
-    n_gamma = sum(m * s for m in sizes)
-    n_var = n_gamma + s
-
-    rows, cols, data = [], [], []
-    cvec = np.zeros(n_var)
-    offset = 0
-    row_off = 0
-    row_blocks = []
-    col_blocks = []
-    # row marginal blocks
-    for k, f in enumerate(fibers):
-        m = sizes[k]
-        sub = cost.submatrix(f.point_ids, support)
-        cp = sub if p == 1.0 else sub**p
-        cvec[offset : offset + m * s] = tau[k] * cp.ravel()
-        for i in range(m):
-            for jj in range(s):
-                rows.append(row_off + i)
-                cols.append(offset + i * s + jj)
-                data.append(1.0)
-        row_blocks.append((row_off, m))
-        row_off += m
-        offset += m * s
-    # column link blocks: sum_i gamma_k[i, s] - w_s = 0
-    offset = 0
-    for k, f in enumerate(fibers):
-        m = sizes[k]
-        for jj in range(s):
-            for i in range(m):
-                rows.append(row_off + jj)
-                cols.append(offset + i * s + jj)
-                data.append(1.0)
-            rows.append(row_off + jj)
-            cols.append(n_gamma + jj)
-            data.append(-1.0)
-        col_blocks.append((row_off, s))
-        row_off += s
-        offset += m * s
-    beq = np.zeros(row_off)
-    for k, f in enumerate(fibers):
-        r0, m = row_blocks[k]
-        beq[r0 : r0 + m] = f.weights
-    A = coo_matrix((data, (rows, cols)), shape=(row_off, n_var))
+    sizes = np.array([len(f) for f in fibers])
+    n_marg = int(sizes.sum())
+    n_gamma = n_marg * s
+    # rows: every input's row marginals, then per input s column links to w
+    rows, cols, data = coupling_rows(sizes, np.full(K, s), np.full(K, n_gamma))
+    A = coo_matrix((data, (rows, cols)), shape=(n_marg + K * s, n_gamma + s))
+    blocks = [cost.powered_submatrix(f.point_ids, support, p).ravel() for f in fibers]
+    cvec = np.concatenate([t * cp for t, cp in zip(tau, blocks)] + [np.zeros(s)])
+    beq = np.concatenate([f.weights for f in fibers] + [np.zeros(K * s)])
     res = linprog(cvec, A_eq=A, b_eq=beq, method="highs")
     if res.status != 0:
         raise LPInfeasible(f"barycenter LP failed with status {res.status}")
     w = np.maximum(res.x[n_gamma:], 0.0)
     duals = res.eqlin.marginals
-    alphas = [duals[r0 : r0 + m] for r0, m in row_blocks]
-    betas = [duals[r0 : r0 + sz] for r0, sz in col_blocks]
+    alphas = np.split(duals[:n_marg], np.cumsum(sizes)[:-1])
+    betas = np.split(duals[n_marg:], K)
     value = math.fsum((cvec[:n_gamma] * res.x[:n_gamma]).tolist())
     return value, w, alphas, betas
 
@@ -295,7 +259,7 @@ def _lp_barycenter(problem: BarycenterProblem) -> BarycenterResult:
             problem.support[b],
         )
 
-    solved = fiber_map(solve_one, list(problem.base_ids))
+    solved = [solve_one(b) for b in problem.base_ids]
     weights = {b: sol[1] for b, sol in zip(problem.base_ids, solved)}
     minimizer = _assemble(problem, weights)
     fiber_values = [sol[0] for sol in solved]
@@ -365,9 +329,8 @@ def _subgradient_barycenter(problem, start, max_iter, tol, cert_every):
     cp = {}
     for k, mk in enumerate(problem.inputs):
         for b in base_ids:
-            f = mk.fiber(b)
-            sub = cost_at(problem.costs, b).submatrix(f.point_ids, supports[b])
-            cp[(k, b)] = sub if p == 1.0 else sub**p
+            cost = cost_at(problem.costs, b)
+            cp[(k, b)] = cost.powered_submatrix(mk.fiber(b).point_ids, supports[b], p)
 
     if start is None:
         w = {b: np.full(supports[b].size, 1.0 / supports[b].size) for b in base_ids}
@@ -389,7 +352,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol, cert_every):
                 grads.append(v)
             return vals, grads
 
-        out = fiber_map(one, base_ids)
+        out = [one(b) for b in base_ids]
         fmat = np.stack([vals for vals, _ in out], axis=1)  # K x fibers
         duals = {b: out[i][1] for i, b in enumerate(base_ids)}
         return fmat, duals

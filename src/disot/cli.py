@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from . import __version__
 from .barycenter import (
     classical_barycenter,
@@ -72,7 +72,6 @@ class RunConfig:
     measures: int = 2
     kind: str = "interval"
     oracle_checkable: bool = False
-    extra: dict = field(default_factory=dict)
 
     def disint_config(self) -> DisintConfig:
         q = self.p if self.q is None else self.q

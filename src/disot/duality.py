@@ -22,7 +22,7 @@ from .barycenter import BarycenterProblem, BarycenterResult, fiber_barycenter_lp
 from .errors import LPInfeasible, NotSolved, ShapeMismatch
 from .measures import ValidationReport, Violation
 from .metric import cost_at, fiber_distance_profile
-from .ot import c_transform
+from .ot import c_transform, coupling_rows
 
 # strict positivity of zeta is kept by flooring before normalization
 ZETA_FLOOR = 1e-12
@@ -191,86 +191,50 @@ def _zeta_minimax(problem: BarycenterProblem) -> np.ndarray:
     L^1(sigma) norm.
     """
     p = problem.config.p
-    base_ids = list(problem.base_ids)
-    K = problem.K
+    K, B = problem.K, len(problem.base_ids)
     # variable layout: [gamma blocks (k major, fiber minor), w blocks, t (K)]
-    g_off = {}
-    offset = 0
-    sizes = {}
-    for k, mk in enumerate(problem.inputs):
-        for b in base_ids:
-            m = len(mk.fiber(b))
-            s = problem.support[b].size
-            g_off[(k, b)] = offset
-            sizes[(k, b)] = (m, s)
-            offset += m * s
-    w_off = {}
-    for b in base_ids:
-        w_off[b] = offset
-        offset += problem.support[b].size
-    t_off = offset
-    n_var = offset + K
+    blocks = [(mk.fiber(b), b) for mk in problem.inputs for b in problem.base_ids]
+    m = np.array([len(f) for f, _ in blocks])
+    s = np.array([problem.support[b].size for _, b in blocks])
+    n_gamma = int((m * s).sum())
+    w_off = n_gamma + np.cumsum(s[:B]) - s[:B]
+    t_off = n_gamma + int(s[:B].sum())
+    n_var = t_off + K
 
     cvec = np.zeros(n_var)
-    cvec[t_off : t_off + K] = problem.lambdas
+    cvec[t_off:] = problem.lambdas
 
-    ub_rows, ub_cols, ub_data = [], [], []
-    eq_rows, eq_cols, eq_data = [], [], []
-    beq = []
-    eq_row = 0
-    ub_row = 0
-    epi_rows = {}
-    for k, mk in enumerate(problem.inputs):
-        for b in base_ids:
-            m, s = sizes[(k, b)]
-            f = mk.fiber(b)
-            cost = cost_at(problem.costs, b)
-            sub = cost.submatrix(f.point_ids, problem.support[b])
-            cp = (sub if p == 1.0 else sub**p).ravel()
-            base = g_off[(k, b)]
-            # epigraph: <gamma, cp> - t_k <= 0
-            for idx in range(m * s):
-                ub_rows.append(ub_row)
-                ub_cols.append(base + idx)
-                ub_data.append(float(cp[idx]))
-            ub_rows.append(ub_row)
-            ub_cols.append(t_off + k)
-            ub_data.append(-1.0)
-            epi_rows[(k, b)] = ub_row
-            ub_row += 1
-            # row marginals
-            for i in range(m):
-                for jj in range(s):
-                    eq_rows.append(eq_row)
-                    eq_cols.append(base + i * s + jj)
-                    eq_data.append(1.0)
-                beq.append(float(f.weights[i]))
-                eq_row += 1
-            # column links to w
-            for jj in range(s):
-                for i in range(m):
-                    eq_rows.append(eq_row)
-                    eq_cols.append(base + i * s + jj)
-                    eq_data.append(1.0)
-                eq_rows.append(eq_row)
-                eq_cols.append(w_off[b] + jj)
-                eq_data.append(-1.0)
-                beq.append(0.0)
-                eq_row += 1
+    # epigraph row k * B + i: <gamma_(k, b_i), cp> - t_k <= 0
+    cp = [
+        cost_at(problem.costs, b).powered_submatrix(f.point_ids, problem.support[b], p).ravel()
+        for f, b in blocks
+    ]
+    epi = np.arange(K * B)
+    ub_rows = np.concatenate([np.repeat(epi, m * s), epi])
+    ub_cols = np.concatenate([np.arange(n_gamma), t_off + epi // B])
+    ub_data = np.concatenate(cp + [np.full(K * B, -1.0)])
+    A_ub = coo_matrix((ub_data, (ub_rows, ub_cols)), shape=(K * B, n_var))
 
-    A_ub = coo_matrix((ub_data, (ub_rows, ub_cols)), shape=(ub_row, n_var))
-    A_eq = coo_matrix((eq_data, (eq_rows, eq_cols)), shape=(eq_row, n_var))
-    res = linprog(
-        cvec, A_ub=A_ub, b_ub=np.zeros(ub_row), A_eq=A_eq, b_eq=np.array(beq), method="highs"
+    # each block's row marginals directly followed by its column links to w;
+    # HiGHS returns other (equally optimal) multipliers for other row orders
+    rows, cols, data = coupling_rows(m, s, np.tile(w_off, K))
+    n_marg = int(m.sum())
+    order = np.concatenate(
+        [
+            np.arange(n_marg) + np.repeat(np.cumsum(s) - s, m),
+            np.arange(int(s.sum())) + np.repeat(np.cumsum(m), s),
+        ]
     )
+    A_eq = coo_matrix((data, (order[rows], cols)), shape=(order.size, n_var))
+    beq = np.zeros(order.size)
+    beq[order[:n_marg]] = np.concatenate([f.weights for f, _ in blocks])
+    res = linprog(cvec, A_ub=A_ub, b_ub=np.zeros(K * B), A_eq=A_eq, b_eq=beq, method="highs")
     if res.status != 0:
         raise LPInfeasible(f"minimax LP failed with status {res.status}")
-    multipliers = -res.ineqlin.marginals  # >= 0 for a minimization
-    zeta = np.zeros((K, len(base_ids)))
+    # multipliers are <= 0 for a minimization
+    rho = np.maximum(-res.ineqlin.marginals.reshape(K, B), 0.0)
+    zeta = rho / (problem.lambdas[:, None] * problem.sigma[None, :])
     for k in range(K):
-        for i, b in enumerate(base_ids):
-            rho = max(float(multipliers[epi_rows[(k, b)]]), 0.0)
-            zeta[k, i] = rho / (float(problem.lambdas[k]) * float(problem.sigma[i]))
         row = np.maximum(zeta[k], ZETA_FLOOR)
         zeta[k] = row / _zeta_norm(row, problem.sigma, 1.0)
     return zeta

@@ -7,8 +7,10 @@ Instance schema (per-fiber form)::
                      "measures": {name: [{"point": idx, "w": float}]}}}}
 
 The shared-fiber form hoists "points"/"cost" to the top level and may add
-"relabelings": {base_id: [permutation]}.  All floats are emitted with 12
-significant digits so identical inputs produce byte-identical files.
+"relabelings": {base_id: [permutation]}.  "points" is descriptive: it is
+accepted and never read, since the solvers see only "cost".  All floats are
+emitted with 12 significant digits so identical inputs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class Instance:
     sigma: np.ndarray
     bundle: Bundle
     measures: dict[str, FiberedMeasure]
-    points: dict[str, list]
 
     def measure(self, name: str) -> FiberedMeasure:
         try:
@@ -128,11 +129,9 @@ def parse_instance(doc: Mapping) -> Instance:
         relab = {
             str(k): [int(i) for i in v] for k, v in doc.get("relabelings", {}).items()
         } or None
-        bundle = Bundle(base_ids, cost, doc.get("points"), relab)
-        points = {b: list(doc.get("points") or []) for b in base_ids}
+        bundle = Bundle(base_ids, cost, relab)
     else:
         costs = {}
-        points = {}
         for b in base_ids:
             if sigma[base_ids.index(b)] <= 0.0 and b not in fibers_doc:
                 continue
@@ -144,8 +143,7 @@ def parse_instance(doc: Mapping) -> Instance:
                 costs[b] = GroundCost(np.array(fd["cost"], dtype=np.float64))
             except KeyError:
                 raise ParseError(f"fiber {b!r} lacks a cost matrix") from None
-            points[b] = list(fd.get("points", []))
-        bundle = Bundle(base_ids, costs, points or None)
+        bundle = Bundle(base_ids, costs)
     # collect measure names across fibers
     names: list[str] = []
     for b in base_ids:
@@ -162,9 +160,7 @@ def parse_instance(doc: Mapping) -> Instance:
                 raise ParseError(f"measure {name!r} missing at base point {b!r}")
             fibs[b] = _parse_atoms(md[name], f"{name}@{b}")
         measures[name] = FiberedMeasure(base_ids, sigma, fibs)
-    return Instance(
-        base_ids=tuple(base_ids), sigma=sigma, bundle=bundle, measures=measures, points=points
-    )
+    return Instance(base_ids=tuple(base_ids), sigma=sigma, bundle=bundle, measures=measures)
 
 
 def load_instance(path: str) -> Instance:

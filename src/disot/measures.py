@@ -192,6 +192,11 @@ class GroundCost:
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.d[np.ix_(rows, cols)]
 
+    def powered_submatrix(self, rows: np.ndarray, cols: np.ndarray, p: float) -> np.ndarray:
+        """submatrix(rows, cols) ** p, with p == 1 returned without a pow call."""
+        sub = self.submatrix(rows, cols)
+        return sub if p == 1.0 else sub**p
+
 
 def validate_ground_cost(d: Sequence[Sequence[float]] | np.ndarray) -> ValidationReport:
     """Check metric-space axioms on a square matrix and report every violation.
@@ -257,13 +262,12 @@ class Bundle:
     shared point set and must preserve the cost exactly: d[g(i), g(j)] == d[i, j].
     """
 
-    __slots__ = ("base_ids", "_costs", "_points", "shared_fiber", "relabelings")
+    __slots__ = ("base_ids", "_costs", "shared_fiber", "relabelings")
 
     def __init__(
         self,
         base_ids: Sequence[str],
         costs: GroundCost | Mapping[str, GroundCost],
-        points: Sequence | Mapping[str, Sequence] | None = None,
         relabelings: Mapping[str, Sequence[int]] | None = None,
     ):
         bids = tuple(str(b) for b in base_ids)
@@ -283,7 +287,6 @@ class Bundle:
                 perms[str(bid)] = g
         object.__setattr__(self, "base_ids", bids)
         object.__setattr__(self, "_costs", costs)
-        object.__setattr__(self, "_points", points)
         object.__setattr__(self, "shared_fiber", shared)
         object.__setattr__(self, "relabelings", perms)
 
@@ -297,13 +300,6 @@ class Bundle:
             return self._costs[base_id]  # type: ignore[index]
         except KeyError:
             raise BaseMismatch(f"no fiber cost for base point {base_id!r}") from None
-
-    def points(self, base_id: str):
-        if self._points is None:
-            return None
-        if self.shared_fiber:
-            return self._points
-        return self._points.get(base_id)  # type: ignore[union-attr]
 
     def relabel(self, base_id: str, index: int) -> int:
         g = self.relabelings.get(base_id)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import BaseMismatch, FiberMismatch
 from .measures import Bundle, FiberedMeasure, GroundCost, ReferencePoint, reference_delta
 from .ot import solve_ot
-from .parallel import fiber_map
 
 CostTable = Union[Bundle, Mapping[str, GroundCost], GroundCost]
 
@@ -91,7 +90,7 @@ def fiber_distance_profile(
             raise FiberMismatch(f"fiber atoms at {base_id!r} outside the shared point set")
         return _fiber_mk(fa, fb, cost, p)
 
-    vals = fiber_map(one, list(m.base_ids))
+    vals = [one(b) for b in m.base_ids]
     return list(zip(m.base_ids, vals))
 
 

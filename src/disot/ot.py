@@ -75,7 +75,9 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
         rb[j] -= t
         if i == m - 1 and j == n - 1:
             break
-        if ra[i] <= 0.0 and i < m - 1:
+        # a row can keep float residue after the last column is full: move
+        # down rather than past the last column
+        if (ra[i] <= 0.0 or j == n - 1) and i < m - 1:
             i += 1
         else:
             j += 1
@@ -195,24 +197,43 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     return value, gamma, u, v, basis
 
 
-def _transport_linprog(cost, a, b):  # pragma: no cover - fallback path
+def coupling_rows(m, s, w_col=None):
+    """Equality rows of coupling blocks laid side by side, as COO triplets.
+
+    Block b is an m[b] x s[b] coupling gamma_b flattened row-major; the blocks
+    fill variable columns 0 .. sum(m * s) - 1 in order.  Row sum(m[:b]) + i is
+    the row marginal sum_j gamma_b[i, j]; row sum(m) + sum(s[:b]) + j is the
+    column sum sum_i gamma_b[i, j], which with ``w_col`` also carries -1 on
+    variable w_col[b] + j.  Returns (rows, cols, data).
+    """
+    m = np.asarray(m, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    size = m * s
+    first_row, first_col = np.cumsum(m) - m, np.cumsum(s) - s
+    n_marg = int(m.sum())
+    col = np.arange(int(size.sum()))
+    i, j = np.divmod(col - np.repeat(np.cumsum(size) - size, size), np.repeat(s, size))
+    rows = [np.repeat(first_row, size) + i, n_marg + np.repeat(first_col, size) + j]
+    cols = [col, col]
+    data = [np.ones(2 * col.size)]
+    if w_col is not None:
+        links = np.arange(int(s.sum()))
+        rows.append(n_marg + links)
+        cols.append(np.repeat(np.asarray(w_col, dtype=np.int64) - first_col, s) + links)
+        data.append(np.full(links.size, -1.0))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+
+
+def _transport_linprog(cost, a, b):
     """Dense LP fallback through scipy's HiGHS simplex."""
     from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
 
     m, n = cost.shape
-    rows, cols, data = [], [], []
-    for i in range(m):
-        for j in range(n):
-            k = i * n + j
-            rows.append(i)
-            cols.append(k)
-            data.append(1.0)
-            if j < n - 1:
-                rows.append(m + j)
-                cols.append(k)
-                data.append(1.0)
-    A = coo_matrix((data, (rows, cols)), shape=(m + n - 1, m * n))
+    rows, cols, data = coupling_rows([m], [n])
+    # the last column sum follows from the others and the equal total masses
+    keep = rows < m + n - 1
+    A = coo_matrix((data[keep], (rows[keep], cols[keep])), shape=(m + n - 1, m * n))
     beq = np.concatenate([a, b[:-1]])
     res = linprog(cost.ravel(), A_eq=A, b_eq=beq, method="highs")
     if res.status != 0:
@@ -301,8 +322,7 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: floa
     if p < 1.0:
         raise ValueError("p must be >= 1")
     _check_supports(mu, nu, cost)
-    sub = cost.submatrix(mu.point_ids, nu.point_ids)
-    cp = sub if p == 1.0 else sub**p
+    cp = cost.powered_submatrix(mu.point_ids, nu.point_ids, p)
     _, gamma, u, v, basis = transport(cp, mu.weights, nu.weights)
     # nonnegative costs make the optimum nonnegative; the exact recompute can
     # surface ~1e-18 noise from degenerate bases, which would break ** (1/p)
@@ -361,8 +381,7 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p
         raise ValueError("p must be >= 1")
     _check_supports(mu, nu, cost)
     m, n = len(mu), len(nu)
-    sub = cost.submatrix(mu.point_ids, nu.point_ids)
-    cp = sub if p == 1.0 else sub**p
+    cp = cost.powered_submatrix(mu.point_ids, nu.point_ids, p)
 
     uniform_equal = (
         m == n

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from disot.barycenter import (
+    candidate_search,
     classical_barycenter,
     classical_problem,
     disint_barycenter,
@@ -323,3 +324,22 @@ class TestUniquenessProbe:
         probe = uniqueness_probe(prob, res, trials=6, radius=1e-9, seed=3)
         assert probe.max_pairwise_distance <= 1e-4
         assert not probe.witness
+
+
+class TestCandidateSearch:
+    def test_kappa_not_p_uses_candidate_list(self, rng):
+        # kappa != p has no LP structure; the supported route is exhaustive
+        # evaluation over supplied candidates
+        ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
+        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs, kappa=3.0)
+        candidates = list(ms)
+        res = candidate_search(prob, candidates)
+        vals = [objective(prob, c) for c in candidates]
+        assert res.value == min(vals)
+        assert res.solver_log["method"] == "candidate_search"
+
+    def test_empty_list_rejected(self, rng):
+        ms, costs = random_fibered_instance(rng, 2, 2, 3)
+        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        with pytest.raises(ValueError):
+            candidate_search(prob, [])

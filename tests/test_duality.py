@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from disot import barycenter, duality
 from disot.barycenter import (
     classical_barycenter,
     disint_barycenter,
+    fiber_barycenter_lp,
     make_problem,
     objective,
 )
@@ -18,7 +21,7 @@ from disot.duality import (
 )
 from disot.errors import NotSolved, ShapeMismatch
 from disot.instances import interval_pair
-from disot.measures import FiberedMeasure, GroundCost, dirac
+from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
 from disot.ot import c_transform
 
@@ -269,3 +272,81 @@ class TestGapReport:
         assert clone.base_ids == cert.base_ids
         assert np.allclose(clone.zeta, cert.zeta)
         assert eval_dual(clone, prob) == pytest.approx(eval_dual(cert, prob), abs=1e-15)
+
+
+class TestLPLayout:
+    """Row and column order of the joint and minimax LPs handed to HiGHS.
+
+    Reordering rows leaves the optimal value unchanged but can change the
+    multipliers HiGHS returns, and with them the q = inf certificates.
+    """
+
+    # variables: gamma_1 (2 x 3) | gamma_2 (3 x 3) | w (3), couplings row-major
+    JOINT_A_EQ = [
+        [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0],
+        [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0],
+        [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0],
+        [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1],
+        [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -1],
+    ]
+    JOINT_B_EQ = [0.25, 0.75, 0.5, 0.25, 0.25, 0, 0, 0, 0, 0, 0]
+
+    # variables: gamma_1 | gamma_2 | w | t (2)
+    MINIMAX_A_EQ = [
+        [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],
+        [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0],
+    ]
+    MINIMAX_B_EQ = [0.25, 0.75, 0, 0, 0, 0.5, 0.25, 0.25, 0, 0, 0]
+    # one epigraph row per (input, fiber): <gamma_k, d**2> - t_k <= 0
+    MINIMAX_A_UB = [
+        [0, 1, 4, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, 4, 1, 0, 1, 4, 1, 0, 0, 0, 0, 0, -1],
+    ]
+
+    @pytest.fixture
+    def problem(self):
+        cost = GroundCost([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        m1 = FiberedMeasure(["w"], [1.0], {"w": DiscreteMeasure([0, 1], [0.25, 0.75])})
+        m2 = FiberedMeasure(["w"], [1.0], {"w": DiscreteMeasure([0, 1, 2], [0.5, 0.25, 0.25])})
+        return make_problem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {"w": cost})
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def spy(c, **kwargs):
+            calls.append(kwargs)
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(barycenter, "linprog", spy)
+        monkeypatch.setattr(duality, "linprog", spy)
+        return calls
+
+    def test_joint_lp(self, problem, lp_calls):
+        fibers = [mk.fiber("w") for mk in problem.inputs]
+        fiber_barycenter_lp(fibers, problem.costs["w"], problem.lambdas, 2.0, problem.support["w"])
+        (call,) = lp_calls
+        assert np.array_equal(call["A_eq"].toarray(), self.JOINT_A_EQ)
+        assert np.array_equal(call["b_eq"], self.JOINT_B_EQ)
+
+    def test_minimax_lp(self, problem, lp_calls):
+        duality._zeta_minimax(problem)
+        (call,) = lp_calls
+        assert np.array_equal(call["A_eq"].toarray(), self.MINIMAX_A_EQ)
+        assert np.array_equal(call["b_eq"], self.MINIMAX_B_EQ)
+        assert np.array_equal(call["A_ub"].toarray(), self.MINIMAX_A_UB)

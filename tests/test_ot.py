@@ -9,6 +9,7 @@ from disot.errors import DegenerateInput, SupportOutOfRange, TooLarge
 from disot.instances import tent_potential
 from disot.measures import DiscreteMeasure, GroundCost, dirac
 from disot.ot import (
+    _transport_linprog,
     brute_force_ot,
     c_transform,
     coupling_is_deterministic,
@@ -163,6 +164,56 @@ class TestTransportCore:
         b = np.array([0.2, 0.3, 0.5 + 1e-13])
         value, gamma, _, _, _ = transport(np.ones((3, 3)) - np.eye(3), a, b)
         assert abs(gamma.sum() - 1.0) <= 1e-9
+
+    def test_float_residue_outlives_last_column(self):
+        # the north-west start fills the last column while an earlier row
+        # still holds float residue; it must move down, not past the column
+        cost = line_cost([0.0, 1.0, 2.0])
+        mu = DiscreteMeasure(
+            [0, 1, 2], [0.8683020802422613, 0.13169791975773867, 6.802979012782214e-212]
+        )
+        nu = DiscreteMeasure(
+            [0, 1, 2], [0.25498088412534, 0.49854749136840665, 0.24647162450625337]
+        )
+        want = brute_force_ot(mu, nu, cost, 2.0)
+        assert want == pytest.approx(1.089340230120204, abs=1e-15)
+        assert solve_ot(mu, nu, cost, 2.0).value_p == pytest.approx(want, abs=1e-9)
+
+    @given(
+        st.integers(2, 4),
+        st.integers(2, 4),
+        st.floats(-300.0, -15.0),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tiny_last_atom_matches_oracle(self, m, n, log_tiny, on_mu, seed):
+        rng = np.random.default_rng(seed)
+        cost = metric_cost(rng, 4, "square" if seed % 2 else "interval")
+        a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        if on_mu:
+            a[-1] = 10.0**log_tiny
+        else:
+            b[-1] = 10.0**log_tiny
+        mu, nu = DiscreteMeasure(np.arange(m), a), DiscreteMeasure(np.arange(n), b)
+        p = float(rng.choice([1.0, 2.0, 3.0]))
+        want = brute_force_ot(mu, nu, cost, p)
+        assert solve_ot(mu, nu, cost, p).value_p == pytest.approx(want, abs=1e-9)
+
+
+class TestTransportLinprog:
+    def test_agrees_with_simplex(self, rng):
+        for _ in range(60):
+            m, n = (int(x) for x in rng.integers(1, 12, size=2))
+            cost = rng.random((m, n))
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            value, gamma, u, v, _ = _transport_linprog(cost, a, b)
+            want = transport(cost, a, b)[0]
+            assert abs(value - want) <= 1e-12 * abs(want)
+            assert u[0] == 0.0
+            assert (u[:, None] + v[None, :] - cost).max() <= 1e-12
+            assert np.abs(gamma.sum(axis=1) - a).max() <= 1e-9
+            assert np.abs(gamma.sum(axis=0) - b).max() <= 1e-9
 
 
 class TestCTransform:
