@@ -27,11 +27,15 @@ from .errors import (
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import CostTable, DisintConfig, cost_at, lq_norm, scrmk
 from .ot import coupling_rows, transport
-
-LAMBDA_TOL = 1e-12
-
-# fibers within this of the max count as active for the q = inf subdifferential
-ACTIVE_TOL = 1e-9
+from .tolerances import (
+    ACTIVE_TOL,
+    CERT_TOL,
+    LAMBDA_TOL,
+    MAX_ITER,
+    PROBE_DIST_TOL,
+    PROBE_EXACT_VALUE_TOL,
+    PROBE_VALUE_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -249,20 +253,17 @@ def _lp_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     if problem.kappa != problem.config.p:
         raise ValueError("the LP route requires kappa = p")
     p = problem.config.p
-
-    def solve_one(b: str):
-        return fiber_barycenter_lp(
+    weights, fiber_values = {}, []
+    for b in problem.base_ids:
+        value, weights[b], _, _ = fiber_barycenter_lp(
             [mk.fiber(b) for mk in problem.inputs],
             cost_at(problem.costs, b),
             problem.lambdas,
             p,
             problem.support[b],
         )
-
-    solved = [solve_one(b) for b in problem.base_ids]
-    weights = {b: sol[1] for b, sol in zip(problem.base_ids, solved)}
+        fiber_values.append(value)
     minimizer = _assemble(problem, weights)
-    fiber_values = [sol[0] for sol in solved]
     value = math.fsum(s * v for s, v in zip(problem.sigma, fiber_values))
     dists = np.array(
         [scrmk(mk, minimizer, problem.config, problem.costs) for mk in problem.inputs]
@@ -296,8 +297,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 def disint_barycenter(
     problem: BarycenterProblem,
     start: Mapping[str, np.ndarray] | None = None,
-    max_iter: int = 10_000,
-    tol: float = 1e-3,
+    max_iter: int = MAX_ITER,
+    tol: float = CERT_TOL,
     cert_every: int = 25,
 ) -> BarycenterResult:
     """Barycenter in the disintegrated metric at kappa = p.
@@ -339,28 +340,6 @@ def _subgradient_barycenter(problem, start, max_iter, tol, cert_every):
 
     r = q / p if not math.isinf(q) else math.inf
 
-    def evaluate(wts):
-        """Per-(k, fiber) p-th power costs and column duals at fixed weights."""
-
-        def one(b):
-            vals = np.empty(K)
-            grads = []
-            for k, mk in enumerate(problem.inputs):
-                f = mk.fiber(b)
-                value, _, _, v, _ = transport(cp[(k, b)], f.weights, wts[b])
-                vals[k] = value
-                grads.append(v)
-            return vals, grads
-
-        out = [one(b) for b in base_ids]
-        fmat = np.stack([vals for vals, _ in out], axis=1)  # K x fibers
-        duals = {b: out[i][1] for i, b in enumerate(base_ids)}
-        return fmat, duals
-
-    def norms_and_objective(fmat):
-        per_k = np.array([lq_norm(fmat[k], sigma, r) for k in range(K)])
-        return per_k, math.fsum(lambdas * per_k)
-
     best_val = math.inf
     best_w = None
     dual_bound = -math.inf
@@ -372,8 +351,15 @@ def _subgradient_barycenter(problem, start, max_iter, tol, cert_every):
 
     it = 0
     for it in range(1, max_iter + 1):
-        fmat, duals = evaluate(w)
-        per_k_norm, obj = norms_and_objective(fmat)
+        # per-(k, fiber) p-th power costs (K x fibers) and column duals at w
+        fmat = np.empty((K, len(base_ids)))
+        duals = {b: [] for b in base_ids}
+        for i, b in enumerate(base_ids):
+            for k, mk in enumerate(problem.inputs):
+                fmat[k, i], _, _, v, _ = transport(cp[(k, b)], mk.fiber(b).weights, w[b])
+                duals[b].append(v)
+        per_k_norm = np.array([lq_norm(fmat[k], sigma, r) for k in range(K)])
+        obj = math.fsum(lambdas * per_k_norm)
         if obj < best_val:
             best_val = obj
             best_w = {b: w[b].copy() for b in base_ids}
@@ -514,7 +500,7 @@ def uniqueness_probe(
     radius: float,
     seed: int = 0,
     value_tol: float | None = None,
-    dist_tol: float = 1e-4,
+    dist_tol: float = PROBE_DIST_TOL,
 ) -> ProbeReport:
     """Empirical probe for minimizer uniqueness.
 
@@ -528,7 +514,8 @@ def uniqueness_probe(
     rng = np.random.default_rng(seed)
     exact = problem.config.q == problem.config.p
     if value_tol is None:
-        value_tol = (1e-9 if exact else 2e-3) * (1.0 + abs(result.value))
+        rel = PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL
+        value_tol = rel * (1.0 + abs(result.value))
 
     candidates: list[FiberedMeasure] = [result.minimizer]
     for mk in problem.inputs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+
 from . import __version__
 from .barycenter import (
     classical_barycenter,
@@ -36,46 +36,19 @@ from .io import (
 from .measures import DiscreteMeasure, FiberedMeasure
 from .metric import DisintConfig, fiber_distance_profile, scrmk
 from .ot import coupling_is_deterministic, solve_ot
+from .tolerances import (
+    CERT_TOL,
+    DISTINCT_DISTANCE,
+    EQUAL_VALUE_TOL,
+    EXAMPLE_PROBE_RADIUS,
+    MAP_TOL,
+    MAX_ITER,
+    PROBE_RADIUS,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NOT_CERTIFIED = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated flags for one invocation."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    fmt: str = "json"
-    p: float = 2.0
-    q: float | None = None
-    kappa: float | None = None
-    lambdas: list[float] | None = None
-    names: list[str] | None = None
-    tol: float = 1e-3
-    max_iter: int = 10_000
-    seed: int = 0
-    trials: int = 10
-    radius: float = 1e-6
-    fiber: str | None = None
-    mu: str = "mu"
-    nu: str = "nu"
-    mu_csv: str | None = None
-    nu_csv: str | None = None
-    example: str | None = None
-    n: int = 50
-    fibers: int = 2
-    atoms: int = 3
-    measures: int = 2
-    kind: str = "interval"
-    oracle_checkable: bool = False
-
-    def disint_config(self) -> DisintConfig:
-        q = self.p if self.q is None else self.q
-        return DisintConfig(self.p, q)
 
 
 def _parse_q(text: str) -> float:
@@ -101,30 +74,42 @@ def _measure_payload(m: FiberedMeasure) -> dict:
     }
 
 
-def _pick_names(instance: Instance, cfg: RunConfig, minimum: int = 2) -> list[str]:
-    names = cfg.names if cfg.names else sorted(instance.measures)
-    if len(names) < minimum:
-        raise ParseError(f"need at least {minimum} measure names, got {names}")
+def _disint_config(args: argparse.Namespace) -> DisintConfig:
+    return DisintConfig(args.p, args.p if args.q is None else args.q)
+
+
+def _pick_names(instance: Instance, args: argparse.Namespace) -> list[str]:
+    names = args.names if args.names else sorted(instance.measures)
+    if len(names) < 2:
+        raise ParseError(f"need at least 2 measure names, got {names}")
     return names
 
 
-def _lambdas_for(cfg: RunConfig, k: int) -> list[float]:
-    if cfg.lambdas is None:
+def _lambdas_for(args: argparse.Namespace, k: int) -> list[float]:
+    if args.lambdas is None:
         return [1.0 / k] * k
-    if len(cfg.lambdas) != k:
-        raise ParseError(f"--lambda needs {k} entries, got {len(cfg.lambdas)}")
-    return cfg.lambdas
+    if len(args.lambdas) != k:
+        raise ParseError(f"--lambda needs {k} entries, got {len(args.lambdas)}")
+    return args.lambdas
 
 
-def _problem_from_instance(instance: Instance, cfg: RunConfig, names: list[str]):
+def _problem_from_instance(
+    instance: Instance, args: argparse.Namespace, names: list[str], config: DisintConfig
+):
     inputs = [instance.measure(nm) for nm in names]
-    lams = _lambdas_for(cfg, len(inputs))
-    return make_problem(
-        inputs, lams, cfg.disint_config(), instance.costs(), kappa=cfg.kappa
-    )
+    return make_problem(inputs, _lambdas_for(args, len(inputs)), config, instance.costs())
 
 
-def _result_payload(problem, result) -> dict:
+def _solve(args: argparse.Namespace):
+    """Load the instance, build the problem at kappa = p and solve it."""
+    instance = load_instance(args.input)
+    names = _pick_names(instance, args)
+    problem = _problem_from_instance(instance, args, names, _disint_config(args))
+    result = disint_barycenter(problem, max_iter=args.max_iter, tol=args.tol)
+    return names, problem, result
+
+
+def _result_payload(result) -> dict:
     payload = {
         "value": result.value,
         "per_k_distances": [float(d) for d in result.per_k_distances],
@@ -139,31 +124,31 @@ def _result_payload(problem, result) -> dict:
     return payload
 
 
-def _cmd_ot(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.mu_csv or cfg.nu_csv:
-        if not (cfg.mu_csv and cfg.nu_csv):
+def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.mu_csv or args.nu_csv:
+        if not (args.mu_csv and args.nu_csv):
             raise ParseError("--mu-csv and --nu-csv must be given together")
-        xs, mu_local = load_csv_measure(cfg.mu_csv)
-        ys, nu_local = load_csv_measure(cfg.nu_csv)
+        xs, mu_local = load_csv_measure(args.mu_csv)
+        ys, nu_local = load_csv_measure(args.nu_csv)
         _, cost, (mu_idx, nu_idx) = combine_1d_points([xs, ys])
         mu = DiscreteMeasure(mu_idx[mu_local.point_ids], mu_local.weights)
         nu = DiscreteMeasure(nu_idx[nu_local.point_ids], nu_local.weights)
-        source = {"mu_csv": cfg.mu_csv, "nu_csv": cfg.nu_csv}
+        source = {"mu_csv": args.mu_csv, "nu_csv": args.nu_csv}
     else:
-        if not cfg.input:
+        if not args.input:
             raise ParseError("ot needs --input or a pair of CSV files")
-        instance = load_instance(cfg.input)
-        fiber = cfg.fiber or (
+        instance = load_instance(args.input)
+        fiber = args.fiber or (
             instance.base_ids[0] if len(instance.base_ids) == 1 else None
         )
         if fiber is None:
             raise ParseError("--fiber is required on a multi-fiber instance")
-        mu = instance.measure(cfg.mu).fiber(fiber)
-        nu = instance.measure(cfg.nu).fiber(fiber)
+        mu = instance.measure(args.mu).fiber(fiber)
+        nu = instance.measure(args.nu).fiber(fiber)
         cost = instance.bundle.cost(fiber)
-        source = {"input": cfg.input, "fiber": fiber}
-    res = solve_ot(mu, nu, cost, cfg.p)
-    tmap = coupling_is_deterministic(res.coupling, tol=1e-7)
+        source = {"input": args.input, "fiber": fiber}
+    res = solve_ot(mu, nu, cost, args.p)
+    tmap = coupling_is_deterministic(res.coupling, tol=MAP_TOL)
     results = {
         "value_p": res.value_p,
         "mk": res.mk,
@@ -174,75 +159,60 @@ def _cmd_ot(cfg: RunConfig) -> tuple[dict, int]:
         "psi": [float(x) for x in res.psi],
         "deterministic_map": {str(k): v for k, v in tmap.items()} if tmap else None,
     }
-    return {"command": "ot", "config": {"p": cfg.p, **source}, "results": results}, EXIT_OK
+    return {"command": "ot", "config": {"p": args.p, **source}, "results": results}, EXIT_OK
 
 
-def _cmd_dist(cfg: RunConfig) -> tuple[dict, int]:
-    if not cfg.input:
-        raise ParseError("dist needs --input")
-    instance = load_instance(cfg.input)
-    m = instance.measure(cfg.mu)
-    n = instance.measure(cfg.nu)
-    config = cfg.disint_config()
+def _cmd_dist(args: argparse.Namespace) -> tuple[dict, int]:
+    instance = load_instance(args.input)
+    m = instance.measure(args.mu)
+    n = instance.measure(args.nu)
+    config = _disint_config(args)
     profile = fiber_distance_profile(m, n, config.p, instance.costs())
     value = scrmk(m, n, config, instance.costs())
     results = {
         "distance": value,
         "profile": {b: d for b, d in profile},
     }
-    conf = {"p": config.p, "q": config.q, "input": cfg.input, "m": cfg.mu, "n": cfg.nu}
+    conf = {"p": config.p, "q": config.q, "input": args.input, "m": args.mu, "n": args.nu}
     return {"command": "dist", "config": conf, "results": results}, EXIT_OK
 
 
-def _cmd_bary(cfg: RunConfig) -> tuple[dict, int]:
-    if not cfg.input:
-        raise ParseError("bary needs --input")
-    instance = load_instance(cfg.input)
+def _cmd_bary(args: argparse.Namespace) -> tuple[dict, int]:
+    instance = load_instance(args.input)
     if len(instance.base_ids) != 1:
         raise ParseError("bary expects a one-point base; use disint-bary instead")
-    names = _pick_names(instance, cfg)
-    problem = _problem_from_instance(instance, cfg, names)
+    names = _pick_names(instance, args)
+    problem = _problem_from_instance(instance, args, names, DisintConfig(args.p, args.p))
     result = classical_barycenter(problem)
-    conf = {"p": cfg.p, "input": cfg.input, "names": names, "lambda": problem.lambdas}
-    return (
-        {"command": "bary", "config": conf, "results": _result_payload(problem, result)},
-        EXIT_OK,
-    )
+    conf = {"p": args.p, "input": args.input, "names": names, "lambda": problem.lambdas}
+    return {"command": "bary", "config": conf, "results": _result_payload(result)}, EXIT_OK
 
 
-def _cmd_disint_bary(cfg: RunConfig) -> tuple[dict, int]:
-    if not cfg.input:
-        raise ParseError("disint-bary needs --input")
-    instance = load_instance(cfg.input)
-    names = _pick_names(instance, cfg)
-    problem = _problem_from_instance(instance, cfg, names)
-    result = disint_barycenter(problem, max_iter=cfg.max_iter, tol=cfg.tol)
+def _cmd_disint_bary(args: argparse.Namespace) -> tuple[dict, int]:
+    names, problem, result = _solve(args)
     config = problem.config
     conf = {
         "p": config.p,
         "q": config.q,
-        "input": cfg.input,
+        "input": args.input,
         "names": names,
         "lambda": problem.lambdas,
-        "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
+        "tol": args.tol,
+        "max_iter": args.max_iter,
     }
     status = EXIT_OK if result.certified else EXIT_NOT_CERTIFIED
     return (
-        {"command": "disint-bary", "config": conf, "results": _result_payload(problem, result)},
+        {"command": "disint-bary", "config": conf, "results": _result_payload(result)},
         status,
     )
 
 
-def _cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
-    if not cfg.input:
-        raise ParseError("certify needs --input")
-    instance = load_instance(cfg.input)
-    names = _pick_names(instance, cfg)
-    problem = _problem_from_instance(instance, cfg, names)
-    result = disint_barycenter(problem, max_iter=cfg.max_iter, tol=cfg.tol)
+def _cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
+    names, problem, result = _solve(args)
     cert = extract_certificate(problem, result)
-    report = duality_gap(problem, result, cert)
+    # at q = p the LP optimum is exact and the gap check keeps its exact default
+    exact = problem.config.q == problem.config.p
+    report = duality_gap(problem, result, cert, tol=None if exact else args.tol)
     results = {
         "primal": report.primal,
         "dual": report.dual,
@@ -250,12 +220,12 @@ def _cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
         "certified": report.certified,
         "tolerance": report.tol,
         "certificate": cert.to_dict(),
-        "solver": _result_payload(problem, result),
+        "solver": _result_payload(result),
     }
     conf = {
         "p": problem.config.p,
         "q": problem.config.q,
-        "input": cfg.input,
+        "input": args.input,
         "names": names,
         "lambda": problem.lambdas,
     }
@@ -263,15 +233,10 @@ def _cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
     return {"command": "certify", "config": conf, "results": results}, status
 
 
-def _cmd_probe(cfg: RunConfig) -> tuple[dict, int]:
-    if not cfg.input:
-        raise ParseError("probe-uniqueness needs --input")
-    instance = load_instance(cfg.input)
-    names = _pick_names(instance, cfg)
-    problem = _problem_from_instance(instance, cfg, names)
-    result = disint_barycenter(problem, max_iter=cfg.max_iter, tol=cfg.tol)
+def _cmd_probe(args: argparse.Namespace) -> tuple[dict, int]:
+    names, problem, result = _solve(args)
     probe = uniqueness_probe(
-        problem, result, trials=cfg.trials, radius=cfg.radius, seed=cfg.seed
+        problem, result, trials=args.trials, radius=args.radius, seed=args.seed
     )
     results = {
         "values": list(probe.values),
@@ -282,26 +247,23 @@ def _cmd_probe(cfg: RunConfig) -> tuple[dict, int]:
     conf = {
         "p": problem.config.p,
         "q": problem.config.q,
-        "input": cfg.input,
+        "input": args.input,
         "names": names,
-        "trials": cfg.trials,
-        "radius": cfg.radius,
-        "seed": cfg.seed,
+        "trials": args.trials,
+        "radius": args.radius,
+        "seed": args.seed,
     }
     return {"command": "probe-uniqueness", "config": conf, "results": results}, EXIT_OK
 
 
-def _cmd_example(cfg: RunConfig) -> tuple[dict, int]:
-    key = (cfg.example or "").lower()
-    if key in ("2.2", "intervals", "p1-intervals"):
-        return _example_intervals(cfg)
-    if key in ("2.1", "shared-fiber", "qinf"):
-        return _example_shared_fiber(cfg)
-    raise ParseError(f"unknown example {cfg.example!r} (use 2.1 or 2.2)")
+def _cmd_example(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.example in ("2.2", "intervals"):
+        return _example_intervals(args)
+    return _example_shared_fiber(args)
 
 
-def _example_intervals(cfg: RunConfig) -> tuple[dict, int]:
-    inst = interval_pair(cfg.n)
+def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
+    inst = interval_pair(args.n)
     problem = inst.problem()
     result = classical_barycenter(problem)
     base = problem.base_ids[0]
@@ -312,7 +274,9 @@ def _example_intervals(cfg: RunConfig) -> tuple[dict, int]:
     cert = inst.explicit_certificate(problem)
     gap = duality_gap(problem, result, cert)
     d01 = solve_ot(inst.nu0, inst.nu1, inst.cost, 1.0).value_p
-    probe = uniqueness_probe(problem, result, trials=4, radius=1e-9, seed=cfg.seed)
+    probe = uniqueness_probe(
+        problem, result, trials=4, radius=EXAMPLE_PROBE_RADIUS, seed=args.seed
+    )
     results = {
         "lp_value": result.value,
         "dual_value": gap.dual,
@@ -328,15 +292,15 @@ def _example_intervals(cfg: RunConfig) -> tuple[dict, int]:
         "nonuniqueness_witness": probe.witness,
         "witness_max_distance": probe.max_pairwise_distance,
     }
-    conf = {"example": "2.2", "n": cfg.n, "p": 1.0, "lambda": [0.5, 0.5]}
+    conf = {"example": "2.2", "n": args.n, "p": 1.0, "lambda": [0.5, 0.5]}
     status = EXIT_OK if gap.certified else EXIT_NOT_CERTIFIED
     return {"command": "example", "config": conf, "results": results}, status
 
 
-def _example_shared_fiber(cfg: RunConfig) -> tuple[dict, int]:
+def _example_shared_fiber(args: argparse.Namespace) -> tuple[dict, int]:
     inst = shared_fiber_nonuniqueness()
     problem = inst.problem(p=2.0)
-    result = disint_barycenter(problem, max_iter=cfg.max_iter, tol=cfg.tol)
+    result = disint_barycenter(problem, max_iter=args.max_iter, tol=args.tol)
     obj_a = objective(problem, inst.candidate_uniform_mid)
     obj_b = objective(problem, inst.candidate_modified)
     dist_ab = scrmk(
@@ -355,7 +319,7 @@ def _example_shared_fiber(cfg: RunConfig) -> tuple[dict, int]:
             "candidate_b": _measure_payload(inst.candidate_modified),
         },
         "distinct_equal_value_minimizers": bool(
-            abs(obj_a - obj_b) <= 1e-6 and dist_ab > 0.1
+            abs(obj_a - obj_b) <= EQUAL_VALUE_TOL and dist_ab > DISTINCT_DISTANCE
         ),
     }
     conf = {"example": "2.1", "p": 2.0, "q": math.inf, "lambda": [0.5, 0.5]}
@@ -363,28 +327,28 @@ def _example_shared_fiber(cfg: RunConfig) -> tuple[dict, int]:
     return {"command": "example", "config": conf, "results": results}, status
 
 
-def _cmd_generate(cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_generate(args: argparse.Namespace) -> tuple[dict, int]:
     doc = generate_instance(
-        seed=cfg.seed,
-        n_fibers=cfg.fibers,
-        n_atoms=cfg.atoms,
-        n_measures=cfg.measures,
-        kind=cfg.kind,
-        oracle_checkable=cfg.oracle_checkable,
+        seed=args.seed,
+        n_fibers=args.fibers,
+        n_atoms=args.atoms,
+        n_measures=args.measures,
+        kind=args.kind,
+        oracle_checkable=args.oracle_checkable,
     )
-    if cfg.output:
-        save_document(cfg.output, doc)
+    if args.output:
+        save_document(args.output, doc)
         summary = {
             "command": "generate",
             "config": {
-                "seed": cfg.seed,
-                "fibers": cfg.fibers,
-                "atoms": cfg.atoms,
-                "measures": cfg.measures,
-                "kind": cfg.kind,
-                "oracle_checkable": cfg.oracle_checkable,
+                "seed": args.seed,
+                "fibers": args.fibers,
+                "atoms": args.atoms,
+                "measures": args.measures,
+                "kind": args.kind,
+                "oracle_checkable": args.oracle_checkable,
             },
-            "results": {"written": cfg.output},
+            "results": {"written": args.output},
         }
         return summary, EXIT_OK
     return doc, EXIT_OK
@@ -402,29 +366,31 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one subcommand and emit its report; returns the exit status."""
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
-        raise ParseError(f"unknown command {cfg.command!r}")
-    report, status = handler(cfg)
-    text = report_to_csv(report) if cfg.fmt == "csv" else dump_text(report)
-    if cfg.output and cfg.command != "generate":
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed subcommand and emit its report; returns the exit status."""
+    report, status = _HANDLERS[args.command](args)
+    text = report_to_csv(report) if args.fmt == "csv" else dump_text(report)
+    if args.output and args.command != "generate":
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return status
 
 
-def _add_common(sp: argparse.ArgumentParser, q_flag: bool = True):
-    sp.add_argument("--input", help="instance file (JSON, measures schema)")
+def _add_common(sp: argparse.ArgumentParser, input_required: bool = True, q_flag: bool = True):
+    sp.add_argument(
+        "--input", required=input_required, help="instance file (JSON, measures schema)"
+    )
     sp.add_argument("--output", help="write the report here instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sp.add_argument("--p", type=float, default=2.0, help="fiber cost exponent, >= 1")
     if q_flag:
         sp.add_argument("--q", type=_parse_q, default=None, help="base exponent; accepts inf")
-    sp.add_argument("--kappa", type=float, default=None, help="objective exponent (default p)")
+
+
+def _add_weights(sp: argparse.ArgumentParser):
+    sp.add_argument("--names", type=lambda s: [x for x in s.split(",") if x], default=None)
     sp.add_argument(
         "--lambda",
         dest="lambdas",
@@ -433,10 +399,13 @@ def _add_common(sp: argparse.ArgumentParser, q_flag: bool = True):
         metavar="W1,W2,...",
         help="input weights on the probability simplex",
     )
-    sp.add_argument("--names", type=lambda s: [x for x in s.split(",") if x], default=None)
-    sp.add_argument("--tol", type=float, default=1e-3, help="relative certification tolerance")
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
+
+
+def _add_solver(sp: argparse.ArgumentParser):
+    sp.add_argument(
+        "--tol", type=float, default=CERT_TOL, help="relative certification tolerance at p < q"
+    )
+    sp.add_argument("--max-iter", dest="max_iter", type=int, default=MAX_ITER)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ot", help="transport distance between two measures on one fiber")
-    _add_common(sp, q_flag=False)
+    _add_common(sp, input_required=False, q_flag=False)
     sp.add_argument("--fiber", help="base point to use on multi-fiber instances")
     sp.add_argument("--mu", default="mu", help="name of the source measure")
     sp.add_argument("--nu", default="nu", help="name of the target measure")
@@ -463,25 +432,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bary", help="classical barycenter on a one-point base (exact LP)")
     _add_common(sp, q_flag=False)
+    _add_weights(sp)
 
     sp = sub.add_parser("disint-bary", help="disintegrated barycenter at kappa = p")
     _add_common(sp)
+    _add_weights(sp)
+    _add_solver(sp)
 
     sp = sub.add_parser("certify", help="solve, extract a dual certificate, report the gap")
     _add_common(sp)
+    _add_weights(sp)
+    _add_solver(sp)
 
     sp = sub.add_parser("probe-uniqueness", help="randomized search for distinct minimizers")
     _add_common(sp)
+    _add_weights(sp)
+    _add_solver(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--radius", type=float, default=1e-6, help="perturbation size")
+    sp.add_argument("--radius", type=float, default=PROBE_RADIUS, help="perturbation size")
 
     sp = sub.add_parser("example", help="run a named built-in reproduction")
     sp.add_argument("example", choices=("2.1", "2.2", "intervals", "shared-fiber"))
     sp.add_argument("--n", type=int, default=50, help="atoms per interval (intervals example)")
     sp.add_argument("--output", help="write the report here instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=10_000)
+    _add_solver(sp)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("generate", help="write a deterministic pseudo-random instance")
@@ -496,25 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {f for f in RunConfig.__dataclass_fields__}
-    payload = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    return RunConfig(**payload)
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        status = run(cfg)
-    except DisotError as exc:
+        return run(args)
+    except (DisotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    return status
 
 
 if __name__ == "__main__":

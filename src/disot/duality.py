@@ -23,12 +23,7 @@ from .errors import LPInfeasible, NotSolved, ShapeMismatch
 from .measures import ValidationReport, Violation
 from .metric import cost_at, fiber_distance_profile
 from .ot import c_transform, coupling_rows
-
-# strict positivity of zeta is kept by flooring before normalization
-ZETA_FLOOR = 1e-12
-
-SUM_TOL = 1e-9
-NORM_TOL = 1e-12
+from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL, ZETA_FLOOR
 
 
 @dataclass(frozen=True)
@@ -47,10 +42,6 @@ class DualCertificate:
     @property
     def K(self) -> int:
         return len(self.xi)
-
-    def eta(self, k: int, base_id: str) -> np.ndarray:
-        b = self.base_ids.index(base_id)
-        return self.zeta[k, b] * self.xi[k][base_id]
 
     def to_dict(self) -> dict:
         return {
@@ -293,14 +284,15 @@ def duality_gap(
 ) -> GapReport:
     """Primal objective at the result versus the certificate's dual value.
 
-    An invalid certificate yields dual = -inf and certified = False.  The
-    default tolerance is 1e-7 * (1 + primal) for the exact LP regime q = p and
-    1e-3 * (1 + primal) otherwise.
+    ``tol`` is relative: the gap passes when it is at most
+    tol * (1 + |primal|), which the report carries as its ``tol``.  It
+    defaults to EXACT_CERT_TOL in the exact LP regime q = p and to CERT_TOL
+    otherwise.  An invalid certificate yields dual = -inf and certified = False.
     """
     primal = objective(problem, result.minimizer)
     if tol is None:
-        rel = 1e-7 if problem.config.q == problem.config.p else 1e-3
-        tol = rel * (1.0 + abs(primal))
+        tol = EXACT_CERT_TOL if problem.config.q == problem.config.p else CERT_TOL
+    tol = tol * (1.0 + abs(primal))
     report = validate_certificate(cert, problem)
     if not report.ok:
         return GapReport(primal=primal, dual=-math.inf, gap=math.inf, certified=False, tol=tol)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost
+from .measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, normalize_measure
 
 
 def format_float(x: float) -> str:
@@ -110,8 +110,6 @@ def _parse_atoms(raw, where: str) -> DiscreteMeasure:
         pairs = [(int(a["point"]), parse_extended_float(a["w"])) for a in raw]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad atom list at {where}: {exc}") from None
-    from .measures import normalize_measure
-
     return normalize_measure(pairs)
 
 

@@ -21,12 +21,7 @@ from .errors import (
     InvalidGroundCost,
     NegativeWeight,
 )
-
-# Inputs whose total mass differs from 1 by more than this are still rescaled,
-# but constructed objects always carry weights summing to 1 within it.
-MASS_TOL = 1e-12
-
-TRIANGLE_TOL = 1e-9
+from .tolerances import MASS_TOL, TRIANGLE_TOL
 
 
 @dataclass(frozen=True)
@@ -114,14 +109,6 @@ class DiscreteMeasure:
     def as_dict(self) -> dict[int, float]:
         return {int(i): float(w) for i, w in zip(self.point_ids, self.weights)}
 
-    def dense(self, n: int) -> np.ndarray:
-        """Weight vector over the full point set 0..n-1."""
-        if self.point_ids.size and self.point_ids[-1] >= n:
-            raise IndexOutOfRange(f"atom {self.point_ids[-1]} outside point set of size {n}")
-        out = np.zeros(n)
-        out[self.point_ids] = self.weights
-        return out
-
     def is_dirac(self) -> bool:
         return len(self) == 1
 
@@ -153,13 +140,12 @@ class GroundCost:
 
     The matrix is stored raw; solvers apply the p-th power at solve time so a
     single GroundCost serves every exponent.  The triangle inequality is not
-    enforced at construction unless ``check_triangle`` is set; use
-    :func:`validate_ground_cost` for a full report.
+    enforced at construction; use :func:`validate_ground_cost` for a report.
     """
 
     __slots__ = ("d", "n")
 
-    def __init__(self, d: Sequence[Sequence[float]] | np.ndarray, check_triangle: bool = False):
+    def __init__(self, d: Sequence[Sequence[float]] | np.ndarray):
         mat = np.array(d, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidGroundCost("cost matrix must be square")
@@ -169,13 +155,6 @@ class GroundCost:
             raise InvalidGroundCost("cost matrix has nonzero diagonal")
         if not np.array_equal(mat, mat.T):
             raise InvalidGroundCost("cost matrix is not symmetric")
-        if check_triangle:
-            rep = validate_ground_cost(mat)
-            bad = rep.worst("triangle")
-            if bad is not None:
-                raise InvalidGroundCost(
-                    f"triangle inequality fails at {bad.location} by {bad.magnitude}"
-                )
         mat.setflags(write=False)
         object.__setattr__(self, "d", mat)
         object.__setattr__(self, "n", mat.shape[0])
@@ -219,7 +198,7 @@ def validate_ground_cost(d: Sequence[Sequence[float]] | np.ndarray) -> Validatio
     for i, j in zip(*np.nonzero(asym)):
         if i < j:
             out.append(Violation("symmetry", (int(i), int(j)), float(abs(asym[i, j]))))
-    # triangle: d[i,k] <= d[i,j] + d[j,k] for every triple, slack tolerance 1e-9
+    # triangle: d[i,k] <= d[i,j] + d[j,k] for every triple, up to TRIANGLE_TOL
     for j in range(n):
         slack = mat - (mat[:, j : j + 1] + mat[j : j + 1, :])
         slack[j, :] = -np.inf

@@ -80,18 +80,16 @@ def fiber_distance_profile(
     """
     if not m.same_base(n):
         raise BaseMismatch("measures have different base points or base weights")
-
-    def one(base_id: str) -> float:
+    profile = []
+    for base_id in m.base_ids:
         cost = cost_at(costs, base_id)
         fa, fb = m.fiber(base_id), n.fiber(base_id)
         if (fa.point_ids.size and fa.point_ids[-1] >= cost.n) or (
             fb.point_ids.size and fb.point_ids[-1] >= cost.n
         ):
             raise FiberMismatch(f"fiber atoms at {base_id!r} outside the shared point set")
-        return _fiber_mk(fa, fb, cost, p)
-
-    vals = [one(b) for b in m.base_ids]
-    return list(zip(m.base_ids, vals))
+        profile.append((base_id, _fiber_mk(fa, fb, cost, p)))
+    return profile
 
 
 def lq_norm(values: np.ndarray, sigma: np.ndarray, q: float) -> float:

@@ -19,11 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInput, LPInfeasible, SupportOutOfRange, TooLarge
 from .measures import DiscreteMeasure, GroundCost
-
-# optimality tolerance on reduced costs, relative to the cost scale
-_OPT_TOL = 1e-11
-
-MARGINAL_TOL = 1e-9
+from .tolerances import MARGINAL_TOL, OPT_TOL
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     for i, j in basis:
         basis_rows[i].add(j)
         basis_cols[j].add(i)
-    tol = _OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
+    tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
     max_pivots = 200 * (m + n) + 2000
     degenerate_run = 0
     bland_after = 10 * (m + n) + 50

@@ -1,0 +1,76 @@
+"""Every numerical tolerance and shared solver default, defined once.
+
+Library signatures, the certificate checks, the uniqueness probe and the
+command-line parser read their values from here.  Relative tolerances scale
+with ``1 + |value|`` of the quantity they judge; the others are absolute.
+"""
+
+# --- certification and the subgradient solver --------------------------------
+
+CERT_TOL = 1e-3
+"""Relative duality-gap tolerance at p < q: the subgradient stop and the gap check."""
+
+EXACT_CERT_TOL = 1e-7
+"""Relative duality-gap tolerance at q = p, where the LP optimum is exact."""
+
+MAX_ITER = 10_000
+"""Iteration cap of the projected-subgradient barycenter solver."""
+
+ACTIVE_TOL = 1e-9
+"""Fibers within this of the largest fiber cost are active in the q = inf subgradient."""
+
+LAMBDA_TOL = 1e-12
+"""Largest allowed distance of the barycenter weights' sum from 1."""
+
+# --- transport ----------------------------------------------------------------
+
+OPT_TOL = 1e-11
+"""Optimality tolerance on network-simplex reduced costs, relative to the cost scale."""
+
+MARGINAL_TOL = 1e-9
+"""Largest marginal residual a transport plan may carry before it is rejected."""
+
+MAP_TOL = 1e-7
+"""An atom counts toward a deterministic map when it holds more than this share of its row."""
+
+# --- measures and costs -------------------------------------------------------
+
+MASS_TOL = 1e-12
+"""Weight difference under which two measures or two base weightings count as equal."""
+
+TRIANGLE_TOL = 1e-9
+"""Slack above which a ground cost is reported as breaking the triangle inequality."""
+
+# --- dual certificates --------------------------------------------------------
+
+SUM_TOL = 1e-9
+"""Largest allowed |sum_k zeta_k * xi_k| at a support point of a valid certificate."""
+
+NORM_TOL = 1e-12
+"""Largest allowed excess of a certificate's zeta norm over 1."""
+
+ZETA_FLOOR = 1e-12
+"""Floor applied to zeta before normalization, which keeps it strictly positive."""
+
+# --- uniqueness probe and the built-in examples ------------------------------
+
+PROBE_EXACT_VALUE_TOL = 1e-9
+"""Relative objective slack within which the probe keeps a minimizer at q = p."""
+
+PROBE_VALUE_TOL = 2e-3
+"""Relative objective slack within which the probe keeps a minimizer at p < q."""
+
+PROBE_DIST_TOL = 1e-4
+"""Distance between kept minimizers above which the probe reports nonuniqueness."""
+
+PROBE_RADIUS = 1e-6
+"""Default size of the probe's random objective tilts."""
+
+EXAMPLE_PROBE_RADIUS = 1e-9
+"""Tilt size of the probe in the two-interval example (2.2)."""
+
+EQUAL_VALUE_TOL = 1e-6
+"""Objective difference under which the shared-fiber example (2.1) calls two values equal."""
+
+DISTINCT_DISTANCE = 0.1
+"""Distance above which the shared-fiber example (2.1) calls two minimizers distinct."""

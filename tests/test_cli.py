@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from disot.cli import main
+from disot import cli
+from disot.cli import build_parser, main
 from disot.errors import ParseError, TooLarge
 from disot.instances import generate_instance
 from disot.io import (
@@ -31,6 +33,20 @@ TWO_DIRAC_DOC = {
         }
     },
 }
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """Namespace that records the name of every public attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
 
 # frozen hash of generate_instance(seed=0, 2 fibers x 3 atoms); determinism golden
 GOLDEN_SHA256 = "39a49a36b14ed9a4001feebfd7ccb12a04b0f0426fabcaed1b7d4db77f078d29"
@@ -248,3 +264,65 @@ class TestCLI:
 
     def test_generate_oracle_bound_exit_2(self, capsys):
         assert main(["generate", "--seed", "0", "--atoms", "5", "--oracle-checkable"]) == 2
+
+    def test_certify_tol_is_relative_at_p_below_q(self, tmp_path, capsys):
+        doc = generate_instance(seed=5, n_fibers=3, n_atoms=8, kind="square")
+        path = self._write(tmp_path, doc)
+        code = main(["certify", "--input", path, "--p", "2", "--q", "4", "--tol", "0.3"])
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["tolerance"] == pytest.approx(0.3 * (1.0 + abs(res["primal"])), rel=1e-11)
+        assert res["solver"]["certified"] is True
+        assert res["certified"] is True
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ot", "--seed", "1"],
+            ["dist", "--kappa", "2"],
+            ["bary", "--max-iter", "5"],
+            ["certify", "--kappa", "2"],
+        ],
+    )
+    def test_unread_flags_are_not_accepted(self, tmp_path, capsys, argv):
+        path = self._write(tmp_path, generate_instance(seed=5, n_fibers=1, n_atoms=3))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:1], "--input", path, *argv[1:]])
+        assert exc.value.code == 2
+
+    def test_missing_input_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--p", "2"])
+        assert exc.value.code == 2
+
+    def test_every_registered_flag_is_read(self, tmp_path, capsys):
+        multi = self._write(tmp_path, generate_instance(seed=5, n_fibers=2, n_atoms=3), "multi.json")
+        one = self._write(tmp_path, generate_instance(seed=5, n_fibers=1, n_atoms=3), "one.json")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0.0,0.5\n1.0,0.5\n")
+        b.write_text("0.0,0.25\n1.0,0.75\n")
+        runs = [
+            ["ot", "--input", one, "--mu", "m1", "--nu", "m2"],
+            ["ot", "--mu-csv", str(a), "--nu-csv", str(b)],
+            ["dist", "--input", multi, "--m", "m1", "--n", "m2"],
+            ["bary", "--input", one],
+            ["disint-bary", "--input", multi, "--q", "4"],
+            ["certify", "--input", multi, "--q", "4"],
+            ["probe-uniqueness", "--input", multi, "--trials", "2"],
+            ["example", "2.1"],
+            ["example", "2.2", "--n", "10"],
+            ["generate"],
+        ]
+        parser = build_parser()
+        read: dict[str, set[str]] = {}
+        for argv in runs:
+            ns = parser.parse_args(argv, namespace=_RecordingNamespace())
+            ns._read.clear()
+            cli.run(ns)
+            read.setdefault(argv[0], set()).update(ns._read)
+        capsys.readouterr()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(read)
+        for name, sp in sub.choices.items():
+            registered = {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+            assert registered | {"command"} <= read[name], (name, registered - read[name])
