@@ -452,8 +452,13 @@ class ProbeReport:
     candidates: tuple[FiberedMeasure, ...] = field(repr=False, default=())
 
 
-def _resolve(problem: BarycenterProblem, rng, radius: float, mode: str):
-    """One randomized re-solve: objective tilt, random start, or support subset."""
+def _resolve(
+    problem: BarycenterProblem, rng, radius: float, mode: str, max_iter: int, tol: float
+):
+    """One randomized re-solve: objective tilt, random start, or support subset.
+
+    ``max_iter`` and ``tol`` bound the subgradient solves of the last two.
+    """
     if mode == "tilt" and problem.config.q == problem.config.p:
         p = problem.config.p
         weights = {}
@@ -485,12 +490,12 @@ def _resolve(problem: BarycenterProblem, rng, radius: float, mode: str):
             support=sub_support,
             kappa=problem.kappa,
         )
-        return disint_barycenter(sub).minimizer
+        return disint_barycenter(sub, max_iter=max_iter, tol=tol).minimizer
     # random feasible start for the subgradient path
     start = {
         b: rng.dirichlet(np.ones(problem.support[b].size)) for b in problem.base_ids
     }
-    return disint_barycenter(problem, start=start).minimizer
+    return disint_barycenter(problem, start=start, max_iter=max_iter, tol=tol).minimizer
 
 
 def uniqueness_probe(
@@ -501,6 +506,8 @@ def uniqueness_probe(
     seed: int = 0,
     value_tol: float | None = None,
     dist_tol: float = PROBE_DIST_TOL,
+    max_iter: int = MAX_ITER,
+    tol: float = CERT_TOL,
 ) -> ProbeReport:
     """Empirical probe for minimizer uniqueness.
 
@@ -509,7 +516,8 @@ def uniqueness_probe(
     random support subsets, and also tries each input measure as a candidate.
     Minimizers matching the best value within ``value_tol`` are collected and
     their maximum pairwise distance reported; a distance above ``dist_tol`` at
-    equal value is a nonuniqueness witness.
+    equal value is a nonuniqueness witness.  ``max_iter`` and ``tol`` are
+    passed to every subgradient re-solve, as to :func:`disint_barycenter`.
     """
     rng = np.random.default_rng(seed)
     exact = problem.config.q == problem.config.p
@@ -529,7 +537,7 @@ def uniqueness_probe(
             mode = "tilt" if t % 2 == 0 else "support"
         else:
             mode = "start" if t % 2 == 0 else "support"
-        candidates.append(_resolve(problem, rng, radius, mode))
+        candidates.append(_resolve(problem, rng, radius, mode, max_iter, tol))
 
     values = np.array([objective(problem, c) for c in candidates])
     best = float(values.min())

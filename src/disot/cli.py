@@ -46,6 +46,9 @@ from .tolerances import (
     PROBE_RADIUS,
 )
 
+# atoms per interval in example 2.2 unless --n says otherwise
+INTERVAL_ATOMS = 50
+
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NOT_CERTIFIED = 3
@@ -236,7 +239,13 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_probe(args: argparse.Namespace) -> tuple[dict, int]:
     names, problem, result = _solve(args)
     probe = uniqueness_probe(
-        problem, result, trials=args.trials, radius=args.radius, seed=args.seed
+        problem,
+        result,
+        trials=args.trials,
+        radius=args.radius,
+        seed=args.seed,
+        max_iter=args.max_iter,
+        tol=args.tol,
     )
     results = {
         "values": list(probe.values),
@@ -258,12 +267,26 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_example(args: argparse.Namespace) -> tuple[dict, int]:
     if args.example in ("2.2", "intervals"):
+        _reject_unread(args, "2.2", tol="--tol", max_iter="--max-iter")
         return _example_intervals(args)
+    _reject_unread(args, "2.1", n="--n", seed="--seed")
     return _example_shared_fiber(args)
 
 
+def _reject_unread(args: argparse.Namespace, example: str, **flags: str) -> None:
+    """Refuse the flags (dest=flag) that the chosen example never reads."""
+    for dest, flag in flags.items():
+        if getattr(args, dest) is not None:
+            raise ParseError(f"example {example} does not read {flag}")
+
+
+def _or_default(value, default):
+    return default if value is None else value
+
+
 def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
-    inst = interval_pair(args.n)
+    n = _or_default(args.n, INTERVAL_ATOMS)
+    inst = interval_pair(n)
     problem = inst.problem()
     result = classical_barycenter(problem)
     base = problem.base_ids[0]
@@ -274,9 +297,8 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
     cert = inst.explicit_certificate(problem)
     gap = duality_gap(problem, result, cert)
     d01 = solve_ot(inst.nu0, inst.nu1, inst.cost, 1.0).value_p
-    probe = uniqueness_probe(
-        problem, result, trials=4, radius=EXAMPLE_PROBE_RADIUS, seed=args.seed
-    )
+    seed = _or_default(args.seed, 0)
+    probe = uniqueness_probe(problem, result, trials=4, radius=EXAMPLE_PROBE_RADIUS, seed=seed)
     results = {
         "lp_value": result.value,
         "dual_value": gap.dual,
@@ -292,7 +314,7 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
         "nonuniqueness_witness": probe.witness,
         "witness_max_distance": probe.max_pairwise_distance,
     }
-    conf = {"example": "2.2", "n": args.n, "p": 1.0, "lambda": [0.5, 0.5]}
+    conf = {"example": "2.2", "n": n, "p": 1.0, "lambda": [0.5, 0.5]}
     status = EXIT_OK if gap.certified else EXIT_NOT_CERTIFIED
     return {"command": "example", "config": conf, "results": results}, status
 
@@ -300,7 +322,11 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
 def _example_shared_fiber(args: argparse.Namespace) -> tuple[dict, int]:
     inst = shared_fiber_nonuniqueness()
     problem = inst.problem(p=2.0)
-    result = disint_barycenter(problem, max_iter=args.max_iter, tol=args.tol)
+    result = disint_barycenter(
+        problem,
+        max_iter=_or_default(args.max_iter, MAX_ITER),
+        tol=_or_default(args.tol, CERT_TOL),
+    )
     obj_a = objective(problem, inst.candidate_uniform_mid)
     obj_b = objective(problem, inst.candidate_modified)
     dist_ab = scrmk(
@@ -454,11 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("example", help="run a named built-in reproduction")
     sp.add_argument("example", choices=("2.1", "2.2", "intervals", "shared-fiber"))
-    sp.add_argument("--n", type=int, default=50, help="atoms per interval (intervals example)")
+    # each example reads only its own flags; they default to None so that a
+    # flag the chosen example ignores is refused instead of dropped
+    sp.add_argument("--n", type=int, help=f"atoms per interval (2.2; default {INTERVAL_ATOMS})")
+    sp.add_argument("--seed", type=int, help="seed of the uniqueness probe (2.2; default 0)")
+    sp.add_argument("--tol", type=float, help="relative certification tolerance (2.1)")
+    sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (2.1)")
     sp.add_argument("--output", help="write the report here instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    _add_solver(sp)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("generate", help="write a deterministic pseudo-random instance")
     sp.add_argument("--seed", type=int, default=0)

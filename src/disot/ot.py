@@ -2,10 +2,16 @@
 
 The workhorse is a primal network simplex on the bipartite transportation
 graph (:func:`transport`).  It returns a vertex coupling together with exact
-dual potentials normalized so the first row potential is zero.  A dense LP
-fallback via scipy covers the (never observed) event of a pivot-limit hit.
-:func:`brute_force_ot` is an independent oracle that enumerates transportation
-polytope vertices in exact rational arithmetic.
+dual potentials normalized so the first row potential is zero.  The basis is
+a spanning tree rooted at the first row and kept in parent and depth arrays:
+each pivot finds its cycle by walking up the tree from both ends of the
+entering cell, and recomputes only the potentials of the subtree that the
+leaving cell cuts off, once it is hung back from the entering cell.  A run of
+degenerate pivots switches pricing to Bland's rule, and a problem that
+reaches the pivot limit (both in :mod:`disot.tolerances`) is re-solved by a
+dense LP through scipy's HiGHS.  :func:`brute_force_ot` is an independent
+oracle that enumerates transportation polytope vertices in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +25,14 @@ import numpy as np
 
 from .errors import DegenerateInput, LPInfeasible, SupportOutOfRange, TooLarge
 from .measures import DiscreteMeasure, GroundCost
-from .tolerances import MARGINAL_TOL, OPT_TOL
+from .tolerances import (
+    BLAND_AFTER_BASE,
+    BLAND_AFTER_PER_NODE,
+    MARGINAL_TOL,
+    MAX_PIVOTS_BASE,
+    MAX_PIVOTS_PER_NODE,
+    OPT_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -80,54 +93,24 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return gamma, basis
 
 
-def _tree_potentials(cost, basis_rows, basis_cols, m, n):
-    """u, v with u[i] + v[j] = cost[i, j] on basic cells, rooted at u[0] = 0."""
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [(0, True)]
-    while stack:
-        node, is_row = stack.pop()
-        if is_row:
-            for j in basis_rows[node]:
-                if math.isnan(v[j]):
-                    v[j] = cost[node, j] - u[node]
-                    stack.append((j, False))
-        else:
-            for i in basis_cols[node]:
-                if math.isnan(u[i]):
-                    u[i] = cost[i, node] - v[node]
-                    stack.append((i, True))
-    return u, v
+def _hang(top, adj, parent, depth, pot, cost, m):
+    """Set parent, depth and potential below ``top`` from its neighbours.
 
-
-def _tree_path(start_row, target_col, basis_rows, basis_cols):
-    """Unique path of basic cells from a row node to a column node."""
-    parent: dict[tuple[bool, int], tuple[bool, int]] = {}
-    seen = {(True, start_row)}
-    stack = [(True, start_row)]
+    ``top`` already carries its own three values.  Each node below it takes
+    its potential from its parent across the tree edge (row i, column j) as
+    ``cost[i, j] - parent potential``, so u[i] + v[j] = cost[i, j] on every
+    basic cell.
+    """
+    stack = [top]
     while stack:
-        is_row, node = stack.pop()
-        if not is_row and node == target_col:
-            path_nodes = [(False, node)]
-            while path_nodes[-1] in parent:
-                path_nodes.append(parent[path_nodes[-1]])
-            path_nodes.reverse()
-            edges = []
-            for (ar, an), (br, bn) in zip(path_nodes, path_nodes[1:]):
-                edges.append((an, bn) if ar else (bn, an))
-            return edges
-        neighbors = (
-            ((False, j) for j in basis_rows[node])
-            if is_row
-            else ((True, i) for i in basis_cols[node])
-        )
-        for nxt in neighbors:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = (is_row, node)
-                stack.append(nxt)
-    raise LPInfeasible("basis lost tree connectivity")  # pragma: no cover
+        x = stack.pop()
+        px, dx, ux = parent[x], depth[x] + 1, pot[x]
+        for y in adj[x]:
+            if y != px:
+                parent[y] = x
+                depth[y] = dx
+                pot[y] = (cost.item(x, y - m) if x < m else cost.item(y, x - m)) - ux
+                stack.append(y)
 
 
 def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -135,6 +118,18 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     Zero entries in a or b are allowed (their rows/columns stay basic with
     zero allocation, and their duals remain meaningful subgradients).
+
+    The basis is a spanning tree over nodes 0..m-1 (rows) and m..m+n-1
+    (columns), rooted at row 0 and stored as adjacency lists with ``parent``
+    and ``depth`` arrays.  The entering cell is the first minimum of the full
+    reduced-cost matrix, or the first improving cell in row-major order
+    (Bland's rule) once a run of degenerate pivots reaches its threshold.
+    Its cycle is found by walking up from both of its ends, deeper end first,
+    until the walks meet; the leaving cell is the smallest (i, j) among the
+    cells that lose theta.  Cutting the leaving cell splits off a subtree,
+    which is hung back from the entering cell; only the potentials in that
+    subtree are recomputed, and the rest keep their values.  After the pivot
+    limit the problem goes to the dense LP fallback instead.
 
     Returns (value, gamma, u, v, basis) where u, v are optimal dual potentials
     with u[0] = 0 and u[i] + v[j] <= cost[i, j] up to the pivot tolerance, and
@@ -145,21 +140,26 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=np.float64)
     m, n = cost.shape
     gamma, basis = _northwest_corner(a, b)
-    basis_rows: list[set[int]] = [set() for _ in range(m)]
-    basis_cols: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(m + n)]
     for i, j in basis:
-        basis_rows[i].add(j)
-        basis_cols[j].add(i)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
+    _hang(0, adj, parent, depth, pot, cost, m)
     tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
-    max_pivots = 200 * (m + n) + 2000
+    max_pivots = MAX_PIVOTS_PER_NODE * (m + n) + MAX_PIVOTS_BASE
     degenerate_run = 0
-    bland_after = 10 * (m + n) + 50
+    bland_after = BLAND_AFTER_PER_NODE * (m + n) + BLAND_AFTER_BASE
+    reduced = np.empty_like(cost)
 
     for _ in range(max_pivots):
-        u, v = _tree_potentials(cost, basis_rows, basis_cols, m, n)
-        reduced = cost - u[:, None] - v[None, :]
+        uv = np.array(pot)
+        np.subtract(cost, uv[:m, None], out=reduced)
+        np.subtract(reduced, uv[None, m:], out=reduced)
         if degenerate_run < bland_after:
-            flat = int(np.argmin(reduced))
+            flat = int(reduced.argmin())
             ei, ej = divmod(flat, n)
             if reduced[ei, ej] >= -tol:
                 break
@@ -169,7 +169,22 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
             if cand.size == 0:
                 break
             ei, ej = int(cand[0][0]), int(cand[0][1])
-        path = _tree_path(ei, ej, basis_rows, basis_cols)
+        # the cycle is the tree path from row ei to column ej; rows sit at
+        # even depth and columns at odd depth, so the walks never tie
+        x, y = ei, m + ej
+        up_x: list[int] = []
+        up_y: list[int] = []
+        while x != y:
+            if depth[x] > depth[y]:
+                up_x.append(x)
+                x = parent[x]
+            else:
+                up_y.append(y)
+                y = parent[y]
+        up_y.reverse()
+        path = [
+            (c, parent[c] - m) if c < m else (parent[c], c - m) for c in up_x + up_y
+        ]
         minus = path[0::2]
         plus = path[1::2]
         theta = min(gamma[i, j] for i, j in minus)
@@ -180,17 +195,27 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
         for i, j in minus:
             gamma[i, j] -= theta
         gamma[leaving] = 0.0
-        basis_rows[leaving[0]].discard(leaving[1])
-        basis_cols[leaving[1]].discard(leaving[0])
-        basis_rows[ei].add(ej)
-        basis_cols[ej].add(ei)
+        li, lj = leaving[0], m + leaving[1]
+        adj[li].remove(lj)
+        adj[lj].remove(li)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        # the cut subtree holds the end of the entering cell on the leaving
+        # cell's side of the cycle; hang it from the other end
+        top, under = (ei, m + ej) if path.index(leaving) < len(up_x) else (m + ej, ei)
+        parent[top] = under
+        depth[top] = depth[under] + 1
+        pot[top] = cost.item(ei, ej) - pot[under]
+        _hang(top, adj, parent, depth, pot, cost, m)
         degenerate_run = degenerate_run + 1 if theta == 0.0 else 0
-    else:  # pragma: no cover - safety net
+    else:
         return _transport_linprog(cost, a, b)
 
-    value = math.fsum((gamma * cost).ravel().tolist())
-    basis = [(i, j) for i in range(m) for j in basis_rows[i]]
-    return value, gamma, u, v, basis
+    basis = [(i, y - m) for i in range(m) for y in adj[i]]
+    # cells outside the basis hold 0.0 and fsum skips zero terms, so this is
+    # the fsum of gamma * cost over the whole matrix
+    value = math.fsum([gamma.item(i, j) * cost.item(i, j) for i, j in basis])
+    return value, gamma, uv[:m].copy(), uv[m:].copy(), basis
 
 
 def coupling_rows(m, s, w_col=None):

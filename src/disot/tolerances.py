@@ -27,6 +27,18 @@ LAMBDA_TOL = 1e-12
 OPT_TOL = 1e-11
 """Optimality tolerance on network-simplex reduced costs, relative to the cost scale."""
 
+MAX_PIVOTS_PER_NODE = 200
+"""Network-simplex pivots allowed per row and column node before the dense LP fallback."""
+
+MAX_PIVOTS_BASE = 2000
+"""Pivots allowed on top of MAX_PIVOTS_PER_NODE * (m + n) on an m x n problem."""
+
+BLAND_AFTER_PER_NODE = 10
+"""Degenerate pivots in a row, per node, after which Bland's rule picks the entering cell."""
+
+BLAND_AFTER_BASE = 50
+"""Degenerate pivots added to BLAND_AFTER_PER_NODE * (m + n) before Bland's rule takes over."""
+
 MARGINAL_TOL = 1e-9
 """Largest marginal residual a transport plan may carry before it is rejected."""
 

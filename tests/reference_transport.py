@@ -1,0 +1,122 @@
+"""The earlier network-simplex engine, kept as a reference for ``ot.transport``.
+
+It recomputes every potential by a full tree search and finds each cycle by a
+dict/set depth-first search, on the same pivot rules as ``ot.transport``.
+The two must agree bit for bit on every problem; see
+``tests/test_ot.py::TestTransportReference``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from disot.errors import LPInfeasible
+from disot.ot import _northwest_corner, _transport_linprog
+from disot.tolerances import OPT_TOL
+
+
+def _tree_potentials(cost, basis_rows, basis_cols, m, n):
+    """u, v with u[i] + v[j] = cost[i, j] on basic cells, rooted at u[0] = 0."""
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    stack = [(0, True)]
+    while stack:
+        node, is_row = stack.pop()
+        if is_row:
+            for j in basis_rows[node]:
+                if math.isnan(v[j]):
+                    v[j] = cost[node, j] - u[node]
+                    stack.append((j, False))
+        else:
+            for i in basis_cols[node]:
+                if math.isnan(u[i]):
+                    u[i] = cost[i, node] - v[node]
+                    stack.append((i, True))
+    return u, v
+
+
+def _tree_path(start_row, target_col, basis_rows, basis_cols):
+    """Unique path of basic cells from a row node to a column node."""
+    parent: dict[tuple[bool, int], tuple[bool, int]] = {}
+    seen = {(True, start_row)}
+    stack = [(True, start_row)]
+    while stack:
+        is_row, node = stack.pop()
+        if not is_row and node == target_col:
+            path_nodes = [(False, node)]
+            while path_nodes[-1] in parent:
+                path_nodes.append(parent[path_nodes[-1]])
+            path_nodes.reverse()
+            edges = []
+            for (ar, an), (br, bn) in zip(path_nodes, path_nodes[1:]):
+                edges.append((an, bn) if ar else (bn, an))
+            return edges
+        neighbors = (
+            ((False, j) for j in basis_rows[node])
+            if is_row
+            else ((True, i) for i in basis_cols[node])
+        )
+        for nxt in neighbors:
+            if nxt not in seen:
+                seen.add(nxt)
+                parent[nxt] = (is_row, node)
+                stack.append(nxt)
+    raise LPInfeasible("basis lost tree connectivity")
+
+
+def reference_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Same contract and return value as ``ot.transport``."""
+    cost = np.asarray(cost, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, n = cost.shape
+    gamma, basis = _northwest_corner(a, b)
+    basis_rows: list[set[int]] = [set() for _ in range(m)]
+    basis_cols: list[set[int]] = [set() for _ in range(n)]
+    for i, j in basis:
+        basis_rows[i].add(j)
+        basis_cols[j].add(i)
+    tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
+    max_pivots = 200 * (m + n) + 2000
+    degenerate_run = 0
+    bland_after = 10 * (m + n) + 50
+
+    for _ in range(max_pivots):
+        u, v = _tree_potentials(cost, basis_rows, basis_cols, m, n)
+        reduced = cost - u[:, None] - v[None, :]
+        if degenerate_run < bland_after:
+            flat = int(np.argmin(reduced))
+            ei, ej = divmod(flat, n)
+            if reduced[ei, ej] >= -tol:
+                break
+        else:
+            # Bland's rule: first improving cell in row-major order
+            cand = np.argwhere(reduced < -tol)
+            if cand.size == 0:
+                break
+            ei, ej = int(cand[0][0]), int(cand[0][1])
+        path = _tree_path(ei, ej, basis_rows, basis_cols)
+        minus = path[0::2]
+        plus = path[1::2]
+        theta = min(gamma[i, j] for i, j in minus)
+        leaving = min((i, j) for i, j in minus if gamma[i, j] == theta)
+        gamma[ei, ej] += theta
+        for i, j in plus:
+            gamma[i, j] += theta
+        for i, j in minus:
+            gamma[i, j] -= theta
+        gamma[leaving] = 0.0
+        basis_rows[leaving[0]].discard(leaving[1])
+        basis_cols[leaving[1]].discard(leaving[0])
+        basis_rows[ei].add(ej)
+        basis_cols[ej].add(ei)
+        degenerate_run = degenerate_run + 1 if theta == 0.0 else 0
+    else:
+        return _transport_linprog(cost, a, b)
+
+    value = math.fsum((gamma * cost).ravel().tolist())
+    basis = [(i, j) for i in range(m) for j in basis_rows[i]]
+    return value, gamma, u, v, basis

@@ -2,11 +2,12 @@ import argparse
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disot import cli
+from disot import barycenter, cli
 from disot.cli import build_parser, main
 from disot.errors import ParseError, TooLarge
 from disot.instances import generate_instance
@@ -50,6 +51,8 @@ class _RecordingNamespace(argparse.Namespace):
 
 # frozen hash of generate_instance(seed=0, 2 fibers x 3 atoms); determinism golden
 GOLDEN_SHA256 = "39a49a36b14ed9a4001feebfd7ccb12a04b0f0426fabcaed1b7d4db77f078d29"
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class TestIO:
@@ -289,6 +292,48 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main([*argv[:1], "--input", path, *argv[1:]])
         assert exc.value.code == 2
+
+    def test_disint_bary_square_report_is_pinned(self, tmp_path, monkeypatch, capsys):
+        # recorded with the earlier network-simplex engine: any change to a
+        # pivot, a dual or a subgradient iterate shows in these bytes
+        monkeypatch.chdir(tmp_path)
+        doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
+        save_document("inst.json", doc)
+        code = main(["disint-bary", "--input", "inst.json", "--p", "2", "--q", "4"])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert out == (GOLDEN_DIR / "disint_bary_square_q4.json").read_bytes()
+
+    def test_probe_settings_bound_every_restart(self, tmp_path, monkeypatch, capsys):
+        doc = generate_instance(seed=5, n_fibers=3, n_atoms=8, kind="square")
+        path = self._write(tmp_path, doc)
+        seen = []
+        solve = barycenter.disint_barycenter
+
+        def spy(problem, start=None, max_iter=cli.MAX_ITER, tol=cli.CERT_TOL):
+            seen.append((max_iter, tol))
+            return solve(problem, start=start, max_iter=max_iter, tol=tol)
+
+        monkeypatch.setattr(barycenter, "disint_barycenter", spy)
+        monkeypatch.setattr(cli, "disint_barycenter", spy)
+        argv = ["--p", "2", "--q", "4", "--max-iter", "3", "--tol", "0.5", "--trials", "3"]
+        assert main(["probe-uniqueness", "--input", path, *argv]) == 0
+        capsys.readouterr()
+        # the first solve and the three restarts
+        assert seen == [(3, 0.5)] * 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["2.1", "--n", "5"],
+            ["2.1", "--seed", "1"],
+            ["2.2", "--tol", "0.1"],
+            ["2.2", "--max-iter", "5"],
+        ],
+    )
+    def test_example_refuses_flags_it_does_not_read(self, capsys, argv):
+        assert main(["example", *argv]) == 2
+        assert f"does not read {argv[1]}" in capsys.readouterr().err
 
     def test_missing_input_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from disot import ot
 from disot.errors import DegenerateInput, SupportOutOfRange, TooLarge
 from disot.instances import tent_potential
 from disot.measures import DiscreteMeasure, GroundCost, dirac
@@ -18,6 +19,7 @@ from disot.ot import (
 )
 
 from conftest import metric_cost, random_measure
+from reference_transport import reference_transport
 
 
 def line_cost(points):
@@ -199,6 +201,109 @@ class TestTransportCore:
         p = float(rng.choice([1.0, 2.0, 3.0]))
         want = brute_force_ot(mu, nu, cost, p)
         assert solve_ot(mu, nu, cost, p).value_p == pytest.approx(want, abs=1e-9)
+
+
+def _test_cost(rng, m, n, kind):
+    if kind == "euclid":
+        # 2-d Euclidean points, p = 2
+        x, y = rng.random((m, 2)), rng.random((n, 2))
+        return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1) ** 2
+    if kind == "tied":
+        return rng.integers(0, 4, size=(m, n)).astype(np.float64)
+    if kind == "constant":
+        return np.full((m, n), 1.5)
+    return rng.random((m, n))
+
+
+def _test_weights(rng, size, zeros):
+    w = rng.dirichlet(np.ones(size))
+    if zeros:
+        w[rng.random(size) < 0.5] = 0.0
+        w[int(rng.integers(size))] += 0.5
+        w /= w.sum()
+    return w
+
+
+class TestTransportReference:
+    """``transport`` against the earlier engine kept in tests/reference_transport.py."""
+
+    @given(
+        st.integers(1, 14),
+        st.integers(1, 14),
+        st.sampled_from(["euclid", "tied", "constant", "random"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 9, "euclid", False, True, 0)
+    @example(9, 1, "tied", True, False, 1)
+    @example(1, 1, "constant", False, False, 2)
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal(self, m, n, kind, zeros_a, zeros_b, seed):
+        rng = np.random.default_rng(seed)
+        cost = _test_cost(rng, m, n, kind)
+        a, b = _test_weights(rng, m, zeros_a), _test_weights(rng, n, zeros_b)
+        value, gamma, u, v, basis = transport(cost, a, b)
+        want_value, want_gamma, want_u, want_v, want_basis = reference_transport(cost, a, b)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        for got, want in ((gamma, want_gamma), (u, want_u), (v, want_v)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert len(basis) == len(want_basis) == m + n - 1
+        assert set(basis) == set(want_basis)
+
+
+def _random_small_problem(rng):
+    """A p = 2 problem of at most 4 x 4 atoms for the brute-force oracle."""
+    m, n = (int(x) for x in rng.integers(1, 5, size=2))
+    kind = str(rng.choice(["square", "interval"]))
+    cost = metric_cost(rng, 4, kind)
+    mu = DiscreteMeasure(np.arange(m), _test_weights(rng, m, bool(rng.integers(2))))
+    nu = DiscreteMeasure(np.arange(n), _test_weights(rng, n, bool(rng.integers(2))))
+    return mu, nu, cost
+
+
+def _assert_oracle_optimal(mu, nu, cost):
+    res = solve_ot(mu, nu, cost, 2.0)
+    assert res.value_p == pytest.approx(brute_force_ot(mu, nu, cost, 2.0), abs=1e-12)
+    sub = cost.submatrix(mu.point_ids, nu.point_ids) ** 2
+    assert (-res.phi[:, None] - res.psi[None, :] - sub).max() <= 1e-9
+    assert res.coupling.marginal_residual(mu, nu) <= 1e-9
+
+
+class TestPivotRules:
+    def test_bland_rule_from_first_pivot(self, rng, monkeypatch):
+        monkeypatch.setattr(ot, "BLAND_AFTER_PER_NODE", 0)
+        monkeypatch.setattr(ot, "BLAND_AFTER_BASE", 0)
+        calls = []
+        argwhere = np.argwhere
+
+        def spy(x):
+            calls.append(x.shape)
+            return argwhere(x)
+
+        monkeypatch.setattr(np, "argwhere", spy)
+        for _ in range(60):
+            mu, nu, cost = _random_small_problem(rng)
+            before = len(calls)
+            _assert_oracle_optimal(mu, nu, cost)
+            assert len(calls) > before, "Bland's rule was never reached"
+
+    def test_pivot_limit_falls_back_to_lp(self, rng, monkeypatch):
+        monkeypatch.setattr(ot, "MAX_PIVOTS_PER_NODE", 0)
+        monkeypatch.setattr(ot, "MAX_PIVOTS_BASE", 0)
+        calls = []
+        linprog = ot._transport_linprog
+
+        def spy(cost, a, b):
+            calls.append(cost.shape)
+            return linprog(cost, a, b)
+
+        monkeypatch.setattr(ot, "_transport_linprog", spy)
+        for k in range(40):
+            mu, nu, cost = _random_small_problem(rng)
+            _assert_oracle_optimal(mu, nu, cost)
+            assert len(calls) == k + 1
 
 
 class TestTransportLinprog:
