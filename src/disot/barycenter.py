@@ -11,24 +11,18 @@ evaluation and candidate search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
-from .errors import (
-    BaseMismatch,
-    EmptySupport,
-    LPInfeasible,
-    SupportViolation,
-)
+from .errors import BaseMismatch, EmptySupport, SupportViolation
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import CostTable, DisintConfig, cost_at, lq_norm, scrmk
-from .ot import coupling_rows, transport
+from .ot import coupling_rows, highs, transport
 from .tolerances import (
     ACTIVE_TOL,
+    CERT_EVERY,
     CERT_TOL,
     LAMBDA_TOL,
     MAX_ITER,
@@ -44,6 +38,8 @@ class BarycenterProblem:
 
     ``support`` maps each base point to the candidate point ids the barycenter
     may charge; it defaults to every point of that fiber's cost matrix.
+    ``costs`` accepts any cost table and is stored as a dict from each base
+    point to its ground cost.
     """
 
     inputs: tuple[FiberedMeasure, ...]
@@ -70,15 +66,16 @@ class BarycenterProblem:
                 raise BaseMismatch("inputs must share base points and base weights")
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
+        costs = {b: cost_at(self.costs, b) for b in base.base_ids}
         sup = {}
         for b in base.base_ids:
             ids = np.asarray(self.support[b], dtype=np.int64)
             if ids.size == 0:
                 raise EmptySupport(f"no candidate support at base point {b!r}")
-            n = cost_at(self.costs, b).n
-            if ids.min() < 0 or ids.max() >= n:
+            if ids.min() < 0 or ids.max() >= costs[b].n:
                 raise SupportViolation(f"support ids out of range at {b!r}")
             sup[b] = np.unique(ids)
+        object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "support", sup)
 
     @property
@@ -102,15 +99,13 @@ def make_problem(
     support: Mapping[str, Sequence[int]] | None = None,
     kappa: float | None = None,
 ) -> BarycenterProblem:
-    base = inputs[0]
-    cost_map = {b: cost_at(costs, b) for b in base.base_ids}
     if support is None:
-        support = {b: np.arange(cost_map[b].n) for b in base.base_ids}
+        support = {b: np.arange(cost_at(costs, b).n) for b in inputs[0].base_ids}
     return BarycenterProblem(
         inputs=tuple(inputs),
         lambdas=np.asarray(lambdas, dtype=np.float64),
         config=config,
-        costs=cost_map,
+        costs=costs,
         support={b: np.asarray(s, dtype=np.int64) for b, s in support.items()},
         kappa=config.p if kappa is None else float(kappa),
     )
@@ -148,6 +143,14 @@ class BarycenterResult:
     dual_bound: float | None = None
 
 
+def _result(problem: BarycenterProblem, minimizer, value, log, **status) -> BarycenterResult:
+    """Result at ``minimizer`` with the distance from every input to it."""
+    dists = np.array([scrmk(mk, minimizer, problem.config, problem.costs) for mk in problem.inputs])
+    return BarycenterResult(
+        minimizer=minimizer, value=value, per_k_distances=dists, solver_log=log, **status
+    )
+
+
 def _candidate_in_support(problem: BarycenterProblem, candidate: FiberedMeasure):
     if not problem.inputs[0].same_base(candidate):
         raise BaseMismatch("candidate does not share the problem's base weights")
@@ -178,13 +181,8 @@ def candidate_search(
         raise ValueError("candidate list is empty")
     values = [objective(problem, c) for c in candidates]
     best = int(np.argmin(values))
-    winner = candidates[best]
-    dists = np.array([scrmk(mk, winner, problem.config, problem.costs) for mk in problem.inputs])
-    return BarycenterResult(
-        minimizer=winner,
-        value=values[best],
-        per_k_distances=dists,
-        solver_log={"method": "candidate_search", "values": values},
+    return _result(
+        problem, candidates[best], values[best], {"method": "candidate_search", "values": values}
     )
 
 
@@ -201,8 +199,9 @@ def fiber_barycenter_lp(
     support; couplings are constrained to have their row marginals equal to
     the inputs and all column marginals equal to w.
 
-    Returns (value, w, alphas, betas) with exact LP duals: alpha_k on the k-th
-    input's support, beta_k on the candidate support, satisfying
+    Returns (value, w, betas), where beta_k, the exact LP dual of the k-th
+    input's column links, lives on the candidate support.  With alpha_k the
+    duals of the k-th input's row marginals, they satisfy
     alpha_k(i) + beta_k(s) <= tau_k * d(i, s)**p and sum_k beta_k >= 0.
     """
     K = len(fibers)
@@ -212,19 +211,14 @@ def fiber_barycenter_lp(
     n_gamma = n_marg * s
     # rows: every input's row marginals, then per input s column links to w
     rows, cols, data = coupling_rows(sizes, np.full(K, s), np.full(K, n_gamma))
-    A = coo_matrix((data, (rows, cols)), shape=(n_marg + K * s, n_gamma + s))
     blocks = [cost.powered_submatrix(f.point_ids, support, p).ravel() for f in fibers]
     cvec = np.concatenate([t * cp for t, cp in zip(tau, blocks)] + [np.zeros(s)])
     beq = np.concatenate([f.weights for f in fibers] + [np.zeros(K * s)])
-    res = linprog(cvec, A_eq=A, b_eq=beq, method="highs")
-    if res.status != 0:
-        raise LPInfeasible(f"barycenter LP failed with status {res.status}")
+    res = highs(cvec, (rows, cols, data, beq))
     w = np.maximum(res.x[n_gamma:], 0.0)
-    duals = res.eqlin.marginals
-    alphas = np.split(duals[:n_marg], np.cumsum(sizes)[:-1])
-    betas = np.split(duals[n_marg:], K)
+    betas = np.split(res.eqlin.marginals[n_marg:], K)
     value = math.fsum((cvec[:n_gamma] * res.x[:n_gamma]).tolist())
-    return value, w, alphas, betas
+    return value, w, betas
 
 
 def _measure_on_support(support: np.ndarray, w: np.ndarray) -> DiscreteMeasure:
@@ -249,37 +243,28 @@ def classical_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     return _lp_barycenter(problem)
 
 
+def _lp_weights(problem: BarycenterProblem):
+    """Optimal weights and joint-LP value of every fiber, keyed by base point."""
+    weights, fiber_values = {}, {}
+    for b in problem.base_ids:
+        fiber_values[b], weights[b], _ = fiber_barycenter_lp(
+            [mk.fiber(b) for mk in problem.inputs],
+            problem.costs[b],
+            problem.lambdas,
+            problem.config.p,
+            problem.support[b],
+        )
+    return weights, fiber_values
+
+
 def _lp_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     if problem.kappa != problem.config.p:
         raise ValueError("the LP route requires kappa = p")
-    p = problem.config.p
-    weights, fiber_values = {}, []
-    for b in problem.base_ids:
-        value, weights[b], _, _ = fiber_barycenter_lp(
-            [mk.fiber(b) for mk in problem.inputs],
-            cost_at(problem.costs, b),
-            problem.lambdas,
-            p,
-            problem.support[b],
-        )
-        fiber_values.append(value)
-    minimizer = _assemble(problem, weights)
-    value = math.fsum(s * v for s, v in zip(problem.sigma, fiber_values))
-    dists = np.array(
-        [scrmk(mk, minimizer, problem.config, problem.costs) for mk in problem.inputs]
-    )
-    log = {
-        "method": "joint_lp",
-        "fiber_values": dict(zip(problem.base_ids, fiber_values)),
-    }
-    return BarycenterResult(
-        minimizer=minimizer,
-        value=value,
-        per_k_distances=dists,
-        solver_log=log,
-        certified=True,
-        gap=0.0,
-        dual_bound=value,
+    weights, fiber_values = _lp_weights(problem)
+    value = math.fsum(s * v for s, v in zip(problem.sigma, fiber_values.values()))
+    log = {"method": "joint_lp", "fiber_values": fiber_values}
+    return _result(
+        problem, _assemble(problem, weights), value, log, certified=True, gap=0.0, dual_bound=value
     )
 
 
@@ -299,46 +284,44 @@ def disint_barycenter(
     start: Mapping[str, np.ndarray] | None = None,
     max_iter: int = MAX_ITER,
     tol: float = CERT_TOL,
-    cert_every: int = 25,
 ) -> BarycenterResult:
     """Barycenter in the disintegrated metric at kappa = p.
 
     q = p decouples across fibers and is solved exactly by per-fiber LPs.
     For p < q the objective is convex in the fiber weights and is minimized by
     projected subgradient descent with steps c/sqrt(iter); iteration stops once
-    a dual certificate bounds the gap by tol * (1 + value).  Hitting the
-    iteration cap returns the best iterate flagged as non-certified.
+    a dual certificate bounds the gap by tol * (1 + value).  The certificate
+    is checked at the first iteration and then every CERT_EVERY iterations
+    (:mod:`disot.tolerances`).  Hitting the iteration cap returns the best
+    iterate flagged as non-certified.
     """
     if problem.kappa != problem.config.p:
         raise ValueError("disint_barycenter requires kappa = p")
     if problem.config.q == problem.config.p:
         return _lp_barycenter(problem)
-    return _subgradient_barycenter(problem, start, max_iter, tol, cert_every)
+    return _subgradient_barycenter(problem, start, max_iter, tol)
 
 
-def _subgradient_barycenter(problem, start, max_iter, tol, cert_every):
+def _subgradient_barycenter(problem, start, max_iter, tol):
     from . import duality  # deferred: duality builds on this module's LP helper
 
-    p, q = problem.config.p, problem.config.q
-    base_ids = list(problem.base_ids)
+    p, r = problem.config.p, problem.config.r
+    base_ids = problem.base_ids
     sigma = problem.sigma
     K = problem.K
     lambdas = problem.lambdas
-    supports = {b: problem.support[b] for b in base_ids}
+    supports = problem.support
 
     # cost blocks per (k, fiber): input support x candidate support, p-th power
     cp = {}
     for k, mk in enumerate(problem.inputs):
         for b in base_ids:
-            cost = cost_at(problem.costs, b)
-            cp[(k, b)] = cost.powered_submatrix(mk.fiber(b).point_ids, supports[b], p)
+            cp[(k, b)] = problem.costs[b].powered_submatrix(mk.fiber(b).point_ids, supports[b], p)
 
     if start is None:
         w = {b: np.full(supports[b].size, 1.0 / supports[b].size) for b in base_ids}
     else:
         w = {b: project_simplex(np.asarray(start[b], dtype=np.float64)) for b in base_ids}
-
-    r = q / p if not math.isinf(q) else math.inf
 
     best_val = math.inf
     best_w = None
@@ -391,7 +374,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol, cert_every):
         if step_scale is None:
             step_scale = obj / gnorm
 
-        if it == 1 or it % cert_every == 0:
+        if it == 1 or it % CERT_EVERY == 0:
             interim = BarycenterResult(
                 minimizer=_assemble(problem, best_w),
                 value=best_val,
@@ -420,21 +403,17 @@ def _subgradient_barycenter(problem, start, max_iter, tol, cert_every):
         for b in base_ids:
             w[b] = project_simplex(w[b] - step * grad[b])
 
-    minimizer = _assemble(problem, best_w)
-    dists = np.array(
-        [scrmk(mk, minimizer, problem.config, problem.costs) for mk in problem.inputs]
-    )
     log = {
         "method": "projected_subgradient",
         "iterations": it,
         "trace": trace[-20:],
         "max_iter_exceeded": not certified,
     }
-    return BarycenterResult(
-        minimizer=minimizer,
-        value=best_val,
-        per_k_distances=dists,
-        solver_log=log,
+    return _result(
+        problem,
+        _assemble(problem, best_w),
+        best_val,
+        log,
         certified=certified,
         gap=gap,
         dual_bound=dual_bound if dual_bound > -math.inf else None,
@@ -449,7 +428,6 @@ class ProbeReport:
     max_pairwise_distance: float
     witness: bool
     n_candidates: int
-    candidates: tuple[FiberedMeasure, ...] = field(repr=False, default=())
 
 
 def _resolve(
@@ -458,22 +436,19 @@ def _resolve(
     """One randomized re-solve: objective tilt, random start, or support subset.
 
     ``max_iter`` and ``tol`` bound the subgradient solves of the last two.
+    The tilt applies to the LP route (q = p) only.
     """
-    if mode == "tilt" and problem.config.q == problem.config.p:
-        p = problem.config.p
-        weights = {}
+    if mode == "tilt":
+        tilted = {}
         for b in problem.base_ids:
-            fibers = [mk.fiber(b) for mk in problem.inputs]
-            cost = cost_at(problem.costs, b)
-            sup = problem.support[b]
             # tilt the LP objective multiplicatively; minimizers of the tilted
             # LP that keep the original objective value witness the optimal face
-            tilt = 1.0 + radius * rng.random(cost.d.shape)
+            d = problem.costs[b].d
+            tilt = 1.0 + radius * rng.random(d.shape)
             tilt = (tilt + tilt.T) / 2.0
             np.fill_diagonal(tilt, 1.0)
-            tilted_cost = GroundCost(cost.d * tilt)
-            _, wb, _, _ = fiber_barycenter_lp(fibers, tilted_cost, problem.lambdas, p, sup)
-            weights[b] = wb
+            tilted[b] = GroundCost(d * tilt)
+        weights, _ = _lp_weights(replace(problem, costs=tilted))
         return _assemble(problem, weights)
     if mode == "support":
         sub_support = {}
@@ -482,14 +457,7 @@ def _resolve(
             sub_support[b] = problem.support[b][keep]
             if sub_support[b].size == 0:
                 sub_support[b] = problem.support[b]
-        sub = BarycenterProblem(
-            inputs=problem.inputs,
-            lambdas=problem.lambdas,
-            config=problem.config,
-            costs=problem.costs,
-            support=sub_support,
-            kappa=problem.kappa,
-        )
+        sub = replace(problem, support=sub_support)
         return disint_barycenter(sub, max_iter=max_iter, tol=tol).minimizer
     # random feasible start for the subgradient path
     start = {
@@ -504,8 +472,6 @@ def uniqueness_probe(
     trials: int,
     radius: float,
     seed: int = 0,
-    value_tol: float | None = None,
-    dist_tol: float = PROBE_DIST_TOL,
     max_iter: int = MAX_ITER,
     tol: float = CERT_TOL,
 ) -> ProbeReport:
@@ -514,16 +480,17 @@ def uniqueness_probe(
     Re-solves from randomized starts (subgradient path randomization for
     p < q, objective tilts of size ``radius`` for the LP route) and from
     random support subsets, and also tries each input measure as a candidate.
-    Minimizers matching the best value within ``value_tol`` are collected and
-    their maximum pairwise distance reported; a distance above ``dist_tol`` at
-    equal value is a nonuniqueness witness.  ``max_iter`` and ``tol`` are
-    passed to every subgradient re-solve, as to :func:`disint_barycenter`.
+    Minimizers within PROBE_EXACT_VALUE_TOL (q = p) or PROBE_VALUE_TOL (p < q)
+    of the best value, relative to 1 + |value|, are collected and their
+    maximum pairwise distance reported; a distance above PROBE_DIST_TOL at
+    equal value is a nonuniqueness witness (all three in
+    :mod:`disot.tolerances`).  ``max_iter`` and ``tol`` are passed to every
+    subgradient re-solve, as to :func:`disint_barycenter`.
     """
     rng = np.random.default_rng(seed)
     exact = problem.config.q == problem.config.p
-    if value_tol is None:
-        rel = PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL
-        value_tol = rel * (1.0 + abs(result.value))
+    rel = PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL
+    value_tol = rel * (1.0 + abs(result.value))
 
     candidates: list[FiberedMeasure] = [result.minimizer]
     for mk in problem.inputs:
@@ -552,7 +519,6 @@ def uniqueness_probe(
     return ProbeReport(
         values=kept_values,
         max_pairwise_distance=max_dist,
-        witness=max_dist > dist_tol,
+        witness=max_dist > PROBE_DIST_TOL,
         n_candidates=len(keep),
-        candidates=tuple(keep),
     )

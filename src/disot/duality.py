@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .barycenter import BarycenterProblem, BarycenterResult, fiber_barycenter_lp, objective
-from .errors import LPInfeasible, NotSolved, ShapeMismatch
+from .errors import NotSolved, ShapeMismatch
 from .measures import ValidationReport, Violation
-from .metric import cost_at, fiber_distance_profile
-from .ot import c_transform, coupling_rows
+from .metric import fiber_distance_profile, lq_norm
+from .ot import c_transform, coupling_rows, highs
 from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL, ZETA_FLOOR
 
 
@@ -79,14 +77,6 @@ class GapReport:
     tol: float
 
 
-def _zeta_norm(zeta_row: np.ndarray, sigma: np.ndarray, r_conj: float) -> float:
-    if math.isinf(r_conj):
-        return float(zeta_row.max())
-    if r_conj == 1.0:
-        return math.fsum(sigma * zeta_row)
-    return math.fsum(sigma * zeta_row**r_conj) ** (1.0 / r_conj)
-
-
 def _check_shapes(cert: DualCertificate, problem: BarycenterProblem):
     if cert.base_ids != problem.base_ids:
         raise ShapeMismatch("certificate base points do not match the problem")
@@ -115,7 +105,7 @@ def validate_certificate(cert: DualCertificate, problem: BarycenterProblem) -> V
             out.append(
                 Violation("positivity", (k, problem.base_ids[int(i)]), float(-row[int(i)]))
             )
-        norm = _zeta_norm(row, sigma, r_conj)
+        norm = lq_norm(row, sigma, r_conj)
         if norm > 1.0 + NORM_TOL:
             out.append(Violation("norm", (k,), float(norm - 1.0), f"|zeta_{k+1}| = {norm:.12g}"))
     for i, b in enumerate(problem.base_ids):
@@ -148,7 +138,7 @@ def eval_dual(cert: DualCertificate, problem: BarycenterProblem) -> float:
     for k, mk in enumerate(problem.inputs):
         lam = float(problem.lambdas[k])
         for i, b in enumerate(problem.base_ids):
-            cost = cost_at(problem.costs, b)
+            cost = problem.costs[b]
             transform = c_transform(cert.xi[k][b], lam, p, cost, domain=problem.support[b])
             f = mk.fiber(b)
             integral = float(np.dot(f.weights, transform[f.point_ids]))
@@ -169,7 +159,7 @@ def _zeta_finite_q(problem: BarycenterProblem, minimizer) -> np.ndarray:
         prof = fiber_distance_profile(mk, minimizer, p, problem.costs)
         raw = np.array([d for _, d in prof]) ** (q - p)
         raw = np.maximum(raw, ZETA_FLOOR)
-        zeta[k] = raw / _zeta_norm(raw, problem.sigma, r_conj)
+        zeta[k] = raw / lq_norm(raw, problem.sigma, r_conj)
     return zeta
 
 
@@ -197,14 +187,13 @@ def _zeta_minimax(problem: BarycenterProblem) -> np.ndarray:
 
     # epigraph row k * B + i: <gamma_(k, b_i), cp> - t_k <= 0
     cp = [
-        cost_at(problem.costs, b).powered_submatrix(f.point_ids, problem.support[b], p).ravel()
+        problem.costs[b].powered_submatrix(f.point_ids, problem.support[b], p).ravel()
         for f, b in blocks
     ]
     epi = np.arange(K * B)
     ub_rows = np.concatenate([np.repeat(epi, m * s), epi])
     ub_cols = np.concatenate([np.arange(n_gamma), t_off + epi // B])
     ub_data = np.concatenate(cp + [np.full(K * B, -1.0)])
-    A_ub = coo_matrix((ub_data, (ub_rows, ub_cols)), shape=(K * B, n_var))
 
     # each block's row marginals directly followed by its column links to w;
     # HiGHS returns other (equally optimal) multipliers for other row orders
@@ -216,18 +205,15 @@ def _zeta_minimax(problem: BarycenterProblem) -> np.ndarray:
             np.arange(int(s.sum())) + np.repeat(np.cumsum(m), s),
         ]
     )
-    A_eq = coo_matrix((data, (order[rows], cols)), shape=(order.size, n_var))
     beq = np.zeros(order.size)
     beq[order[:n_marg]] = np.concatenate([f.weights for f, _ in blocks])
-    res = linprog(cvec, A_ub=A_ub, b_ub=np.zeros(K * B), A_eq=A_eq, b_eq=beq, method="highs")
-    if res.status != 0:
-        raise LPInfeasible(f"minimax LP failed with status {res.status}")
+    res = highs(cvec, (order[rows], cols, data, beq), (ub_rows, ub_cols, ub_data, np.zeros(K * B)))
     # multipliers are <= 0 for a minimization
     rho = np.maximum(-res.ineqlin.marginals.reshape(K, B), 0.0)
     zeta = rho / (problem.lambdas[:, None] * problem.sigma[None, :])
     for k in range(K):
         row = np.maximum(zeta[k], ZETA_FLOOR)
-        zeta[k] = row / _zeta_norm(row, problem.sigma, 1.0)
+        zeta[k] = row / lq_norm(row, problem.sigma, 1.0)
     return zeta
 
 
@@ -255,10 +241,10 @@ def extract_certificate(problem: BarycenterProblem, result: BarycenterResult) ->
     K = problem.K
     xi: list[dict[str, np.ndarray]] = [dict() for _ in range(K)]
     for i, b in enumerate(problem.base_ids):
-        cost = cost_at(problem.costs, b)
+        cost = problem.costs[b]
         support = problem.support[b]
         tau = problem.lambdas * zeta[:, i]
-        _, _, _, betas = fiber_barycenter_lp(
+        _, _, betas = fiber_barycenter_lp(
             [mk.fiber(b) for mk in problem.inputs], cost, tau, p, support
         )
         tightened = []

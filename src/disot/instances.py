@@ -74,11 +74,11 @@ def interval_pair(n: int = 50) -> IntervalPair:
 class SharedFiberInstance:
     """Two-fiber q = inf setup with verifiably distinct equal-value minimizers.
 
-    The fiber is a regular grid on [0, 1].  The first input is the Dirac at 0
-    on both fibers; the second is the Dirac at 0 on the first fiber and the
-    Dirac at 1 on the second.  The fiber-wise midpoint solves the binding
-    fiber, and the first fiber can be moved freely below the binding level,
-    giving a continuum of minimizers.
+    The fiber is the five-point regular grid on [0, 1].  The first input is
+    the Dirac at 0 on both fibers; the second is the Dirac at 0 on the first
+    fiber and the Dirac at 1 on the second.  The fiber-wise midpoint solves
+    the binding fiber, and the first fiber can be moved freely below the
+    binding level, giving a continuum of minimizers.
     """
 
     grid: np.ndarray
@@ -96,20 +96,16 @@ class SharedFiberInstance:
         )
 
 
-def shared_fiber_nonuniqueness(grid_size: int = 5) -> SharedFiberInstance:
-    if grid_size < 5:
-        raise ValueError("grid must hold at least 5 points")
-    grid = np.linspace(0.0, 1.0, grid_size)
+def shared_fiber_nonuniqueness() -> SharedFiberInstance:
+    grid = np.linspace(0.0, 1.0, 5)
     cost = GroundCost(np.abs(grid[:, None] - grid[None, :]))
     base = ["w1", "w2"]
     sigma = [0.5, 0.5]
-    last = grid_size - 1
-    mid = grid_size // 2
-    quarter = grid_size // 4 if grid_size // 4 > 0 else 1
     m1 = FiberedMeasure(base, sigma, {"w1": dirac(0), "w2": dirac(0)})
-    m2 = FiberedMeasure(base, sigma, {"w1": dirac(0), "w2": dirac(last)})
-    cand_a = FiberedMeasure(base, sigma, {"w1": dirac(mid), "w2": dirac(mid)})
-    cand_b = FiberedMeasure(base, sigma, {"w1": dirac(quarter), "w2": dirac(mid)})
+    m2 = FiberedMeasure(base, sigma, {"w1": dirac(0), "w2": dirac(4)})
+    # the midpoint 0.5 on both fibers, and 0.25 instead on the first
+    cand_a = FiberedMeasure(base, sigma, {"w1": dirac(2), "w2": dirac(2)})
+    cand_b = FiberedMeasure(base, sigma, {"w1": dirac(1), "w2": dirac(2)})
     return SharedFiberInstance(
         grid=grid,
         cost=cost,

@@ -334,9 +334,9 @@ class FiberedMeasure:
         except KeyError:
             raise BaseMismatch(f"no fiber at base point {base_id!r} (sigma = 0)") from None
 
-    def same_base(self, other: "FiberedMeasure", tol: float = MASS_TOL) -> bool:
+    def same_base(self, other: "FiberedMeasure") -> bool:
         return self.base_ids == other.base_ids and bool(
-            np.all(np.abs(self.sigma - other.sigma) <= tol)
+            np.all(np.abs(self.sigma - other.sigma) <= MASS_TOL)
         )
 
     def atoms(self) -> list[tuple[str, int, float]]:

@@ -9,9 +9,12 @@ entering cell, and recomputes only the potentials of the subtree that the
 leaving cell cuts off, once it is hung back from the entering cell.  A run of
 degenerate pivots switches pricing to Bland's rule, and a problem that
 reaches the pivot limit (both in :mod:`disot.tolerances`) is re-solved by a
-dense LP through scipy's HiGHS.  :func:`brute_force_ot` is an independent
-oracle that enumerates transportation polytope vertices in exact rational
-arithmetic.
+dense LP.  :func:`brute_force_ot` is an independent oracle that enumerates
+transportation polytope vertices in exact rational arithmetic.
+
+:func:`highs` is the package's one entry to scipy's HiGHS solver: the
+transport fallback, the joint barycenter LP and the q = inf minimax LP all go
+through it, with their rows laid out by :func:`coupling_rows`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from .errors import DegenerateInput, LPInfeasible, SupportOutOfRange, TooLarge
 from .measures import DiscreteMeasure, GroundCost
@@ -74,7 +79,9 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     m, n = a.size, b.size
     gamma = np.zeros((m, n))
     basis: list[tuple[int, int]] = []
-    ra, rb = a.copy(), b.copy()
+    # Python floats: scalar arithmetic on them is exact IEEE double, like on
+    # numpy scalars, at a fraction of the cost
+    ra, rb = a.tolist(), b.tolist()
     i = j = 0
     while True:
         t = min(ra[i], rb[j])
@@ -245,20 +252,33 @@ def coupling_rows(m, s, w_col=None):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
 
-def _transport_linprog(cost, a, b):
-    """Dense LP fallback through scipy's HiGHS simplex."""
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
+def highs(c, eq, ub=None):
+    """Minimize c @ x over x >= 0 by HiGHS, with equality rows and optional <= rows.
 
+    ``eq`` and ``ub`` are (rows, cols, data, rhs) COO triplets; each becomes a
+    sparse len(rhs) x len(c) matrix.  Returns scipy's result, with the duals
+    in ``eqlin.marginals`` and ``ineqlin.marginals``.  Raises LPInfeasible
+    when HiGHS does not report an optimum.
+    """
+
+    def sparse(rows, cols, data, rhs):
+        return coo_matrix((data, (rows, cols)), shape=(len(rhs), len(c))), rhs
+
+    A_eq, b_eq = sparse(*eq)
+    A_ub, b_ub = (None, None) if ub is None else sparse(*ub)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
+    if res.status != 0:
+        raise LPInfeasible(f"LP failed with status {res.status}: {res.message}")
+    return res
+
+
+def _transport_linprog(cost, a, b):
+    """Dense LP fallback through :func:`highs`."""
     m, n = cost.shape
     rows, cols, data = coupling_rows([m], [n])
     # the last column sum follows from the others and the equal total masses
     keep = rows < m + n - 1
-    A = coo_matrix((data[keep], (rows[keep], cols[keep])), shape=(m + n - 1, m * n))
-    beq = np.concatenate([a, b[:-1]])
-    res = linprog(cost.ravel(), A_eq=A, b_eq=beq, method="highs")
-    if res.status != 0:
-        raise LPInfeasible(f"transport LP failed with status {res.status}")
+    res = highs(cost.ravel(), (rows[keep], cols[keep], data[keep], np.concatenate([a, b[:-1]])))
     gamma = res.x.reshape(m, n)
     y = res.eqlin.marginals
     u = y[:m]

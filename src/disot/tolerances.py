@@ -16,6 +16,9 @@ EXACT_CERT_TOL = 1e-7
 MAX_ITER = 10_000
 """Iteration cap of the projected-subgradient barycenter solver."""
 
+CERT_EVERY = 25
+"""Iterations between the subgradient solver's certificate checks; the first is at iteration 1."""
+
 ACTIVE_TOL = 1e-9
 """Fibers within this of the largest fiber cost are active in the q = inf subgradient."""
 

@@ -1,8 +1,9 @@
 """The earlier network-simplex engine, kept as a reference for ``ot.transport``.
 
 It recomputes every potential by a full tree search and finds each cycle by a
-dict/set depth-first search, on the same pivot rules as ``ot.transport``.
-The two must agree bit for bit on every problem; see
+dict/set depth-first search, on the same pivot rules as ``ot.transport``.  Its
+north-west start keeps the residual masses as numpy scalars, as the engine
+first did.  The two must agree bit for bit on every problem; see
 ``tests/test_ot.py::TestTransportReference``.
 """
 
@@ -13,8 +14,31 @@ import math
 import numpy as np
 
 from disot.errors import LPInfeasible
-from disot.ot import _northwest_corner, _transport_linprog
+from disot.ot import _transport_linprog
 from disot.tolerances import OPT_TOL
+
+
+def _northwest_corner(a: np.ndarray, b: np.ndarray):
+    m, n = a.size, b.size
+    gamma = np.zeros((m, n))
+    basis: list[tuple[int, int]] = []
+    ra, rb = a.copy(), b.copy()
+    i = j = 0
+    while True:
+        t = min(ra[i], rb[j])
+        gamma[i, j] = t
+        basis.append((i, j))
+        ra[i] -= t
+        rb[j] -= t
+        if i == m - 1 and j == n - 1:
+            break
+        # a row can keep float residue after the last column is full: move
+        # down rather than past the last column
+        if (ra[i] <= 0.0 or j == n - 1) and i < m - 1:
+            i += 1
+        else:
+            j += 1
+    return gamma, basis
 
 
 def _tree_potentials(cost, basis_rows, basis_cols, m, n):

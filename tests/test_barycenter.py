@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from disot import barycenter
 from disot.barycenter import (
     candidate_search,
     classical_barycenter,
@@ -14,9 +15,9 @@ from disot.barycenter import (
     project_simplex,
     uniqueness_probe,
 )
-from disot.errors import BaseMismatch, EmptySupport, SupportViolation
+from disot.errors import BaseMismatch, EmptySupport, FiberMismatch, SupportViolation
 from disot.instances import interval_pair
-from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
+from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
 from disot.ot import transport
 
@@ -139,6 +140,55 @@ class TestClassicalBarycenter:
             classical_problem([dirac(0), dirac(1)], cost, [1.0, 0.0], p=2.0)
 
 
+class TestProblem:
+    @staticmethod
+    def _case(case):
+        cost = line_cost([0.0, 1.0, 2.0])
+        m1 = FiberedMeasure(["w1", "w2"], [0.5, 0.5], {"w1": dirac(0), "w2": dirac(1)})
+        m2 = FiberedMeasure(["w1", "w2"], [0.5, 0.5], {"w1": dirac(2), "w2": dirac(2)})
+        args = dict(inputs=[m1, m2], lambdas=[0.5, 0.5], costs={"w1": cost, "w2": cost})
+        if case == "one_input":
+            args["inputs"], args["lambdas"] = [m1], [1.0]
+        elif case == "lambda_count":
+            args["lambdas"] = [0.25, 0.25, 0.5]
+        elif case == "kappa":
+            args["kappa"] = 0.0
+        elif case == "base":
+            args["inputs"] = [m1, FiberedMeasure(["w1", "w2"], [0.25, 0.75], m2.fibers)]
+        elif case == "support":
+            args["support"] = {"w1": [0, 3], "w2": [1]}
+        elif case == "costs":
+            args["costs"] = {"w1": cost}
+        return args
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("one_input", ValueError),
+            ("lambda_count", ValueError),
+            ("kappa", ValueError),
+            ("base", BaseMismatch),
+            ("support", SupportViolation),
+            ("costs", FiberMismatch),
+        ],
+    )
+    def test_typed_errors(self, case, error):
+        args = self._case(case)
+        with pytest.raises(error):
+            make_problem(config=DisintConfig(1.0, 2.0), **args)
+
+    def test_costs_become_a_dict_per_base_point(self):
+        cost = line_cost([0.0, 1.0, 2.0])
+        args = self._case("valid")
+        bundle = Bundle(["w1", "w2"], {"w1": cost, "w2": cost})
+        for table in ({"w1": cost, "w2": cost, "w3": cost}, bundle, cost):
+            args["costs"] = table
+            prob = make_problem(config=DisintConfig(1.0, 2.0), **args)
+            assert type(prob.costs) is dict
+            assert list(prob.costs) == ["w1", "w2"]
+            assert all(prob.costs[b].d is cost.d for b in prob.costs)
+
+
 class TestDisintBarycenter:
     def test_one_point_base_matches_classical(self, rng):
         (a, b), costs = random_fibered_instance(rng, 2, 1, 4, full_support=True)
@@ -179,12 +229,29 @@ class TestDisintBarycenter:
         # optimum and can never undercut a valid dual bound
         assert oracle >= res.dual_bound - 1e-9
 
-    def test_max_iter_flagging(self, rng):
+    def test_max_iter_flagging(self, rng, monkeypatch):
+        monkeypatch.setattr(barycenter, "CERT_EVERY", 10**9)
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
         prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
-        res = disint_barycenter(prob, max_iter=2, cert_every=10**9)
+        res = disint_barycenter(prob, max_iter=2)
         assert not res.certified
         assert res.solver_log["max_iter_exceeded"]
+
+    @pytest.mark.parametrize("case", ["identical_uniform_inputs", "zero_cost"])
+    def test_zero_subgradient_stops_certified(self, case):
+        # every fiber cost is 0 at the uniform start, so the subgradient is 0
+        # and the first iterate is optimal
+        if case == "identical_uniform_inputs":
+            uniform = DiscreteMeasure([0, 1, 2], np.full(3, 1.0 / 3.0))
+            inputs, cost = [single_base(uniform)] * 2, line_cost([0.0, 1.0, 2.0])
+        else:
+            inputs = [single_base(dirac(0)), single_base(DiscreteMeasure([1, 2], [0.25, 0.75]))]
+            cost = GroundCost(np.zeros((3, 3)))
+        prob = make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, 4.0), cost)
+        res = disint_barycenter(prob)
+        assert res.certified
+        assert res.gap == 0.0 and res.value == 0.0 and res.dual_bound == 0.0
+        assert res.solver_log["iterations"] == 1
 
     def test_sandwich_bounds(self, rng):
         # dual certificate value <= value <= objective of any candidate

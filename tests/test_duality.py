@@ -1,10 +1,15 @@
+import importlib
 import math
+import pkgutil
+import sys
+import types
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from disot import barycenter, duality
+import disot
+from disot import duality, ot
 from disot.barycenter import (
     classical_barycenter,
     disint_barycenter,
@@ -333,8 +338,7 @@ class TestLPLayout:
             calls.append(kwargs)
             return linprog(c, **kwargs)
 
-        monkeypatch.setattr(barycenter, "linprog", spy)
-        monkeypatch.setattr(duality, "linprog", spy)
+        monkeypatch.setattr(ot, "linprog", spy)
         return calls
 
     def test_joint_lp(self, problem, lp_calls):
@@ -343,6 +347,35 @@ class TestLPLayout:
         (call,) = lp_calls
         assert np.array_equal(call["A_eq"].toarray(), self.JOINT_A_EQ)
         assert np.array_equal(call["b_eq"], self.JOINT_B_EQ)
+
+    def test_highs_is_the_only_scipy_entry(self, problem, monkeypatch):
+        from scipy.sparse import coo_matrix
+
+        binders = set()
+        for info in pkgutil.iter_modules(disot.__path__):
+            mod = importlib.import_module(f"disot.{info.name}")
+            for value in vars(mod).values():
+                if value is linprog or value is coo_matrix or (
+                    isinstance(value, types.ModuleType) and value.__name__.startswith("scipy")
+                ):
+                    binders.add(mod.__name__)
+        assert binders == {"disot.ot"}
+
+        callers = []
+
+        def spy(c, **kwargs):
+            callers.append(sys._getframe(2).f_code.co_name)  # the caller of ot.highs
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(ot, "linprog", spy)
+        monkeypatch.setattr(ot, "MAX_PIVOTS_PER_NODE", 0)
+        monkeypatch.setattr(ot, "MAX_PIVOTS_BASE", 0)
+        fibers = [mk.fiber("w") for mk in problem.inputs]
+        fiber_barycenter_lp(fibers, problem.costs["w"], problem.lambdas, 2.0, problem.support["w"])
+        duality._zeta_minimax(problem)
+        a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+        ot.transport(np.array([[0.0, 1.0], [1.0, 0.0]]), a, b)
+        assert callers == ["fiber_barycenter_lp", "_zeta_minimax", "_transport_linprog"]
 
     def test_minimax_lp(self, problem, lp_calls):
         duality._zeta_minimax(problem)

@@ -6,9 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disot import ot
-from disot.errors import DegenerateInput, SupportOutOfRange, TooLarge
+from disot.errors import DegenerateInput, DisotError, SupportOutOfRange, TooLarge
 from disot.instances import tent_potential
-from disot.measures import DiscreteMeasure, GroundCost, dirac
+from disot.measures import (
+    DiscreteMeasure,
+    FiberedMeasure,
+    GroundCost,
+    dirac,
+    validate_ground_cost,
+)
+from disot.metric import DisintConfig, scrmk
 from disot.ot import (
     _transport_linprog,
     brute_force_ot,
@@ -17,8 +24,10 @@ from disot.ot import (
     solve_ot,
     transport,
 )
+from disot.tolerances import OPT_TOL
 
 from conftest import metric_cost, random_measure
+from reference_transport import _northwest_corner as reference_northwest_corner
 from reference_transport import reference_transport
 
 
@@ -252,6 +261,25 @@ class TestTransportReference:
         assert len(basis) == len(want_basis) == m + n - 1
         assert set(basis) == set(want_basis)
 
+    @given(
+        st.integers(1, 29),
+        st.integers(1, 29),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_northwest_start_bitwise_equal(self, m, n, zeros_a, zeros_b, tiny_last, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _test_weights(rng, m, zeros_a), _test_weights(rng, n, zeros_b)
+        if tiny_last:
+            b[-1] = 1e-300
+        gamma, basis = ot._northwest_corner(a, b)
+        want_gamma, want_basis = reference_northwest_corner(a, b)
+        assert gamma.tobytes() == want_gamma.tobytes()
+        assert basis == want_basis
+
 
 def _random_small_problem(rng):
     """A p = 2 problem of at most 4 x 4 atoms for the brute-force oracle."""
@@ -304,6 +332,97 @@ class TestPivotRules:
             mu, nu, cost = _random_small_problem(rng)
             _assert_oracle_optimal(mu, nu, cost)
             assert len(calls) == k + 1
+
+
+def _symmetric_cost(upper):
+    """4 x 4 cost with zero diagonal and the six given upper-triangle entries."""
+    d = np.zeros((4, 4))
+    d[np.triu_indices(4, 1)] = upper
+    return GroundCost(d + d.T)
+
+
+def _check_against_oracle(mu, nu, cost):
+    """solve_ot and scrmk at p = 1, 2 match brute_force_ot, or raise a DisotError.
+
+    The values agree to 1e-12 relative, plus the pivot tolerance: transport
+    stops once no reduced cost is below -OPT_TOL times the largest cost, so
+    a value near 0 can keep an error of that size.
+    """
+    fibered = [FiberedMeasure(["w"], [1.0], {"w": x}) for x in (mu, nu)]
+    for p in (1.0, 2.0):
+        try:
+            want = brute_force_ot(mu, nu, cost, p)
+            got = solve_ot(mu, nu, cost, p).value_p
+            dist = scrmk(*fibered, DisintConfig(p, p), cost)
+        except DisotError:
+            continue
+        bound = 1e-12 * want + OPT_TOL * float(cost.powered(p).max())
+        assert abs(got - want) <= bound, (p, got, want)
+        assert abs(dist**p - want) <= bound, (p, dist, want)
+
+
+_TINY = st.sampled_from([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200])
+_WEIGHTS = st.lists(st.one_of(_TINY, st.floats(1e-6, 1.0)), min_size=1, max_size=4)
+_SUPPORT = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
+# nonzero costs from 1e-3 up: a cost scale far below 1 meets the pivot
+# tolerance floor that test_costs_below_pivot_tolerance pins
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+class TestAdversarialInputs:
+    """Denormal weights and degenerate or non-metric costs against the oracle."""
+
+    @given(_WEIGHTS, _WEIGHTS, st.integers(0, 2**32 - 1))
+    @example([5e-324], [5e-324, 1e-310], 1)
+    @settings(max_examples=60, deadline=None)
+    def test_denormal_weights(self, wa, wb, seed):
+        rng = np.random.default_rng(seed)
+        cost = metric_cost(rng, 4, "square" if seed % 2 else "interval")
+        mu = DiscreteMeasure(np.arange(len(wa)), wa)
+        nu = DiscreteMeasure(rng.permutation(4)[: len(wb)], wb)
+        _check_against_oracle(mu, nu, cost)
+
+    @given(st.lists(_ENTRY, min_size=6, max_size=6), _SUPPORT, _SUPPORT, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_off_diagonal_costs(self, upper, ids_a, ids_b, seed):
+        rng = np.random.default_rng(seed)
+        upper = np.array(upper)
+        upper[rng.random(6) < 0.5] = 0.0
+        mu = DiscreteMeasure(ids_a, rng.dirichlet(np.ones(len(ids_a))))
+        nu = DiscreteMeasure(ids_b, rng.dirichlet(np.ones(len(ids_b))))
+        _check_against_oracle(mu, nu, _symmetric_cost(upper))
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        st.floats(2.0, 100.0),
+        _SUPPORT,
+        _SUPPORT,
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0.0, 2.0**-24, 0.0, 0.0, 0.0, 0.0], 2.0, [0, 1], [0, 1, 2, 3], 0)
+    @settings(max_examples=60, deadline=None)
+    def test_triangle_violating_costs(self, upper, far, ids_a, ids_b, seed):
+        # d(0, 1) = far exceeds d(0, 2) + d(2, 1) <= 2
+        rng = np.random.default_rng(seed)
+        upper[0] = far
+        cost = _symmetric_cost(upper)
+        assert not validate_ground_cost(cost.d).ok
+        mu = DiscreteMeasure(ids_a, rng.dirichlet(np.ones(len(ids_a))))
+        nu = DiscreteMeasure(ids_b, rng.dirichlet(np.ones(len(ids_b))))
+        _check_against_oracle(mu, nu, cost)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="transport's pivot tolerance is OPT_TOL * max(1, largest cost), "
+        "so it does not shrink with a cost scale below 1",
+    )
+    def test_costs_below_pivot_tolerance(self):
+        # one cost of 2e-68 and every other off-diagonal cost 0: a zero-cost
+        # plan exists, but a reduced cost of -2e-68 passes for optimal
+        cost = _symmetric_cost([2e-68, 0.0, 0.0, 0.0, 0.0, 0.0])
+        mu = DiscreteMeasure([0, 1], [0.471405, 0.528595])
+        nu = DiscreteMeasure([0, 1, 2], [0.231625, 0.498131, 0.270244])
+        _check_against_oracle(mu, nu, cost)
 
 
 class TestTransportLinprog:
