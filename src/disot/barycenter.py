@@ -1,11 +1,11 @@
-"""Barycenters on fixed candidate supports: joint LP and projected subgradient.
+"""Barycenters on fixed candidate supports: exact LPs and projected subgradient.
 
-With objective exponent kappa equal to p the problem is convex in the target
-fiber weights.  For q = p it decouples across fibers into joint transportation
-LPs solved exactly.  For p < q it is solved by projected subgradient descent
-on the fiber weight simplices, certified through dual certificates from the
-duality module.  Other kappa values are supported through plain objective
-evaluation and candidate search.
+With kappa = p the problem is convex in the target fiber weights.  q = p
+decouples into one exact joint transportation LP per fiber; at q = inf the
+objective is piecewise linear, and one exact minimax LP covers all fibers.
+p < q < inf is solved by projected subgradient descent on the weight
+simplices, certified by the duality module.  Other kappa values are
+supported through plain objective evaluation and candidate search.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import CostTable, DisintConfig, cost_at, lq_norm, scrmk
 from .ot import coupling_rows, highs, transport
 from .tolerances import (
-    ACTIVE_TOL,
     CERT_EVERY,
     CERT_TOL,
     LAMBDA_TOL,
@@ -221,6 +220,56 @@ def fiber_barycenter_lp(
     return value, w, betas
 
 
+def minimax_barycenter_lp(problem: BarycenterProblem):
+    """Epigraph LP of the q = inf barycenter: min_w sum_k lambda_k max_b MK_p^p.
+
+    One epigraph variable t_k per input bounds the cost of each (input,
+    fiber) coupling.  Returns (value, weights, rho): the optimum, the optimal
+    w keyed by base point, and the K x B epigraph multipliers rho >= 0.
+    """
+    p = problem.config.p
+    K, B = problem.K, len(problem.base_ids)
+    # variable layout: [gamma blocks (k major, fiber minor), w blocks, t (K)]
+    blocks = [(mk.fiber(b), b) for mk in problem.inputs for b in problem.base_ids]
+    m = np.array([len(f) for f, _ in blocks])
+    s = np.array([problem.support[b].size for _, b in blocks])
+    n_gamma = int((m * s).sum())
+    w_off = n_gamma + np.cumsum(s[:B]) - s[:B]
+    t_off = n_gamma + int(s[:B].sum())
+    cvec = np.zeros(t_off + K)
+    cvec[t_off:] = problem.lambdas
+
+    # epigraph row k * B + i: <gamma_(k, b_i), cp> - t_k <= 0
+    cp = [
+        problem.costs[b].powered_submatrix(f.point_ids, problem.support[b], p).ravel()
+        for f, b in blocks
+    ]
+    epi = np.arange(K * B)
+    ub_rows = np.concatenate([np.repeat(epi, m * s), epi])
+    ub_cols = np.concatenate([np.arange(n_gamma), t_off + epi // B])
+    ub_data = np.concatenate(cp + [np.full(K * B, -1.0)])
+
+    # each block's row marginals directly followed by its column links to w;
+    # HiGHS returns other (equally optimal) multipliers for other row orders
+    rows, cols, data = coupling_rows(m, s, np.tile(w_off, K))
+    n_marg = int(m.sum())
+    order = np.concatenate(
+        [
+            np.arange(n_marg) + np.repeat(np.cumsum(s) - s, m),
+            np.arange(int(s.sum())) + np.repeat(np.cumsum(m), s),
+        ]
+    )
+    beq = np.zeros(order.size)
+    beq[order[:n_marg]] = np.concatenate([f.weights for f, _ in blocks])
+    res = highs(cvec, (order[rows], cols, data, beq), (ub_rows, ub_cols, ub_data, np.zeros(K * B)))
+    w = np.maximum(res.x[n_gamma:t_off], 0.0)
+    weights = dict(zip(problem.base_ids, np.split(w, np.cumsum(s[: B - 1]))))
+    value = math.fsum((problem.lambdas * res.x[t_off:]).tolist())
+    # multipliers are <= 0 for a minimization
+    rho = np.maximum(-res.ineqlin.marginals.reshape(K, B), 0.0)
+    return value, weights, rho
+
+
 def _measure_on_support(support: np.ndarray, w: np.ndarray) -> DiscreteMeasure:
     keep = w > 0.0
     return DiscreteMeasure(support[keep], w[keep])
@@ -243,8 +292,19 @@ def classical_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     return _lp_barycenter(problem)
 
 
+def _lp_route(problem: BarycenterProblem) -> bool:
+    """Whether an exact LP solves the problem: q = p or q = inf."""
+    return problem.config.q == problem.config.p or math.isinf(problem.config.q)
+
+
 def _lp_weights(problem: BarycenterProblem):
-    """Optimal weights and joint-LP value of every fiber, keyed by base point."""
+    """Optimal weights keyed by base point, LP value and solver log.
+
+    One minimax LP at q = inf; else one joint LP per fiber (exact at q = p).
+    """
+    if math.isinf(problem.config.q):
+        value, weights, _ = minimax_barycenter_lp(problem)
+        return weights, value, {"method": "minimax_lp"}
     weights, fiber_values = {}, {}
     for b in problem.base_ids:
         fiber_values[b], weights[b], _ = fiber_barycenter_lp(
@@ -254,15 +314,14 @@ def _lp_weights(problem: BarycenterProblem):
             problem.config.p,
             problem.support[b],
         )
-    return weights, fiber_values
+    value = math.fsum(s * v for s, v in zip(problem.sigma, fiber_values.values()))
+    return weights, value, {"method": "joint_lp", "fiber_values": fiber_values}
 
 
 def _lp_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     if problem.kappa != problem.config.p:
         raise ValueError("the LP route requires kappa = p")
-    weights, fiber_values = _lp_weights(problem)
-    value = math.fsum(s * v for s, v in zip(problem.sigma, fiber_values.values()))
-    log = {"method": "joint_lp", "fiber_values": fiber_values}
+    weights, value, log = _lp_weights(problem)
     return _result(
         problem, _assemble(problem, weights), value, log, certified=True, gap=0.0, dual_bound=value
     )
@@ -287,17 +346,17 @@ def disint_barycenter(
 ) -> BarycenterResult:
     """Barycenter in the disintegrated metric at kappa = p.
 
-    q = p decouples across fibers and is solved exactly by per-fiber LPs.
-    For p < q the objective is convex in the fiber weights and is minimized by
-    projected subgradient descent with steps c/sqrt(iter); iteration stops once
-    a dual certificate bounds the gap by tol * (1 + value).  The certificate
-    is checked at the first iteration and then every CERT_EVERY iterations
-    (:mod:`disot.tolerances`).  Hitting the iteration cap returns the best
-    iterate flagged as non-certified.
+    q = p (per-fiber LPs) and q = inf (one minimax LP) return the exact LP
+    optimum with gap 0 and ignore ``start``, ``max_iter`` and ``tol``.  For
+    p < q < inf projected subgradient descent with steps c/sqrt(iter) stops
+    once a dual certificate bounds the gap by tol * (1 + value).  The
+    certificate is checked at the first iteration and then every CERT_EVERY
+    iterations (:mod:`disot.tolerances`).  Hitting the iteration cap returns
+    the best iterate flagged as non-certified.
     """
     if problem.kappa != problem.config.p:
         raise ValueError("disint_barycenter requires kappa = p")
-    if problem.config.q == problem.config.p:
+    if _lp_route(problem):
         return _lp_barycenter(problem)
     return _subgradient_barycenter(problem, start, max_iter, tol)
 
@@ -330,7 +389,6 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     certified = False
     gap = math.inf
     trace = []
-    cached_cert = None  # for q = inf the certificate does not depend on the iterate
 
     it = 0
     for it in range(1, max_iter + 1):
@@ -349,16 +407,10 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
 
         grad = {b: np.zeros(supports[b].size) for b in base_ids}
         for k in range(K):
-            if math.isinf(r):
-                nk = per_k_norm[k]
-                active = np.nonzero(fmat[k] >= nk - ACTIVE_TOL)[0]
-                coeff = np.zeros(len(base_ids))
-                coeff[active] = 1.0 / active.size
-            else:
-                nk = per_k_norm[k]
-                if nk <= 0.0:
-                    continue
-                coeff = sigma * fmat[k] ** (r - 1.0) * nk ** (1.0 - r)
+            nk = per_k_norm[k]
+            if nk <= 0.0:
+                continue
+            coeff = sigma * fmat[k] ** (r - 1.0) * nk ** (1.0 - r)
             for i, b in enumerate(base_ids):
                 if coeff[i] != 0.0:
                     grad[b] += lambdas[k] * coeff[i] * duals[b][k]
@@ -375,18 +427,8 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
             step_scale = obj / gnorm
 
         if it == 1 or it % CERT_EVERY == 0:
-            interim = BarycenterResult(
-                minimizer=_assemble(problem, best_w),
-                value=best_val,
-                per_k_distances=np.array([]),
-                solver_log={},
-            )
-            if math.isinf(r) and cached_cert is not None:
-                cert = cached_cert
-            else:
-                cert = duality.extract_certificate(problem, interim)
-                if math.isinf(r):
-                    cached_cert = cert
+            interim = BarycenterResult(_assemble(problem, best_w), best_val, np.array([]), {})
+            cert = duality.extract_certificate(problem, interim)
             dual_bound = max(dual_bound, duality.eval_dual(cert, problem))
             gap = best_val - dual_bound
             trace.append((it, best_val, dual_bound))
@@ -435,8 +477,9 @@ def _resolve(
 ):
     """One randomized re-solve: objective tilt, random start, or support subset.
 
-    ``max_iter`` and ``tol`` bound the subgradient solves of the last two.
-    The tilt applies to the LP route (q = p) only.
+    The tilt serves the LP routes (q = p, q = inf) and the random start the
+    subgradient route (p < q < inf); ``max_iter`` and ``tol`` bound the
+    subgradient solves.
     """
     if mode == "tilt":
         tilted = {}
@@ -448,7 +491,7 @@ def _resolve(
             tilt = (tilt + tilt.T) / 2.0
             np.fill_diagonal(tilt, 1.0)
             tilted[b] = GroundCost(d * tilt)
-        weights, _ = _lp_weights(replace(problem, costs=tilted))
+        weights, _, _ = _lp_weights(replace(problem, costs=tilted))
         return _assemble(problem, weights)
     if mode == "support":
         sub_support = {}
@@ -477,18 +520,18 @@ def uniqueness_probe(
 ) -> ProbeReport:
     """Empirical probe for minimizer uniqueness.
 
-    Re-solves from randomized starts (subgradient path randomization for
-    p < q, objective tilts of size ``radius`` for the LP route) and from
-    random support subsets, and also tries each input measure as a candidate.
-    Minimizers within PROBE_EXACT_VALUE_TOL (q = p) or PROBE_VALUE_TOL (p < q)
-    of the best value, relative to 1 + |value|, are collected and their
-    maximum pairwise distance reported; a distance above PROBE_DIST_TOL at
-    equal value is a nonuniqueness witness (all three in
-    :mod:`disot.tolerances`).  ``max_iter`` and ``tol`` are passed to every
-    subgradient re-solve, as to :func:`disint_barycenter`.
+    Re-solves from randomized starts (objective tilts of size ``radius`` on
+    the LP routes q = p and q = inf, random subgradient starts for
+    p < q < inf) and from random support subsets, and also tries each input
+    measure as a candidate.  Minimizers within PROBE_EXACT_VALUE_TOL (LP
+    routes) or PROBE_VALUE_TOL (p < q < inf) of the best value, relative to
+    1 + |value|, are collected and their maximum pairwise distance reported;
+    a distance above PROBE_DIST_TOL at equal value is a nonuniqueness witness
+    (all three in :mod:`disot.tolerances`).  ``max_iter`` and ``tol`` are
+    passed to every subgradient re-solve, as to :func:`disint_barycenter`.
     """
     rng = np.random.default_rng(seed)
-    exact = problem.config.q == problem.config.p
+    exact = _lp_route(problem)
     rel = PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL
     value_tol = rel * (1.0 + abs(result.value))
 

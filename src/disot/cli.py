@@ -267,17 +267,11 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_example(args: argparse.Namespace) -> tuple[dict, int]:
     if args.example in ("2.2", "intervals"):
-        _reject_unread(args, "2.2", tol="--tol", max_iter="--max-iter")
         return _example_intervals(args)
-    _reject_unread(args, "2.1", n="--n", seed="--seed")
-    return _example_shared_fiber(args)
-
-
-def _reject_unread(args: argparse.Namespace, example: str, **flags: str) -> None:
-    """Refuse the flags (dest=flag) that the chosen example never reads."""
-    for dest, flag in flags.items():
-        if getattr(args, dest) is not None:
-            raise ParseError(f"example {example} does not read {flag}")
+    for flag, value in (("--n", args.n), ("--seed", args.seed)):
+        if value is not None:
+            raise ParseError(f"example 2.1 does not read {flag}")
+    return _example_shared_fiber()
 
 
 def _or_default(value, default):
@@ -319,14 +313,10 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
     return {"command": "example", "config": conf, "results": results}, status
 
 
-def _example_shared_fiber(args: argparse.Namespace) -> tuple[dict, int]:
+def _example_shared_fiber() -> tuple[dict, int]:
     inst = shared_fiber_nonuniqueness()
     problem = inst.problem(p=2.0)
-    result = disint_barycenter(
-        problem,
-        max_iter=_or_default(args.max_iter, MAX_ITER),
-        tol=_or_default(args.tol, CERT_TOL),
-    )
+    result = disint_barycenter(problem)
     obj_a = objective(problem, inst.candidate_uniform_mid)
     obj_b = objective(problem, inst.candidate_modified)
     dist_ab = scrmk(
@@ -484,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     # flag the chosen example ignores is refused instead of dropped
     sp.add_argument("--n", type=int, help=f"atoms per interval (2.2; default {INTERVAL_ATOMS})")
     sp.add_argument("--seed", type=int, help="seed of the uniqueness probe (2.2; default 0)")
-    sp.add_argument("--tol", type=float, help="relative certification tolerance (2.1)")
-    sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (2.1)")
     sp.add_argument("--output", help="write the report here instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 

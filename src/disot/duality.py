@@ -16,11 +16,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .barycenter import BarycenterProblem, BarycenterResult, fiber_barycenter_lp, objective
+from .barycenter import BarycenterProblem, BarycenterResult, fiber_barycenter_lp
+from .barycenter import minimax_barycenter_lp, objective
 from .errors import NotSolved, ShapeMismatch
 from .measures import ValidationReport, Violation
 from .metric import fiber_distance_profile, lq_norm
-from .ot import c_transform, coupling_rows, highs
+from .ot import c_transform
 from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL, ZETA_FLOOR
 
 
@@ -164,54 +165,13 @@ def _zeta_finite_q(problem: BarycenterProblem, minimizer) -> np.ndarray:
 
 
 def _zeta_minimax(problem: BarycenterProblem) -> np.ndarray:
-    """Base weights for q = inf from the multipliers of the epigraph LP.
+    """Base weights for q = inf from the minimax LP's epigraph multipliers.
 
-    The minimax problem min_w max_fiber MK_p^p is written with one epigraph
-    variable per input; the optimal multipliers of the epigraph constraints,
-    rescaled by lambda_k * sigma, are exactly the aligned zeta_k with unit
-    L^1(sigma) norm.
+    Rescaled by lambda_k * sigma, they are the aligned zeta_k of unit L^1(sigma) norm.
     """
-    p = problem.config.p
-    K, B = problem.K, len(problem.base_ids)
-    # variable layout: [gamma blocks (k major, fiber minor), w blocks, t (K)]
-    blocks = [(mk.fiber(b), b) for mk in problem.inputs for b in problem.base_ids]
-    m = np.array([len(f) for f, _ in blocks])
-    s = np.array([problem.support[b].size for _, b in blocks])
-    n_gamma = int((m * s).sum())
-    w_off = n_gamma + np.cumsum(s[:B]) - s[:B]
-    t_off = n_gamma + int(s[:B].sum())
-    n_var = t_off + K
-
-    cvec = np.zeros(n_var)
-    cvec[t_off:] = problem.lambdas
-
-    # epigraph row k * B + i: <gamma_(k, b_i), cp> - t_k <= 0
-    cp = [
-        problem.costs[b].powered_submatrix(f.point_ids, problem.support[b], p).ravel()
-        for f, b in blocks
-    ]
-    epi = np.arange(K * B)
-    ub_rows = np.concatenate([np.repeat(epi, m * s), epi])
-    ub_cols = np.concatenate([np.arange(n_gamma), t_off + epi // B])
-    ub_data = np.concatenate(cp + [np.full(K * B, -1.0)])
-
-    # each block's row marginals directly followed by its column links to w;
-    # HiGHS returns other (equally optimal) multipliers for other row orders
-    rows, cols, data = coupling_rows(m, s, np.tile(w_off, K))
-    n_marg = int(m.sum())
-    order = np.concatenate(
-        [
-            np.arange(n_marg) + np.repeat(np.cumsum(s) - s, m),
-            np.arange(int(s.sum())) + np.repeat(np.cumsum(m), s),
-        ]
-    )
-    beq = np.zeros(order.size)
-    beq[order[:n_marg]] = np.concatenate([f.weights for f, _ in blocks])
-    res = highs(cvec, (order[rows], cols, data, beq), (ub_rows, ub_cols, ub_data, np.zeros(K * B)))
-    # multipliers are <= 0 for a minimization
-    rho = np.maximum(-res.ineqlin.marginals.reshape(K, B), 0.0)
+    _, _, rho = minimax_barycenter_lp(problem)
     zeta = rho / (problem.lambdas[:, None] * problem.sigma[None, :])
-    for k in range(K):
+    for k in range(problem.K):
         row = np.maximum(zeta[k], ZETA_FLOOR)
         zeta[k] = row / lq_norm(row, problem.sigma, 1.0)
     return zeta

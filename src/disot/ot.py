@@ -375,18 +375,30 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: floa
     return OTResult(value_p=value, coupling=coupling, phi=-u, psi=-v, p=p)
 
 
-def _vertex_min_exact(a, b, costs):
-    """Exact LP minimum by enumerating greedy saturation orders (all vertices)."""
-    # float weight vectors carry ~1e-16 mass imbalance; absorb it in the last
-    # column so the rational recursion is exactly balanced
-    imbalance = sum(a) - sum(b)
-    b = b[:-1] + (b[-1] + imbalance,)
-    memo: dict[tuple, Fraction] = {}
-    zero = Fraction(0)
+def _dyadic_ints(values) -> tuple[list[int], int]:
+    """Integers n_i and a power of two s with float(values_i) == n_i / s exactly."""
+    fr = [Fraction(float(x)) for x in values]
+    s = max(f.denominator for f in fr)
+    return [f.numerator * (s // f.denominator) for f in fr], s
 
-    def rec(ra: tuple, rb: tuple) -> Fraction:
-        if all(x == 0 for x in ra):
-            return zero
+
+def _vertex_min_exact(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Fraction:
+    """Exact LP minimum by enumerating greedy saturation orders (all vertices).
+
+    Both marginals are rescaled to exact mass 1, as in exact_basis_value; the
+    recursion runs on integers, at the common mass sum(ia) * sum(ib).
+    """
+    ia, _ = _dyadic_ints(a)
+    ib, _ = _dyadic_ints(b)
+    flat, cs = _dyadic_ints(cost.ravel())
+    ta, tb = sum(ia), sum(ib)
+    n = len(ib)
+    costs = [flat[i * n : (i + 1) * n] for i in range(len(ia))]
+    memo: dict[tuple, int] = {}
+
+    def rec(ra: tuple, rb: tuple) -> int:
+        if not any(ra):
+            return 0
         key = (ra, rb)
         hit = memo.get(key)
         if hit is not None:
@@ -407,7 +419,7 @@ def _vertex_min_exact(a, b, costs):
         memo[key] = best
         return best
 
-    return rec(a, b)
+    return Fraction(rec(tuple(x * tb for x in ia), tuple(x * ta for x in ib)), ta * tb * cs)
 
 
 def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: float) -> float:
@@ -442,10 +454,7 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p
         exact = math.fsum(cp[i, j] for i, j in zip(rows, best_perm))
         return float(mu.weights[0]) * exact
     if m <= 4 and n <= 4:
-        a = tuple(Fraction(float(x)) for x in mu.weights)
-        b = tuple(Fraction(float(x)) for x in nu.weights)
-        costs = tuple(tuple(Fraction(float(c)) for c in row) for row in cp)
-        return float(_vertex_min_exact(a, b, costs))
+        return float(_vertex_min_exact(mu.weights, nu.weights, cp))
     raise TooLarge(
         f"supports {m}x{n} exceed the enumeration bounds (4x4 general, 8x8 uniform-equal)"
     )

@@ -8,19 +8,16 @@ with ``1 + |value|`` of the quantity they judge; the others are absolute.
 # --- certification and the subgradient solver --------------------------------
 
 CERT_TOL = 1e-3
-"""Relative duality-gap tolerance at p < q: the subgradient stop and the gap check."""
+"""Relative duality-gap tolerance of the subgradient stop (q < inf) and gap check (p < q)."""
 
 EXACT_CERT_TOL = 1e-7
 """Relative duality-gap tolerance at q = p, where the LP optimum is exact."""
 
 MAX_ITER = 10_000
-"""Iteration cap of the projected-subgradient barycenter solver."""
+"""Iteration cap of the projected-subgradient barycenter solver (p < q < inf)."""
 
 CERT_EVERY = 25
 """Iterations between the subgradient solver's certificate checks; the first is at iteration 1."""
-
-ACTIVE_TOL = 1e-9
-"""Fibers within this of the largest fiber cost are active in the q = inf subgradient."""
 
 LAMBDA_TOL = 1e-12
 """Largest allowed distance of the barycenter weights' sum from 1."""
@@ -70,10 +67,10 @@ ZETA_FLOOR = 1e-12
 # --- uniqueness probe and the built-in examples ------------------------------
 
 PROBE_EXACT_VALUE_TOL = 1e-9
-"""Relative objective slack within which the probe keeps a minimizer at q = p."""
+"""Relative objective slack within which the probe keeps a minimizer at q = p and q = inf (LPs)."""
 
 PROBE_VALUE_TOL = 2e-3
-"""Relative objective slack within which the probe keeps a minimizer at p < q."""
+"""Relative objective slack within which the probe keeps a minimizer at p < q < inf."""
 
 PROBE_DIST_TOL = 1e-4
 """Distance between kept minimizers above which the probe reports nonuniqueness."""

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from disot.barycenter import (
     uniqueness_probe,
 )
 from disot.errors import BaseMismatch, EmptySupport, FiberMismatch, SupportViolation
-from disot.instances import interval_pair
+from disot.instances import interval_pair, shared_fiber_nonuniqueness
 from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
 from disot.ot import transport
@@ -229,6 +230,30 @@ class TestDisintBarycenter:
         # optimum and can never undercut a valid dual bound
         assert oracle >= res.dual_bound - 1e-9
 
+    def test_q_inf_matches_grid_oracle(self, rng):
+        for _ in range(3):
+            ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
+            prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, math.inf), costs)
+            res = disint_barycenter(prob)
+            assert res.solver_log["method"] == "minimax_lp"
+            assert res.certified and res.gap == 0.0 and res.dual_bound == res.value
+            oracle = grid_search_oracle(prob, steps=32)
+            # the LP minimum over each whole simplex undercuts every grid point
+            assert oracle - 2e-2 <= res.value <= oracle + 1e-9
+            assert res.dual_bound <= oracle + 1e-9
+            assert res.value == pytest.approx(objective(prob, res.minimizer), abs=1e-12)
+
+    def test_q_inf_ignores_subgradient_settings(self, rng):
+        ms, costs = random_fibered_instance(rng, 2, 3, 4)
+        prob = make_problem(ms, [0.3, 0.7], DisintConfig(2.0, math.inf), costs)
+        plain = disint_barycenter(prob)
+        start = {b: rng.dirichlet(np.ones(prob.support[b].size)) for b in prob.base_ids}
+        tuned = disint_barycenter(prob, start=start, max_iter=1, tol=0.5)
+        assert tuned.value == plain.value
+        assert tuned.minimizer.atoms() == plain.minimizer.atoms()
+        assert np.array_equal(tuned.per_k_distances, plain.per_k_distances)
+        assert (tuned.certified, tuned.gap, tuned.dual_bound) == (True, 0.0, plain.value)
+
     def test_max_iter_flagging(self, rng, monkeypatch):
         monkeypatch.setattr(barycenter, "CERT_EVERY", 10**9)
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
@@ -287,19 +312,19 @@ def grid_search_oracle(prob, steps=32):
             f[(k, b)] = np.array(
                 [transport(cp, fb.weights, w)[0] for w in grids[b]]
             )
-    best = math.inf
-    sigma = prob.sigma
-    for combo in itertools.product(*(range(len(grids[b])) for b in base_ids)):
-        total = 0.0
-        for k in range(prob.K):
-            vals = np.array([f[(k, b)][ci] for b, ci in zip(base_ids, combo)])
-            if math.isinf(r):
-                nk = vals.max()
-            else:
-                nk = float(np.sum(sigma * vals**r)) ** (1.0 / r)
-            total += float(prob.lambdas[k]) * nk
-        best = min(best, total)
-    return best
+    # every combination of grid points, fiber i varying along axis i
+    total = 0.0
+    for k in range(prob.K):
+        vals = [
+            f[(k, b)].reshape([-1 if j == i else 1 for j in range(len(base_ids))])
+            for i, b in enumerate(base_ids)
+        ]
+        if math.isinf(r):
+            nk = functools.reduce(np.maximum, vals)
+        else:
+            nk = sum(s * v**r for s, v in zip(prob.sigma, vals)) ** (1.0 / r)
+        total = total + float(prob.lambdas[k]) * nk
+    return float(np.min(total))
 
 
 class TestConvexityAndSymmetry:
@@ -391,6 +416,20 @@ class TestUniquenessProbe:
         probe = uniqueness_probe(prob, res, trials=6, radius=1e-9, seed=3)
         assert probe.max_pairwise_distance <= 1e-4
         assert not probe.witness
+
+    def test_shared_fiber_q_inf_witness_is_exact(self, monkeypatch):
+        def no_subgradient(*args, **kwargs):
+            raise AssertionError("the q = inf probe ran the subgradient solver")
+
+        monkeypatch.setattr(barycenter, "_subgradient_barycenter", no_subgradient)
+        prob = shared_fiber_nonuniqueness().problem(p=2.0)
+        res = disint_barycenter(prob)
+        probe = uniqueness_probe(prob, res, trials=4, radius=1e-6, seed=0)
+        # every kept minimizer attains the optimum 1/4, not a near-optimal value
+        assert all(v == pytest.approx(0.25, abs=1e-9) for v in probe.values)
+        assert probe.n_candidates >= 2
+        assert probe.witness
+        assert probe.max_pairwise_distance >= 0.25
 
 
 class TestCandidateSearch:

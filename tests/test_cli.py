@@ -250,6 +250,9 @@ class TestCLI:
         assert res["objective_difference"] <= 1e-6
         assert res["distance_between_candidates"] > 0.1
         assert res["distinct_equal_value_minimizers"] is True
+        # the minimax LP reaches the optimum 1/4 exactly
+        assert res["solver_value"] == pytest.approx(0.25, abs=1e-12)
+        assert res["solver_certified"] is True and res["solver_gap"] <= 1e-12
 
     def test_bad_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -304,6 +307,17 @@ class TestCLI:
         assert code == 0
         assert out == (GOLDEN_DIR / "disint_bary_square_q4.json").read_bytes()
 
+    def test_certify_square_q_inf_report_is_pinned(self, tmp_path, monkeypatch, capsys):
+        # q = inf solves the minimax LP; the certificate and dual bytes equal
+        # those of the earlier subgradient route, which reported a larger primal
+        monkeypatch.chdir(tmp_path)
+        doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
+        save_document("inst.json", doc)
+        code = main(["certify", "--input", "inst.json", "--p", "2", "--q", "inf"])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert out == (GOLDEN_DIR / "certify_square_qinf.json").read_bytes()
+
     def test_probe_settings_bound_every_restart(self, tmp_path, monkeypatch, capsys):
         doc = generate_instance(seed=5, n_fibers=3, n_atoms=8, kind="square")
         path = self._write(tmp_path, doc)
@@ -327,13 +341,26 @@ class TestCLI:
         [
             ["2.1", "--n", "5"],
             ["2.1", "--seed", "1"],
-            ["2.2", "--tol", "0.1"],
-            ["2.2", "--max-iter", "5"],
         ],
     )
     def test_example_refuses_flags_it_does_not_read(self, capsys, argv):
         assert main(["example", *argv]) == 2
         assert f"does not read {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["2.1", "--tol", "0.1"],
+            ["2.2", "--tol", "0.1"],
+            ["2.2", "--max-iter", "5"],
+        ],
+    )
+    def test_example_solver_flags_are_not_registered(self, capsys, argv):
+        # both examples solve exact LPs, so no example reads --tol or --max-iter
+        with pytest.raises(SystemExit) as exc:
+            main(["example", *argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_missing_input_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -375,7 +375,7 @@ class TestLPLayout:
         duality._zeta_minimax(problem)
         a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
         ot.transport(np.array([[0.0, 1.0], [1.0, 0.0]]), a, b)
-        assert callers == ["fiber_barycenter_lp", "_zeta_minimax", "_transport_linprog"]
+        assert callers == ["fiber_barycenter_lp", "minimax_barycenter_lp", "_transport_linprog"]
 
     def test_minimax_lp(self, problem, lp_calls):
         duality._zeta_minimax(problem)

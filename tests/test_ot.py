@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +190,15 @@ class TestTransportCore:
         want = brute_force_ot(mu, nu, cost, 2.0)
         assert want == pytest.approx(1.089340230120204, abs=1e-15)
         assert solve_ot(mu, nu, cost, 2.0).value_p == pytest.approx(want, abs=1e-9)
+
+    def test_oracle_rescales_a_tiny_atom_exactly(self):
+        # [1e-310, 5e-324] normalizes to [1 - 4.9e-14, 4.9e-14]; moving the
+        # float mass imbalance onto the tiny atom shifted the value by 3e-5
+        # relative, rescaling both marginals to mass 1 gives the exact value
+        nu = DiscreteMeasure([0, 1], [1e-310, 5e-324])
+        w0, w1 = (Fraction(float(x)) for x in nu.weights)
+        exact = float(w1 / (w0 + w1) * Fraction(0.25))
+        assert brute_force_ot(dirac(0), nu, line_cost([0.0, 0.5]), 2.0) == exact
 
     @given(
         st.integers(2, 4),
