@@ -25,7 +25,6 @@ from .duality import (
     GapReport,
     duality_gap,
     eval_dual,
-    extract_certificate,
     validate_certificate,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .errors import (
     InvalidGroundCost,
     LPInfeasible,
     NegativeWeight,
-    NotSolved,
     ParseError,
     ShapeMismatch,
     SupportOutOfRange,
@@ -63,7 +61,6 @@ from .measures import (
 from .metric import (
     DisintConfig,
     fiber_distance_profile,
-    reference_distance,
     scrmk,
 )
 from .ot import (

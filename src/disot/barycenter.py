@@ -4,15 +4,16 @@ With kappa = p the problem is convex in the target fiber weights.  q = p
 decouples into one exact joint transportation LP per fiber; at q = inf the
 objective is piecewise linear, and one exact minimax LP covers all fibers.
 p < q < inf is solved by projected subgradient descent on the weight
-simplices, certified by the duality module.  Other kappa values are
-supported through plain objective evaluation and candidate search.
+simplices.  Every kappa = p solve also returns the dual certificate of its
+minimizer.  Other kappa values are supported through plain objective
+evaluation and candidate search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +29,11 @@ from .tolerances import (
     PROBE_DIST_TOL,
     PROBE_EXACT_VALUE_TOL,
     PROBE_VALUE_TOL,
+    ZETA_FLOOR,
 )
+
+if TYPE_CHECKING:
+    from .duality import DualCertificate
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,8 @@ class BarycenterProblem:
         lam = np.asarray(self.lambdas, dtype=np.float64)
         if lam.size != len(self.inputs):
             raise ValueError("one lambda per input required")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("lambdas must be finite")
         if lam.min() <= 0.0:
             raise ValueError("lambdas must be strictly positive")
         if abs(math.fsum(lam) - 1.0) > LAMBDA_TOL:
@@ -63,7 +70,7 @@ class BarycenterProblem:
         for other in self.inputs[1:]:
             if not base.same_base(other):
                 raise BaseMismatch("inputs must share base points and base weights")
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
         costs = {b: cost_at(self.costs, b) for b in base.base_ids}
         sup = {}
@@ -140,6 +147,7 @@ class BarycenterResult:
     certified: bool = True
     gap: float | None = None
     dual_bound: float | None = None
+    certificate: DualCertificate | None = None
 
 
 def _result(problem: BarycenterProblem, minimizer, value, log, **status) -> BarycenterResult:
@@ -224,8 +232,8 @@ def minimax_barycenter_lp(problem: BarycenterProblem):
     """Epigraph LP of the q = inf barycenter: min_w sum_k lambda_k max_b MK_p^p.
 
     One epigraph variable t_k per input bounds the cost of each (input,
-    fiber) coupling.  Returns (value, weights, rho): the optimum, the optimal
-    w keyed by base point, and the K x B epigraph multipliers rho >= 0.
+    fiber) coupling.  Returns (value, weights, zeta): the optimum, the optimal
+    w keyed by base point, and the rescaled K x B epigraph multipliers zeta.
     """
     p = problem.config.p
     K, B = problem.K, len(problem.base_ids)
@@ -265,20 +273,17 @@ def minimax_barycenter_lp(problem: BarycenterProblem):
     w = np.maximum(res.x[n_gamma:t_off], 0.0)
     weights = dict(zip(problem.base_ids, np.split(w, np.cumsum(s[: B - 1]))))
     value = math.fsum((problem.lambdas * res.x[t_off:]).tolist())
-    # multipliers are <= 0 for a minimization
+    # multipliers are <= 0 for a minimization; rescaled by lambda_k * sigma
+    # they are the aligned zeta_k, of unit L^1(sigma) norm
     rho = np.maximum(-res.ineqlin.marginals.reshape(K, B), 0.0)
-    return value, weights, rho
-
-
-def _measure_on_support(support: np.ndarray, w: np.ndarray) -> DiscreteMeasure:
-    keep = w > 0.0
-    return DiscreteMeasure(support[keep], w[keep])
+    zeta = np.maximum(rho / (problem.lambdas[:, None] * problem.sigma[None, :]), ZETA_FLOOR)
+    zeta /= np.array([[lq_norm(row, problem.sigma, 1.0)] for row in zeta])
+    return value, weights, zeta
 
 
 def _assemble(problem: BarycenterProblem, weights: Mapping[str, np.ndarray]) -> FiberedMeasure:
-    fibers = {
-        b: _measure_on_support(problem.support[b], weights[b]) for b in problem.base_ids
-    }
+    # DiscreteMeasure drops the support points of weight zero
+    fibers = {b: DiscreteMeasure(problem.support[b], weights[b]) for b in problem.base_ids}
     return FiberedMeasure(problem.base_ids, problem.sigma, fibers)
 
 
@@ -297,33 +302,44 @@ def _lp_route(problem: BarycenterProblem) -> bool:
     return problem.config.q == problem.config.p or math.isinf(problem.config.q)
 
 
-def _lp_weights(problem: BarycenterProblem):
-    """Optimal weights keyed by base point, LP value and solver log.
-
-    One minimax LP at q = inf; else one joint LP per fiber (exact at q = p).
-    """
-    if math.isinf(problem.config.q):
-        value, weights, _ = minimax_barycenter_lp(problem)
-        return weights, value, {"method": "minimax_lp"}
-    weights, fiber_values = {}, {}
-    for b in problem.base_ids:
-        fiber_values[b], weights[b], _ = fiber_barycenter_lp(
+def fiber_lps(problem: BarycenterProblem, zeta: np.ndarray):
+    """Each fiber's joint LP at tau = lambda * zeta[:, i]: values, weights, betas by base point."""
+    values, weights, betas = {}, {}, {}
+    for i, b in enumerate(problem.base_ids):
+        values[b], weights[b], betas[b] = fiber_barycenter_lp(
             [mk.fiber(b) for mk in problem.inputs],
             problem.costs[b],
-            problem.lambdas,
+            problem.lambdas * zeta[:, i],
             problem.config.p,
             problem.support[b],
         )
+    return values, weights, betas
+
+
+def _lp_weights(problem: BarycenterProblem):
+    """Optimal weights keyed by base point, LP value, solver log, and the duals zeta, betas.
+
+    One minimax LP at q = inf (no betas); else one joint LP per fiber at zeta = 1.
+    """
+    if math.isinf(problem.config.q):
+        value, weights, zeta = minimax_barycenter_lp(problem)
+        return weights, value, {"method": "minimax_lp"}, zeta, None
+    zeta = np.ones((problem.K, len(problem.base_ids)))
+    fiber_values, weights, betas = fiber_lps(problem, zeta)
     value = math.fsum(s * v for s, v in zip(problem.sigma, fiber_values.values()))
-    return weights, value, {"method": "joint_lp", "fiber_values": fiber_values}
+    return weights, value, {"method": "joint_lp", "fiber_values": fiber_values}, zeta, betas
 
 
 def _lp_barycenter(problem: BarycenterProblem) -> BarycenterResult:
+    from . import duality  # deferred: duality builds on this module's LP helpers
+
     if problem.kappa != problem.config.p:
         raise ValueError("the LP route requires kappa = p")
-    weights, value, log = _lp_weights(problem)
+    weights, value, log, zeta, betas = _lp_weights(problem)
+    minimizer = _assemble(problem, weights)
+    cert = duality.extract_certificate(problem, minimizer, zeta, betas)
     return _result(
-        problem, _assemble(problem, weights), value, log, certified=True, gap=0.0, dual_bound=value
+        problem, minimizer, value, log, certified=True, gap=0.0, dual_bound=value, certificate=cert
     )
 
 
@@ -353,6 +369,10 @@ def disint_barycenter(
     certificate is checked at the first iteration and then every CERT_EVERY
     iterations (:mod:`disot.tolerances`).  Hitting the iteration cap returns
     the best iterate flagged as non-certified.
+
+    ``certificate`` is the dual certificate at the minimizer, from the LP
+    duals or from the last check (extracted anew if the minimizer moved since);
+    ``dual_bound`` stays the best bound over the checks.
     """
     if problem.kappa != problem.config.p:
         raise ValueError("disint_barycenter requires kappa = p")
@@ -362,7 +382,7 @@ def disint_barycenter(
 
 
 def _subgradient_barycenter(problem, start, max_iter, tol):
-    from . import duality  # deferred: duality builds on this module's LP helper
+    from . import duality  # deferred: duality builds on this module's LP helpers
 
     p, r = problem.config.p, problem.config.r
     base_ids = problem.base_ids
@@ -384,6 +404,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
 
     best_val = math.inf
     best_w = None
+    cert_w = cert = None  # the weights of the last check and their certificate
     dual_bound = -math.inf
     step_scale = None
     certified = False
@@ -427,9 +448,10 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
             step_scale = obj / gnorm
 
         if it == 1 or it % CERT_EVERY == 0:
-            interim = BarycenterResult(_assemble(problem, best_w), best_val, np.array([]), {})
-            cert = duality.extract_certificate(problem, interim)
-            dual_bound = max(dual_bound, duality.eval_dual(cert, problem))
+            if best_w is not cert_w:
+                cert_w = best_w
+                cert = duality.extract_certificate(problem, _assemble(problem, best_w))
+                dual_bound = max(dual_bound, duality.eval_dual(cert, problem))
             gap = best_val - dual_bound
             trace.append((it, best_val, dual_bound))
             if gap <= tol * (1.0 + abs(best_val)):
@@ -451,14 +473,18 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
         "trace": trace[-20:],
         "max_iter_exceeded": not certified,
     }
+    minimizer = _assemble(problem, best_w)
+    if best_w is not cert_w:
+        cert = duality.extract_certificate(problem, minimizer)
     return _result(
         problem,
-        _assemble(problem, best_w),
+        minimizer,
         best_val,
         log,
         certified=certified,
         gap=gap,
         dual_bound=dual_bound if dual_bound > -math.inf else None,
+        certificate=cert,
     )
 
 
@@ -491,7 +517,7 @@ def _resolve(
             tilt = (tilt + tilt.T) / 2.0
             np.fill_diagonal(tilt, 1.0)
             tilted[b] = GroundCost(d * tilt)
-        weights, _, _ = _lp_weights(replace(problem, costs=tilted))
+        weights = _lp_weights(replace(problem, costs=tilted))[0]
         return _assemble(problem, weights)
     if mode == "support":
         sub_support = {}

@@ -21,7 +21,7 @@ from .barycenter import (
     objective,
     uniqueness_probe,
 )
-from .duality import duality_gap, extract_certificate
+from .duality import duality_gap
 from .errors import DisotError, ParseError
 from .instances import generate_instance, interval_pair, shared_fiber_nonuniqueness
 from .io import (
@@ -212,17 +212,16 @@ def _cmd_disint_bary(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
     names, problem, result = _solve(args)
-    cert = extract_certificate(problem, result)
     # at q = p the LP optimum is exact and the gap check keeps its exact default
     exact = problem.config.q == problem.config.p
-    report = duality_gap(problem, result, cert, tol=None if exact else args.tol)
+    report = duality_gap(problem, result, result.certificate, tol=None if exact else args.tol)
     results = {
         "primal": report.primal,
         "dual": report.dual,
         "gap": report.gap,
         "certified": report.certified,
         "tolerance": report.tol,
-        "certificate": cert.to_dict(),
+        "certificate": result.certificate.to_dict(),
         "solver": _result_payload(result),
     }
     conf = {

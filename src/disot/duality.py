@@ -6,20 +6,22 @@ xi_k on the candidate support whose zeta-weighted sum vanishes pointwise.  Its
 dual value, a transform-and-integrate functional, lower-bounds the barycenter
 objective of every feasible candidate (weak duality); a zero gap certifies
 optimality.
+
+Each kappa = p solve extracts its certificate once, at the minimizer it
+returns, from the duals it holds, and returns it as ``result.certificate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .barycenter import BarycenterProblem, BarycenterResult, fiber_barycenter_lp
-from .barycenter import minimax_barycenter_lp, objective
-from .errors import NotSolved, ShapeMismatch
-from .measures import ValidationReport, Violation
+from .barycenter import BarycenterProblem, BarycenterResult, fiber_lps, objective
+from .errors import ShapeMismatch
+from .measures import FiberedMeasure, ValidationReport, Violation
 from .metric import fiber_distance_profile, lq_norm
 from .ot import c_transform
 from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL, ZETA_FLOOR
@@ -147,70 +149,45 @@ def eval_dual(cert: DualCertificate, problem: BarycenterProblem) -> float:
     return -math.fsum(terms)
 
 
-def _zeta_finite_q(problem: BarycenterProblem, minimizer) -> np.ndarray:
-    """Hoelder-aligned base weights zeta_k proportional to MK_p^(q-p)."""
-    p, q = problem.config.p, problem.config.q
-    r_conj = problem.config.r_conj
-    K = problem.K
-    B = len(problem.base_ids)
-    zeta = np.ones((K, B))
-    if q == p:
-        return zeta
-    for k, mk in enumerate(problem.inputs):
-        prof = fiber_distance_profile(mk, minimizer, p, problem.costs)
-        raw = np.array([d for _, d in prof]) ** (q - p)
-        raw = np.maximum(raw, ZETA_FLOOR)
-        zeta[k] = raw / lq_norm(raw, problem.sigma, r_conj)
-    return zeta
+def extract_certificate(
+    problem: BarycenterProblem,
+    minimizer: FiberedMeasure,
+    zeta: np.ndarray | None = None,
+    betas: Mapping[str, Sequence[np.ndarray]] | None = None,
+) -> DualCertificate:
+    """Build a feasible certificate at a minimizer of the problem.
 
-
-def _zeta_minimax(problem: BarycenterProblem) -> np.ndarray:
-    """Base weights for q = inf from the minimax LP's epigraph multipliers.
-
-    Rescaled by lambda_k * sigma, they are the aligned zeta_k of unit L^1(sigma) norm.
+    zeta: as given by the solve (ones at q = p, where they attain the
+    supremum; the minimax multipliers at q = inf), else (q < inf only) the
+    Hoelder-aligned powers of the fiber distance profile to ``minimizer``.
+    betas: the duals of the zeta-weighted joint LPs (``fiber_lps``), solved
+    here when not given.  xi: per fiber, -beta_k / zeta_k; the first K-1 are
+    tightened by a double transform, the K-th rebuilt to make the weighted
+    sum vanish identically, and all are re-centered to vanish at the fiber's
+    first support point (which changes no value).
     """
-    _, _, rho = minimax_barycenter_lp(problem)
-    zeta = rho / (problem.lambdas[:, None] * problem.sigma[None, :])
-    for k in range(problem.K):
-        row = np.maximum(zeta[k], ZETA_FLOOR)
-        zeta[k] = row / lq_norm(row, problem.sigma, 1.0)
-    return zeta
-
-
-def extract_certificate(problem: BarycenterProblem, result: BarycenterResult) -> DualCertificate:
-    """Build a feasible certificate at a solved problem.
-
-    zeta: all ones when q = p (where that choice attains the supremum);
-    Hoelder-aligned powers of the fiber distance profile for p < q < inf;
-    epigraph multipliers for q = inf.  xi: per fiber, the aligned optimal
-    potentials of the zeta-weighted joint transportation LP; the first K-1 are
-    tightened by a double transform, the K-th rebuilt to make the weighted sum
-    vanish identically, and all are re-centered to vanish at the fiber's first
-    support point (which changes no value).
-    """
-    if result is None or getattr(result, "minimizer", None) is None:
-        raise NotSolved("certificate extraction needs a solved result")
     if problem.kappa != problem.config.p:
         raise ValueError("certificates exist for the kappa = p objective")
     p, q = problem.config.p, problem.config.q
-    if math.isinf(q):
-        zeta = _zeta_minimax(problem)
-    else:
-        zeta = _zeta_finite_q(problem, result.minimizer)
-
     K = problem.K
+    if zeta is None:
+        if math.isinf(q):
+            raise ValueError("a q = inf certificate takes zeta from the minimax LP")
+        prof = [fiber_distance_profile(mk, minimizer, p, problem.costs) for mk in problem.inputs]
+        raw = np.array([[d for _, d in pk] for pk in prof]) ** (q - p)
+        zeta = np.maximum(raw, ZETA_FLOOR)
+        zeta /= np.array([[lq_norm(row, problem.sigma, problem.config.r_conj)] for row in zeta])
+    if betas is None:
+        betas = fiber_lps(problem, zeta)[2]
+
     xi: list[dict[str, np.ndarray]] = [dict() for _ in range(K)]
     for i, b in enumerate(problem.base_ids):
         cost = problem.costs[b]
         support = problem.support[b]
-        tau = problem.lambdas * zeta[:, i]
-        _, _, betas = fiber_barycenter_lp(
-            [mk.fiber(b) for mk in problem.inputs], cost, tau, p, support
-        )
         tightened = []
         for k in range(K - 1):
             lam = float(problem.lambdas[k])
-            hat = -betas[k] / zeta[k, i]
+            hat = -betas[b][k] / zeta[k, i]
             inner = c_transform(hat, lam, p, cost, domain=support)
             tightened.append(c_transform(inner, lam, p, cost)[support])
         last = np.zeros(support.size)

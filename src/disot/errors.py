@@ -53,10 +53,6 @@ class SupportViolation(DisotError):
     """Raised when a candidate measure puts mass outside the allowed support."""
 
 
-class NotSolved(DisotError):
-    """Raised when certificate extraction is asked for an unsolved problem."""
-
-
 class LPInfeasible(DisotError):
     """Internal error: a linear program that must be feasible reported failure."""
 

@@ -49,6 +49,17 @@ class ValidationReport:
         return max(pool, key=lambda v: v.magnitude) if pool else None
 
 
+def _total_mass(w: np.ndarray, what: str) -> float:
+    """math.fsum of nonnegative weights; a NaN, an inf or an overflowing sum is refused."""
+    try:
+        total = math.fsum(w)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"{what} and their sum must be finite")
+    return total
+
+
 class DiscreteMeasure:
     """Probability measure with finitely many atoms on an indexed point set.
 
@@ -58,6 +69,8 @@ class DiscreteMeasure:
 
     Raises
     ------
+    ValueError
+        if any input weight is not finite, or their total overflows.
     NegativeWeight
         if any input weight is negative.
     AllZeroMass
@@ -82,9 +95,10 @@ class DiscreteMeasure:
             merged = np.zeros(uniq.size)
             np.add.at(merged, inverse, w)
             ids, w = uniq, merged
-        keep = w > 0.0
+        # a NaN weight survives this prune, so that the total refuses it
+        keep = w != 0.0
         ids, w = ids[keep], w[keep]
-        total = math.fsum(w)
+        total = _total_mass(w, "weights")
         if total <= 0.0:
             raise AllZeroMass("measure has no positive mass")
         w = w / total
@@ -136,7 +150,7 @@ def dirac(point_id: int) -> DiscreteMeasure:
 
 
 class GroundCost:
-    """Symmetric nonnegative matrix of pairwise distances on a finite point set.
+    """Finite, symmetric, nonnegative matrix of pairwise distances on a finite point set.
 
     The matrix is stored raw; solvers apply the p-th power at solve time so a
     single GroundCost serves every exponent.  The triangle inequality is not
@@ -149,8 +163,8 @@ class GroundCost:
         mat = np.array(d, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidGroundCost("cost matrix must be square")
-        if mat.size and mat.min() < 0.0:
-            raise InvalidGroundCost("cost matrix has negative entries")
+        if mat.size and not (mat.min() >= 0.0 and mat.max() < math.inf):
+            raise InvalidGroundCost("cost matrix has negative or non-finite entries")
         if np.any(np.diag(mat) != 0.0):
             raise InvalidGroundCost("cost matrix has nonzero diagonal")
         if not np.array_equal(mat, mat.T):
@@ -302,7 +316,7 @@ class FiberedMeasure:
             raise BaseMismatch("base_ids and sigma lengths differ")
         if s.size and s.min() < 0.0:
             raise NegativeWeight("negative base weight")
-        total = math.fsum(s)
+        total = _total_mass(s, "base weights")
         if total <= 0.0:
             raise AllZeroMass("base weights have no positive mass")
         s = s / total

@@ -15,7 +15,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import BaseMismatch, FiberMismatch
-from .measures import Bundle, FiberedMeasure, GroundCost, ReferencePoint, reference_delta
+from .measures import Bundle, FiberedMeasure, GroundCost
 from .ot import solve_ot
 
 CostTable = Union[Bundle, Mapping[str, GroundCost], GroundCost]
@@ -23,15 +23,16 @@ CostTable = Union[Bundle, Mapping[str, GroundCost], GroundCost]
 
 @dataclass(frozen=True)
 class DisintConfig:
-    """Exponent pair: fiber exponent p >= 1 and base exponent q in [p, inf]."""
+    """Exponent pair: finite fiber exponent p >= 1 and base exponent q in [p, inf]."""
 
     p: float
     q: float
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
-        if self.q < self.p:
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("p must be finite and >= 1")
+        # written so that a NaN q fails
+        if not self.q >= self.p:
             raise ValueError("q must be >= p")
 
     @property
@@ -106,15 +107,3 @@ def scrmk(m: FiberedMeasure, n: FiberedMeasure, config: DisintConfig, costs: Cos
     profile = fiber_distance_profile(m, n, config.p, costs)
     vals = np.array([d for _, d in profile])
     return lq_norm(vals, m.sigma, config.q)
-
-
-def reference_distance(
-    m: FiberedMeasure, config: DisintConfig, bundle: Bundle, y0: ReferencePoint | int
-) -> float:
-    """Distance from the reference Dirac field to m; finite on finite supports.
-
-    This is the quantity whose finiteness defines membership in the solvable
-    class; the raw value is reported for diagnostics.
-    """
-    ref = reference_delta(bundle, y0, dict(zip(m.base_ids, m.sigma)))
-    return scrmk(ref, m, config, bundle)

@@ -360,8 +360,8 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: floa
     with phi zero at mu's first support atom.  The distance itself is
     ``result.mk`` = value_p ** (1/p).
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     _check_supports(mu, nu, cost)
     cp = cost.powered_submatrix(mu.point_ids, nu.point_ids, p)
     _, gamma, u, v, basis = transport(cp, mu.weights, nu.weights)
@@ -430,8 +430,8 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p
     arithmetic.  Uniform case with equal atom counts <= 8: minimizes over all
     permutation couplings.  Anything larger raises TooLarge.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     _check_supports(mu, nu, cost)
     m, n = len(mu), len(nu)
     cp = cost.powered_submatrix(mu.point_ids, nu.point_ids, p)
@@ -470,8 +470,8 @@ def c_transform(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     xi = np.asarray(xi, dtype=np.float64)
     if not np.all(np.isfinite(xi)):
         raise ValueError("potential has non-finite entries")

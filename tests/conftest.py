@@ -56,6 +56,15 @@ def random_fibered_instance(
     return measures, costs
 
 
+def assert_same_certificate(a, b):
+    """Bitwise equality of two dual certificates' zeta and xi."""
+    assert a.base_ids == b.base_ids
+    assert a.zeta.tobytes() == b.zeta.tobytes()
+    for xa, xb in zip(a.xi, b.xi, strict=True):
+        for base_id in a.base_ids:
+            assert xa[base_id].tobytes() == xb[base_id].tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

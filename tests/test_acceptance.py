@@ -25,7 +25,6 @@ from disot.duality import (
     DualCertificate,
     duality_gap,
     eval_dual,
-    extract_certificate,
     validate_certificate,
 )
 from disot.instances import interval_pair, shared_fiber_nonuniqueness, tent_potential
@@ -104,7 +103,7 @@ def test_criterion_3_strong_duality_at_q_equals_p():
         lam = rng.dirichlet(np.ones(3))
         problem = make_problem(ms, lam, DisintConfig(2.0, 2.0), costs)
         result = disint_barycenter(problem)
-        cert = extract_certificate(problem, result)
+        cert = result.certificate
         assert np.all(cert.zeta == 1.0), "q = p extraction must use unit base weights"
         report = duality_gap(problem, result, cert)
         assert report.certified

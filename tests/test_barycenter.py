@@ -16,13 +16,14 @@ from disot.barycenter import (
     project_simplex,
     uniqueness_probe,
 )
+from disot.duality import extract_certificate
 from disot.errors import BaseMismatch, EmptySupport, FiberMismatch, SupportViolation
 from disot.instances import interval_pair, shared_fiber_nonuniqueness
 from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
 from disot.ot import transport
 
-from conftest import random_fibered_instance
+from conftest import assert_same_certificate, random_fibered_instance
 
 
 def line_cost(points):
@@ -152,8 +153,12 @@ class TestProblem:
             args["inputs"], args["lambdas"] = [m1], [1.0]
         elif case == "lambda_count":
             args["lambdas"] = [0.25, 0.25, 0.5]
+        elif case == "lambda_nan":
+            args["lambdas"] = [math.nan, 0.5]
         elif case == "kappa":
             args["kappa"] = 0.0
+        elif case == "kappa_nan":
+            args["kappa"] = math.nan
         elif case == "base":
             args["inputs"] = [m1, FiberedMeasure(["w1", "w2"], [0.25, 0.75], m2.fibers)]
         elif case == "support":
@@ -167,7 +172,9 @@ class TestProblem:
         [
             ("one_input", ValueError),
             ("lambda_count", ValueError),
+            ("lambda_nan", ValueError),
             ("kappa", ValueError),
+            ("kappa_nan", ValueError),
             ("base", BaseMismatch),
             ("support", SupportViolation),
             ("costs", FiberMismatch),
@@ -277,6 +284,8 @@ class TestDisintBarycenter:
         assert res.certified
         assert res.gap == 0.0 and res.value == 0.0 and res.dual_bound == 0.0
         assert res.solver_log["iterations"] == 1
+        # no check ran before the stop, so the solve extracted one certificate
+        assert_same_certificate(res.certificate, extract_certificate(prob, res.minimizer))
 
     def test_sandwich_bounds(self, rng):
         # dual certificate value <= value <= objective of any candidate

@@ -260,6 +260,39 @@ class TestCLI:
         assert main(["dist", "--input", str(bad), "--p", "2"]) == 2
         assert main(["ot", "--p", "2"]) == 2
 
+    def test_nan_weight_exit_2(self, tmp_path, capsys):
+        doc = {
+            "base": [{"id": "w", "sigma": 1.0}],
+            "fibers": {
+                "w": {
+                    "cost": [[0.0, 1.0], [1.0, 0.0]],
+                    "measures": {
+                        "mu": [{"point": 0, "w": "nan"}, {"point": 1, "w": 1.0}],
+                        "nu": [{"point": 0, "w": 1.0}],
+                    },
+                }
+            },
+        }
+        path = self._write(tmp_path, doc)
+        assert main(["ot", "--input", path, "--p", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["disint-bary", "--p", "inf"],
+            ["disint-bary", "--q", "nan"],
+            ["disint-bary", "--lambda", "nan,0.5"],
+            ["ot", "--p", "inf", "--fiber", "w1", "--mu", "m1", "--nu", "m2"],
+            ["dist", "--q", "nan", "--m", "m1", "--n", "m2"],
+        ],
+    )
+    def test_non_finite_exponent_or_lambda_exit_2(self, tmp_path, capsys, argv):
+        doc = generate_instance(seed=1, n_fibers=2, n_atoms=4, kind="interval")
+        path = self._write(tmp_path, doc)
+        assert main([argv[0], "--input", path, *argv[1:]]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_generate_cli_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "gen.json"
         code = main(["generate", "--seed", "0", "--fibers", "2", "--atoms", "3", "--output", str(out)])

@@ -9,14 +9,16 @@ import pytest
 from scipy.optimize import linprog
 
 import disot
-from disot import duality, ot
+from disot import ot
 from disot.barycenter import (
     classical_barycenter,
     disint_barycenter,
     fiber_barycenter_lp,
     make_problem,
+    minimax_barycenter_lp,
     objective,
 )
+from disot.cli import main
 from disot.duality import (
     DualCertificate,
     duality_gap,
@@ -24,13 +26,14 @@ from disot.duality import (
     extract_certificate,
     validate_certificate,
 )
-from disot.errors import NotSolved, ShapeMismatch
-from disot.instances import interval_pair
+from disot.errors import ShapeMismatch
+from disot.instances import generate_instance, interval_pair
+from disot.io import parse_instance, save_document
 from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
 from disot.ot import c_transform
 
-from conftest import random_fibered_instance
+from conftest import assert_same_certificate, random_fibered_instance
 
 
 def random_feasible_certificate(prob, rng, scale=1.0):
@@ -182,7 +185,7 @@ class TestExtract:
         (m, _), costs = random_fibered_instance(rng, 2, 2, 3)
         prob = make_problem([m, m], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
-        cert = extract_certificate(prob, res)
+        cert = res.certificate
         report = duality_gap(prob, res, cert)
         assert report.primal == pytest.approx(0.0, abs=1e-12)
         assert report.certified
@@ -195,7 +198,7 @@ class TestExtract:
             lam = rng.dirichlet(np.ones(K))
             prob = make_problem(ms, lam, DisintConfig(2.0, 2.0), costs)
             res = disint_barycenter(prob)
-            cert = extract_certificate(prob, res)
+            cert = res.certificate
             assert np.all(cert.zeta == 1.0)
             report = duality_gap(prob, res, cert)
             assert report.certified
@@ -206,16 +209,10 @@ class TestExtract:
         inst = interval_pair(50)
         prob = inst.problem()
         res = classical_barycenter(prob)
-        cert = extract_certificate(prob, res)
+        cert = res.certificate
         report = duality_gap(prob, res, cert)
         assert report.dual == pytest.approx(1.5, abs=0.02)
         assert report.certified
-
-    def test_not_solved(self, rng):
-        ms, costs = random_fibered_instance(rng, 2, 2, 3)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
-        with pytest.raises(NotSolved):
-            extract_certificate(prob, None)
 
     def test_q_inf_certificate_matches_minimax_value(self):
         # worked two-fiber instance: the binding fiber pins the value at 1/4
@@ -227,7 +224,7 @@ class TestExtract:
         m2 = FiberedMeasure(base, [0.5, 0.5], {"w1": dirac(0), "w2": dirac(4)})
         prob = make_problem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {b: cost for b in base})
         res = disint_barycenter(prob)
-        cert = extract_certificate(prob, res)
+        cert = res.certificate
         assert validate_certificate(cert, prob).ok
         dual = eval_dual(cert, prob)
         assert dual == pytest.approx(0.25, abs=1e-9)
@@ -238,10 +235,62 @@ class TestExtract:
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
         prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         res = disint_barycenter(prob)
-        cert = extract_certificate(prob, res)
+        cert = res.certificate
         assert validate_certificate(cert, prob).ok
         report = duality_gap(prob, res, cert)
         assert -1e-9 <= report.gap <= 1e-3 * (1.0 + abs(report.primal))
+
+
+def square_instance():
+    """``generate --seed 1 --fibers 2 --atoms 5 --kind square``."""
+    return generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
+
+
+def square_problem(q):
+    inst = parse_instance(square_instance())
+    inputs = [inst.measure(name) for name in sorted(inst.measures)]
+    return make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, q), inst.costs())
+
+
+class TestSolveCertificate:
+    """Each kappa = p solve extracts its certificate once, at its minimizer."""
+
+    @pytest.mark.parametrize("q", ["2", "inf", "4"])
+    def test_certify_hands_highs_no_lp_twice(self, q, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "inst.json")
+        save_document(path, square_instance())
+        seen = []
+
+        def spy(c, **kwargs):
+            seen.append((c.tobytes(), kwargs["A_eq"].toarray().tobytes(), kwargs["b_eq"].tobytes()))
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(ot, "linprog", spy)
+        assert main(["certify", "--input", path, "--p", "2", "--q", q]) == 0
+        capsys.readouterr()
+        assert seen and len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize(
+        "q, max_iter", [(2.0, None), (4.0, 1), (4.0, 2), (4.0, 3), (4.0, 25), (4.0, 26)]
+    )
+    def test_certificate_is_a_fresh_extraction(self, q, max_iter):
+        # a tolerance no check meets keeps the solve running to the cap, which
+        # falls on a check (1, 25) or between two (2, 3, 26)
+        prob = square_problem(q)
+        if max_iter is None:
+            res = disint_barycenter(prob)
+        else:
+            res = disint_barycenter(prob, max_iter=max_iter, tol=0.0)
+            assert res.solver_log["iterations"] == max_iter
+        assert_same_certificate(res.certificate, extract_certificate(prob, res.minimizer))
+
+    def test_q_inf_needs_the_minimax_zeta(self):
+        prob = square_problem(math.inf)
+        res = disint_barycenter(prob)
+        with pytest.raises(ValueError):
+            extract_certificate(prob, res.minimizer)
+        zeta = minimax_barycenter_lp(prob)[2]
+        assert_same_certificate(res.certificate, extract_certificate(prob, res.minimizer, zeta))
 
 
 class TestGapReport:
@@ -262,7 +311,7 @@ class TestGapReport:
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
         prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
-        cert = extract_certificate(prob, res)
+        cert = res.certificate
         broken = DualCertificate(prob.base_ids, cert.zeta * -1.0, cert.xi)
         report = duality_gap(prob, res, broken)
         assert not report.certified
@@ -272,7 +321,7 @@ class TestGapReport:
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
         prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         res = disint_barycenter(prob)
-        cert = extract_certificate(prob, res)
+        cert = res.certificate
         clone = DualCertificate.from_dict(cert.to_dict())
         assert clone.base_ids == cert.base_ids
         assert np.allclose(clone.zeta, cert.zeta)
@@ -372,13 +421,13 @@ class TestLPLayout:
         monkeypatch.setattr(ot, "MAX_PIVOTS_BASE", 0)
         fibers = [mk.fiber("w") for mk in problem.inputs]
         fiber_barycenter_lp(fibers, problem.costs["w"], problem.lambdas, 2.0, problem.support["w"])
-        duality._zeta_minimax(problem)
+        minimax_barycenter_lp(problem)
         a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
         ot.transport(np.array([[0.0, 1.0], [1.0, 0.0]]), a, b)
         assert callers == ["fiber_barycenter_lp", "minimax_barycenter_lp", "_transport_linprog"]
 
     def test_minimax_lp(self, problem, lp_calls):
-        duality._zeta_minimax(problem)
+        minimax_barycenter_lp(problem)
         (call,) = lp_calls
         assert np.array_equal(call["A_eq"].toarray(), self.MINIMAX_A_EQ)
         assert np.array_equal(call["b_eq"], self.MINIMAX_B_EQ)

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disot.errors import AllZeroMass, BaseMismatch, IndexOutOfRange, NegativeWeight
+from disot.errors import (
+    AllZeroMass,
+    BaseMismatch,
+    IndexOutOfRange,
+    InvalidGroundCost,
+    NegativeWeight,
+)
 from disot.measures import (
     Bundle,
     DiscreteMeasure,
@@ -56,6 +64,32 @@ class TestNormalize:
         assert abs(m.weights.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(m.point_ids) > 0)
         assert np.all(m.weights > 0.0)
+
+
+NON_FINITE_WEIGHTS = pytest.mark.parametrize(
+    "weights",
+    [[math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308]],
+    ids=["nan", "inf", "sum_overflows"],
+)
+
+
+class TestNonFiniteInputs:
+    """Non-finite weights and costs are refused when they are constructed."""
+
+    @NON_FINITE_WEIGHTS
+    def test_weights(self, weights):
+        with pytest.raises(ValueError):
+            DiscreteMeasure([0, 1], weights)
+
+    @NON_FINITE_WEIGHTS
+    def test_base_weights(self, weights):
+        with pytest.raises(ValueError):
+            FiberedMeasure(["a", "b"], weights, {"a": dirac(0), "b": dirac(0)})
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_cost_entries(self, entry):
+        with pytest.raises(InvalidGroundCost, match="non-finite"):
+            GroundCost([[0.0, entry], [entry, 0.0]])
 
 
 class TestGroundCostValidation:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from disot.errors import BaseMismatch
-from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
+from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import (
     DisintConfig,
     fiber_distance_profile,
-    reference_distance,
     scrmk,
 )
 from disot.ot import brute_force_ot, solve_ot
@@ -33,10 +32,11 @@ class TestConfig:
         assert DisintConfig(2.0, math.inf).r_conj == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DisintConfig(0.5, 1.0)
-        with pytest.raises(ValueError):
-            DisintConfig(2.0, 1.0)
+        # a NaN compares false with everything, so each check must fail on it
+        bad = [(0.5, 1.0), (2.0, 1.0), (math.inf, math.inf), (math.nan, 2.0), (2.0, math.nan)]
+        for p, q in bad:
+            with pytest.raises(ValueError):
+                DisintConfig(p, q)
 
 
 class TestProfile:
@@ -144,26 +144,3 @@ class TestScrmk:
             cfg = DisintConfig(2.0, 2.0)
             assert scrmk(m, nn, cfg, {"w": cost}) == scrmk(mg, ng, cfg, {"w": cost})
 
-
-class TestReferenceDistance:
-    def test_zero_at_reference(self):
-        cost = GroundCost(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        bundle = Bundle(["w"], cost)
-        m = FiberedMeasure(["w"], [1.0], {"w": dirac(0)})
-        assert reference_distance(m, DisintConfig(2.0, 2.0), bundle, 0) == 0.0
-
-    def test_single_fiber_dirac(self):
-        cost = GroundCost(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        bundle = Bundle(["w"], cost)
-        m = FiberedMeasure(["w"], [1.0], {"w": dirac(1)})
-        for q in (2.0, 4.0, math.inf):
-            assert reference_distance(m, DisintConfig(2.0, q), bundle, 0) == pytest.approx(2.0)
-
-    def test_is_composition(self, rng):
-        (m, _), costs = random_fibered_instance(rng, 2, 3, 4)
-        bundle = Bundle(list(m.base_ids), costs)
-        cfg = DisintConfig(2.0, 4.0)
-        from disot.measures import reference_delta
-
-        ref = reference_delta(bundle, 0, dict(zip(m.base_ids, m.sigma)))
-        assert reference_distance(m, cfg, bundle, 0) == scrmk(ref, m, cfg, costs)

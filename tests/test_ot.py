@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,16 @@ class TestSolveOT:
             solve_ot(None, dirac(0), cost, 1.0)
         with pytest.raises(ValueError):
             solve_ot(dirac(0), dirac(1), cost, 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_exponent_must_be_finite(self, p):
+        cost = line_cost([0.0, 1.0])
+        with pytest.raises(ValueError):
+            solve_ot(dirac(0), dirac(1), cost, p)
+        with pytest.raises(ValueError):
+            brute_force_ot(dirac(0), dirac(1), cost, p)
+        with pytest.raises(ValueError):
+            c_transform(np.zeros(2), 0.5, p, cost)
 
     def test_potentials_contract(self, rng):
         for _ in range(25):
