@@ -177,10 +177,11 @@ class GroundCost:
         raise AttributeError("GroundCost is immutable")
 
     def powered(self, p: float) -> np.ndarray:
-        """d**p, with p == 1 returned without a pow call."""
-        if p == 1.0:
-            return self.d
-        return self.d**p
+        """d**p, with p == 1 returned without a pow call.
+
+        Raises InvalidGroundCost when a finite distance overflows to inf.
+        """
+        return self.d if p == 1.0 else _finite_power(self.d, p)
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.d[np.ix_(rows, cols)]
@@ -188,7 +189,15 @@ class GroundCost:
     def powered_submatrix(self, rows: np.ndarray, cols: np.ndarray, p: float) -> np.ndarray:
         """submatrix(rows, cols) ** p, with p == 1 returned without a pow call."""
         sub = self.submatrix(rows, cols)
-        return sub if p == 1.0 else sub**p
+        return sub if p == 1.0 else _finite_power(sub, p)
+
+
+def _finite_power(d: np.ndarray, p: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        dp = d**p
+    if dp.size and not dp.max() < math.inf:
+        raise InvalidGroundCost(f"cost {d.max():.6g} overflows to inf at power p = {p:g}")
+    return dp
 
 
 def validate_ground_cost(d: Sequence[Sequence[float]] | np.ndarray) -> ValidationReport:
@@ -375,6 +384,8 @@ def disintegrate(atoms_on_total_space: Iterable[tuple[str, int, float]]) -> Fibe
     order: list[str] = []
     for b, i, w in atoms_on_total_space:
         b = str(b)
+        if not math.isfinite(w):
+            raise ValueError(f"weight {w} at ({b!r}, {i}) is not finite")
         if w < 0.0:
             raise NegativeWeight(f"weight {w} at ({b!r}, {i})")
         if b not in grouped:
@@ -422,8 +433,8 @@ def p_moment(m: FiberedMeasure, ref: FiberedMeasure, bundle: Bundle, p: float) -
     ``ref`` must share base weights with ``m`` and have Dirac fibers.  Always
     finite on finite supports.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     if not m.same_base(ref):
         raise BaseMismatch("m and ref have different base weights")
     terms = []

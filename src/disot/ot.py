@@ -14,7 +14,9 @@ transportation polytope vertices in exact rational arithmetic.
 
 :func:`highs` is the package's one entry to scipy's HiGHS solver: the
 transport fallback, the joint barycenter LP and the q = inf minimax LP all go
-through it, with their rows laid out by :func:`coupling_rows`.
+through it, with their rows laid out by :func:`coupling_rows`.  It imports
+scipy on its first call, so a command that never solves an LP (``generate``,
+``dist``, ``ot`` short of the pivot limit) starts without loading scipy.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .errors import DegenerateInput, LPInfeasible, SupportOutOfRange, TooLarge
 from .measures import DiscreteMeasure, GroundCost
@@ -260,6 +260,9 @@ def highs(c, eq, ub=None):
     in ``eqlin.marginals`` and ``ineqlin.marginals``.  Raises LPInfeasible
     when HiGHS does not report an optimum.
     """
+    # imported here: loading scipy.optimize costs more than most commands
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
 
     def sparse(rows, cols, data, rhs):
         return coo_matrix((data, (rows, cols)), shape=(len(rhs), len(c))), rhs

@@ -7,9 +7,14 @@ satisfy the metric axioms by construction.
 
 from __future__ import annotations
 
+import sys
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.optimize
 
+from disot import ot
 from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost
 
 
@@ -68,3 +73,32 @@ def assert_same_certificate(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@dataclass(frozen=True)
+class LPCall:
+    """One HiGHS solve: the function that called ``ot.highs``, and its LP."""
+
+    caller: str
+    c: np.ndarray
+    kwargs: dict
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Records every ``scipy.optimize.linprog`` call as an :class:`LPCall`.
+
+    ``ot.highs`` imports ``linprog`` when it is called, so patching the scipy
+    module reaches it.  A call from anywhere but ``ot.highs`` fails the test.
+    """
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def spy(c, **kwargs):
+        highs_frame = sys._getframe(1)
+        assert highs_frame.f_code is ot.highs.__code__, "linprog called outside ot.highs"
+        calls.append(LPCall(highs_frame.f_back.f_code.co_name, c, kwargs))
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls

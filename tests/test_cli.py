@@ -2,11 +2,15 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disot
 from disot import barycenter, cli
 from disot.cli import build_parser, main
 from disot.errors import ParseError, TooLarge
@@ -277,6 +281,25 @@ class TestCLI:
         assert main(["ot", "--input", path, "--p", "1"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_overflowing_cost_power_exit_2(self, tmp_path, capsys):
+        doc = {
+            "base": [{"id": "w", "sigma": 1.0}],
+            "fibers": {
+                "w": {
+                    "cost": [[0.0, 1e200], [1e200, 0.0]],
+                    "measures": {
+                        "mu": [{"point": 0, "w": 1.0}],
+                        "nu": [{"point": 0, "w": 0.5}, {"point": 1, "w": 0.5}],
+                    },
+                }
+            },
+        }
+        path = self._write(tmp_path, doc)
+        assert main(["ot", "--input", path, "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -431,3 +454,58 @@ class TestCLI:
         for name, sp in sub.choices.items():
             registered = {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
             assert registered | {"command"} <= read[name], (name, registered - read[name])
+
+
+# Runs ``import disot`` and then, given arguments, ``cli.main`` on them, in a
+# fresh interpreter; writes the exit status and the scipy modules then loaded.
+STARTUP_CHILD = """
+import json, sys
+import disot
+status = 0
+if len(sys.argv) > 2:
+    from disot import cli
+    status = cli.main(sys.argv[2:])
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+with open(sys.argv[1], "w") as fh:
+    json.dump({"status": status, "scipy": loaded}, fh)
+"""
+
+
+class TestStartup:
+    """Commands that never solve an LP start without loading scipy."""
+
+    @pytest.fixture
+    def run_fresh(self, tmp_path):
+        src = str(Path(disot.__file__).resolve().parent.parent)
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        for name, n_fibers, kind in [("square", 1, "square"), ("multi", 3, "square"), ("one", 1, "interval")]:
+            doc = generate_instance(seed=n_fibers, n_fibers=n_fibers, n_atoms=5, kind=kind)
+            save_document(str(tmp_path / f"{name}.json"), doc)
+
+        def run(*argv):
+            out = tmp_path / "loaded.json"
+            subprocess.run([sys.executable, "-c", STARTUP_CHILD, str(out), *argv],
+                           cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120)
+            return json.loads(out.read_text())
+
+        return run
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["generate", "--seed", "1", "--fibers", "1", "--atoms", "3", "--output", "gen.json"],
+            ["ot", "--input", "square.json", "--p", "2", "--mu", "m1", "--nu", "m2"],
+            ["dist", "--input", "multi.json", "--p", "2", "--q", "inf", "--m", "m1", "--n", "m2"],
+        ],
+        ids=["import", "generate", "ot", "dist_q_inf"],
+    )
+    def test_simplex_only_commands_skip_scipy(self, run_fresh, argv):
+        assert run_fresh(*argv) == {"status": 0, "scipy": []}
+
+    def test_lp_command_loads_scipy(self, run_fresh):
+        # the check above is not vacuous: a HiGHS solve does load scipy
+        loaded = run_fresh("bary", "--input", "one.json", "--p", "1")
+        assert loaded["status"] == 0
+        assert "scipy.optimize" in loaded["scipy"]

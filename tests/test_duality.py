@@ -1,12 +1,12 @@
+import ast
 import importlib
 import math
 import pkgutil
-import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 import disot
 from disot import ot
@@ -256,18 +256,15 @@ class TestSolveCertificate:
     """Each kappa = p solve extracts its certificate once, at its minimizer."""
 
     @pytest.mark.parametrize("q", ["2", "inf", "4"])
-    def test_certify_hands_highs_no_lp_twice(self, q, tmp_path, monkeypatch, capsys):
+    def test_certify_hands_highs_no_lp_twice(self, q, tmp_path, capsys, highs_calls):
         path = str(tmp_path / "inst.json")
         save_document(path, square_instance())
-        seen = []
-
-        def spy(c, **kwargs):
-            seen.append((c.tobytes(), kwargs["A_eq"].toarray().tobytes(), kwargs["b_eq"].tobytes()))
-            return linprog(c, **kwargs)
-
-        monkeypatch.setattr(ot, "linprog", spy)
         assert main(["certify", "--input", path, "--p", "2", "--q", q]) == 0
         capsys.readouterr()
+        seen = [
+            (c.c.tobytes(), c.kwargs["A_eq"].toarray().tobytes(), c.kwargs["b_eq"].tobytes())
+            for c in highs_calls
+        ]
         assert seen and len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize(
@@ -328,6 +325,16 @@ class TestGapReport:
         assert eval_dual(clone, prob) == pytest.approx(eval_dual(cert, prob), abs=1e-15)
 
 
+def _scoped_nodes(tree, scope):
+    """(dotted enclosing scope, node) for every node under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        yield scope, node
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        yield from _scoped_nodes(node, inner)
+
+
 class TestLPLayout:
     """Row and column order of the joint and minimax LPs handed to HiGHS.
 
@@ -379,44 +386,41 @@ class TestLPLayout:
         m2 = FiberedMeasure(["w"], [1.0], {"w": DiscreteMeasure([0, 1, 2], [0.5, 0.25, 0.25])})
         return make_problem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {"w": cost})
 
-    @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        calls = []
-
-        def spy(c, **kwargs):
-            calls.append(kwargs)
-            return linprog(c, **kwargs)
-
-        monkeypatch.setattr(ot, "linprog", spy)
-        return calls
-
-    def test_joint_lp(self, problem, lp_calls):
+    def test_joint_lp(self, problem, highs_calls):
         fibers = [mk.fiber("w") for mk in problem.inputs]
         fiber_barycenter_lp(fibers, problem.costs["w"], problem.lambdas, 2.0, problem.support["w"])
-        (call,) = lp_calls
-        assert np.array_equal(call["A_eq"].toarray(), self.JOINT_A_EQ)
-        assert np.array_equal(call["b_eq"], self.JOINT_B_EQ)
+        (call,) = highs_calls
+        assert np.array_equal(call.kwargs["A_eq"].toarray(), self.JOINT_A_EQ)
+        assert np.array_equal(call.kwargs["b_eq"], self.JOINT_B_EQ)
 
-    def test_highs_is_the_only_scipy_entry(self, problem, monkeypatch):
-        from scipy.sparse import coo_matrix
-
+    def test_highs_is_the_only_scipy_entry(self, problem, monkeypatch, highs_calls):
+        # no module binds a scipy module, function or class when it is imported
         binders = set()
         for info in pkgutil.iter_modules(disot.__path__):
             mod = importlib.import_module(f"disot.{info.name}")
             for value in vars(mod).values():
-                if value is linprog or value is coo_matrix or (
-                    isinstance(value, types.ModuleType) and value.__name__.startswith("scipy")
-                ):
+                if isinstance(value, types.ModuleType):
+                    origin = value.__name__
+                else:
+                    origin = getattr(value, "__module__", None)
+                if isinstance(origin, str) and origin.split(".")[0] == "scipy":
                     binders.add(mod.__name__)
-        assert binders == {"disot.ot"}
+        assert binders == set()
 
-        callers = []
+        # and the only scipy import statements sit inside ot.highs
+        sites = set()
+        for path in Path(disot.__file__).parent.glob("*.py"):
+            for scope, node in _scoped_nodes(ast.parse(path.read_text()), path.stem):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    sites.add(scope)
+        assert sites == {"ot.highs"}
 
-        def spy(c, **kwargs):
-            callers.append(sys._getframe(2).f_code.co_name)  # the caller of ot.highs
-            return linprog(c, **kwargs)
-
-        monkeypatch.setattr(ot, "linprog", spy)
         monkeypatch.setattr(ot, "MAX_PIVOTS_PER_NODE", 0)
         monkeypatch.setattr(ot, "MAX_PIVOTS_BASE", 0)
         fibers = [mk.fiber("w") for mk in problem.inputs]
@@ -424,11 +428,12 @@ class TestLPLayout:
         minimax_barycenter_lp(problem)
         a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
         ot.transport(np.array([[0.0, 1.0], [1.0, 0.0]]), a, b)
+        callers = [call.caller for call in highs_calls]
         assert callers == ["fiber_barycenter_lp", "minimax_barycenter_lp", "_transport_linprog"]
 
-    def test_minimax_lp(self, problem, lp_calls):
+    def test_minimax_lp(self, problem, highs_calls):
         minimax_barycenter_lp(problem)
-        (call,) = lp_calls
-        assert np.array_equal(call["A_eq"].toarray(), self.MINIMAX_A_EQ)
-        assert np.array_equal(call["b_eq"], self.MINIMAX_B_EQ)
-        assert np.array_equal(call["A_ub"].toarray(), self.MINIMAX_A_UB)
+        (call,) = highs_calls
+        assert np.array_equal(call.kwargs["A_eq"].toarray(), self.MINIMAX_A_EQ)
+        assert np.array_equal(call.kwargs["b_eq"], self.MINIMAX_B_EQ)
+        assert np.array_equal(call.kwargs["A_ub"].toarray(), self.MINIMAX_A_UB)

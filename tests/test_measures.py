@@ -91,6 +91,29 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidGroundCost, match="non-finite"):
             GroundCost([[0.0, entry], [entry, 0.0]])
 
+    def test_cost_powers(self):
+        cost = GroundCost([[0.0, 1e200], [1e200, 0.0]])
+        ids = np.arange(2)
+        with pytest.raises(InvalidGroundCost, match="overflows"):
+            cost.powered(2.0)
+        with pytest.raises(InvalidGroundCost, match="overflows"):
+            cost.powered_submatrix(ids, ids, 2.0)
+        assert cost.powered_submatrix(ids, ids, 1.5)[0, 1] == pytest.approx(1e300)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_disintegrate_weights(self, weight):
+        # a base point whose mass is not finite was dropped, finite atoms and all
+        with pytest.raises(ValueError, match="not finite"):
+            disintegrate([("a", 0, 1.0), ("b", 0, weight), ("b", 1, 1.0)])
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_p_moment_exponent(self, p):
+        bundle = Bundle(["w"], GroundCost([[0.0, 1.0], [1.0, 0.0]]))
+        ref = reference_delta(bundle, 0, {"w": 1.0})
+        m = FiberedMeasure(["w"], [1.0], {"w": DiscreteMeasure([0, 1], [0.5, 0.5])})
+        with pytest.raises(ValueError, match="finite"):
+            p_moment(m, ref, bundle, p)
+
 
 class TestGroundCostValidation:
     def test_two_point_metric(self):

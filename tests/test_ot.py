@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disot import ot
-from disot.errors import DegenerateInput, DisotError, SupportOutOfRange, TooLarge
+from disot.errors import (
+    DegenerateInput,
+    DisotError,
+    InvalidGroundCost,
+    SupportOutOfRange,
+    TooLarge,
+)
 from disot.instances import tent_potential
 from disot.measures import (
     DiscreteMeasure,
@@ -90,6 +96,17 @@ class TestSolveOT:
             brute_force_ot(dirac(0), dirac(1), cost, p)
         with pytest.raises(ValueError):
             c_transform(np.zeros(2), 0.5, p, cost)
+
+    def test_overflowing_cost_power(self):
+        # 1e200 is a finite cost, but its square is not: this ended in an
+        # OverflowError from exact_basis_value
+        cost = GroundCost([[0.0, 1e200], [1e200, 0.0]])
+        nu = DiscreteMeasure([0, 1], [0.5, 0.5])
+        with pytest.raises(InvalidGroundCost, match="overflows"):
+            solve_ot(dirac(0), nu, cost, 2.0)
+        with pytest.raises(InvalidGroundCost, match="overflows"):
+            brute_force_ot(dirac(0), nu, cost, 2.0)
+        assert solve_ot(dirac(0), nu, cost, 1.0).value_p == 5e199
 
     def test_potentials_contract(self, rng):
         for _ in range(25):
