@@ -11,7 +11,6 @@ from .barycenter import (
     BarycenterProblem,
     BarycenterResult,
     ProbeReport,
-    candidate_search,
     classical_barycenter,
     classical_problem,
     disint_barycenter,
@@ -49,13 +48,10 @@ from .measures import (
     DiscreteMeasure,
     FiberedMeasure,
     GroundCost,
-    ReferencePoint,
     ValidationReport,
     dirac,
     disintegrate,
     normalize_measure,
-    p_moment,
-    reference_delta,
     validate_ground_cost,
 )
 from .metric import (

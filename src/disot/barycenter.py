@@ -1,12 +1,11 @@
 """Barycenters on fixed candidate supports: exact LPs and projected subgradient.
 
-With kappa = p the problem is convex in the target fiber weights.  q = p
-decouples into one exact joint transportation LP per fiber; at q = inf the
-objective is piecewise linear, and one exact minimax LP covers all fibers.
-p < q < inf is solved by projected subgradient descent on the weight
-simplices.  Every kappa = p solve also returns the dual certificate of its
-minimizer.  Other kappa values are supported through plain objective
-evaluation and candidate search.
+The objective is the weighted sum of p-th powers of the distances to the
+inputs, which is convex in the target fiber weights.  q = p decouples into
+one exact joint transportation LP per fiber; at q = inf the objective is
+piecewise linear, and one exact minimax LP covers all fibers.  p < q < inf is
+solved by projected subgradient descent on the weight simplices.  Every solve
+also returns the dual certificate of its minimizer.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class BarycenterProblem:
     config: DisintConfig
     costs: Mapping[str, GroundCost]
     support: Mapping[str, np.ndarray]
-    kappa: float
 
     def __post_init__(self):
         if len(self.inputs) < 2:
@@ -70,8 +68,6 @@ class BarycenterProblem:
         for other in self.inputs[1:]:
             if not base.same_base(other):
                 raise BaseMismatch("inputs must share base points and base weights")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
         costs = {b: cost_at(self.costs, b) for b in base.base_ids}
         sup = {}
         for b in base.base_ids:
@@ -103,7 +99,6 @@ def make_problem(
     config: DisintConfig,
     costs: CostTable,
     support: Mapping[str, Sequence[int]] | None = None,
-    kappa: float | None = None,
 ) -> BarycenterProblem:
     if support is None:
         support = {b: np.arange(cost_at(costs, b).n) for b in inputs[0].base_ids}
@@ -113,7 +108,6 @@ def make_problem(
         config=config,
         costs=costs,
         support={b: np.asarray(s, dtype=np.int64) for b, s in support.items()},
-        kappa=config.p if kappa is None else float(kappa),
     )
 
 
@@ -126,7 +120,6 @@ def classical_problem(
     lambdas: Sequence[float],
     p: float,
     support: Sequence[int] | None = None,
-    kappa: float | None = None,
     q: float | None = None,
 ) -> BarycenterProblem:
     """Wrap plain discrete measures as a one-point-base fibered problem."""
@@ -135,7 +128,7 @@ def classical_problem(
     ]
     cfg = DisintConfig(p, p if q is None else q)
     sup = None if support is None else {_ONE_POINT_BASE: np.asarray(support, dtype=np.int64)}
-    return make_problem(fibered, lambdas, cfg, cost, sup, kappa)
+    return make_problem(fibered, lambdas, cfg, cost, sup)
 
 
 @dataclass(frozen=True)
@@ -144,10 +137,10 @@ class BarycenterResult:
     value: float
     per_k_distances: np.ndarray
     solver_log: dict
-    certified: bool = True
-    gap: float | None = None
-    dual_bound: float | None = None
-    certificate: DualCertificate | None = None
+    certified: bool
+    gap: float
+    dual_bound: float | None
+    certificate: DualCertificate
 
 
 def _result(problem: BarycenterProblem, minimizer, value, log, **status) -> BarycenterResult:
@@ -170,27 +163,10 @@ def _candidate_in_support(problem: BarycenterProblem, candidate: FiberedMeasure)
 
 
 def objective(problem: BarycenterProblem, candidate: FiberedMeasure) -> float:
-    """Weighted sum of kappa-th powers of distances from the inputs to candidate."""
+    """Weighted sum of p-th powers of distances from the inputs to candidate."""
     _candidate_in_support(problem, candidate)
     dists = [scrmk(mk, candidate, problem.config, problem.costs) for mk in problem.inputs]
-    return math.fsum(lam * d**problem.kappa for lam, d in zip(problem.lambdas, dists))
-
-
-def candidate_search(
-    problem: BarycenterProblem, candidates: Sequence[FiberedMeasure]
-) -> BarycenterResult:
-    """Exhaustive minimum of the objective over an explicit candidate list.
-
-    This is the supported route for kappa != p, where the LP structure is
-    unavailable.
-    """
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    values = [objective(problem, c) for c in candidates]
-    best = int(np.argmin(values))
-    return _result(
-        problem, candidates[best], values[best], {"method": "candidate_search", "values": values}
-    )
+    return math.fsum(lam * d**problem.config.p for lam, d in zip(problem.lambdas, dists))
 
 
 def fiber_barycenter_lp(
@@ -290,7 +266,7 @@ def _assemble(problem: BarycenterProblem, weights: Mapping[str, np.ndarray]) -> 
 def classical_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     """Global barycenter over measures on the support, by one joint LP.
 
-    Requires a one-point base and kappa = p; the optimum is exact.
+    Requires a one-point base; the optimum is exact.
     """
     if len(problem.base_ids) != 1:
         raise BaseMismatch("classical barycenter expects a one-point base")
@@ -333,8 +309,6 @@ def _lp_weights(problem: BarycenterProblem):
 def _lp_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     from . import duality  # deferred: duality builds on this module's LP helpers
 
-    if problem.kappa != problem.config.p:
-        raise ValueError("the LP route requires kappa = p")
     weights, value, log, zeta, betas = _lp_weights(problem)
     minimizer = _assemble(problem, weights)
     cert = duality.extract_certificate(problem, minimizer, zeta, betas)
@@ -360,7 +334,7 @@ def disint_barycenter(
     max_iter: int = MAX_ITER,
     tol: float = CERT_TOL,
 ) -> BarycenterResult:
-    """Barycenter in the disintegrated metric at kappa = p.
+    """Barycenter in the disintegrated metric.
 
     q = p (per-fiber LPs) and q = inf (one minimax LP) return the exact LP
     optimum with gap 0 and ignore ``start``, ``max_iter`` and ``tol``.  For
@@ -368,14 +342,13 @@ def disint_barycenter(
     once a dual certificate bounds the gap by tol * (1 + value).  The
     certificate is checked at the first iteration and then every CERT_EVERY
     iterations (:mod:`disot.tolerances`).  Hitting the iteration cap returns
-    the best iterate flagged as non-certified.
+    the best iterate flagged as non-certified.  On this route a ``max_iter``
+    below 1 or a NaN or negative ``tol`` raises ValueError.
 
     ``certificate`` is the dual certificate at the minimizer, from the LP
     duals or from the last check (extracted anew if the minimizer moved since);
     ``dual_bound`` stays the best bound over the checks.
     """
-    if problem.kappa != problem.config.p:
-        raise ValueError("disint_barycenter requires kappa = p")
     if _lp_route(problem):
         return _lp_barycenter(problem)
     return _subgradient_barycenter(problem, start, max_iter, tol)
@@ -384,6 +357,11 @@ def disint_barycenter(
 def _subgradient_barycenter(problem, start, max_iter, tol):
     from . import duality  # deferred: duality builds on this module's LP helpers
 
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    # written so that a NaN tol fails
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     p, r = problem.config.p, problem.config.r
     base_ids = problem.base_ids
     sigma = problem.sigma

@@ -104,7 +104,7 @@ def _problem_from_instance(
 
 
 def _solve(args: argparse.Namespace):
-    """Load the instance, build the problem at kappa = p and solve it."""
+    """Load the instance, build the barycenter problem and solve it."""
     instance = load_instance(args.input)
     names = _pick_names(instance, args)
     problem = _problem_from_instance(instance, args, names, _disint_config(args))
@@ -119,9 +119,8 @@ def _result_payload(result) -> dict:
         "minimizer": _measure_payload(result.minimizer),
         "certified": result.certified,
         "solver_log": result.solver_log,
+        "gap": result.gap,
     }
-    if result.gap is not None:
-        payload["gap"] = result.gap
     if result.dual_bound is not None:
         payload["dual_bound"] = result.dual_bound
     return payload
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, q_flag=False)
     _add_weights(sp)
 
-    sp = sub.add_parser("disint-bary", help="disintegrated barycenter at kappa = p")
+    sp = sub.add_parser("disint-bary", help="disintegrated barycenter on fixed supports")
     _add_common(sp)
     _add_weights(sp)
     _add_solver(sp)

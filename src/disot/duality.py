@@ -7,7 +7,7 @@ dual value, a transform-and-integrate functional, lower-bounds the barycenter
 objective of every feasible candidate (weak duality); a zero gap certifies
 optimality.
 
-Each kappa = p solve extracts its certificate once, at the minimizer it
+Each barycenter solve extracts its certificate once, at the minimizer it
 returns, from the duals it holds, and returns it as ``result.certificate``.
 """
 
@@ -166,8 +166,6 @@ def extract_certificate(
     sum vanish identically, and all are re-centered to vanish at the fiber's
     first support point (which changes no value).
     """
-    if problem.kappa != problem.config.p:
-        raise ValueError("certificates exist for the kappa = p objective")
     p, q = problem.config.p, problem.config.q
     K = problem.K
     if zeta is None:
@@ -211,10 +209,13 @@ def duality_gap(
     tol * (1 + |primal|), which the report carries as its ``tol``.  It
     defaults to EXACT_CERT_TOL in the exact LP regime q = p and to CERT_TOL
     otherwise.  An invalid certificate yields dual = -inf and certified = False.
+    A NaN or negative ``tol`` raises ValueError.
     """
-    primal = objective(problem, result.minimizer)
     if tol is None:
         tol = EXACT_CERT_TOL if problem.config.q == problem.config.p else CERT_TOL
+    elif not tol >= 0.0:  # written so that a NaN tol fails
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    primal = objective(problem, result.minimizer)
     tol = tol * (1.0 + abs(primal))
     report = validate_certificate(cert, problem)
     if not report.ok:

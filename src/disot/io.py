@@ -220,7 +220,11 @@ def combine_1d_points(coord_lists: Sequence[np.ndarray]):
 
 
 def report_to_csv(report: Mapping) -> str:
-    """Long-format rows (quantity, base_id, value), flattening nested keys."""
+    """Long-format rows (quantity, base_id, value), flattening nested keys.
+
+    Every quantity is a dotted key path with its base point inside it, so the
+    ``base_id`` column, kept for the header's sake, is always empty.
+    """
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["quantity", "base_id", "value"])
@@ -233,13 +237,9 @@ def report_to_csv(report: Mapping) -> str:
             for i, v in enumerate(value):
                 emit(f"{prefix}[{i}]", v)
         else:
-            key = prefix
-            base = ""
-            if "@" in key:
-                key, base = key.rsplit("@", 1)
             if isinstance(value, float):
                 value = f"{value:.12g}"
-            writer.writerow([key, base, value])
+            writer.writerow([prefix, "", value])
 
     emit("", report)
     return buf.getvalue()

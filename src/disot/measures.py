@@ -1,4 +1,4 @@
-"""Discrete and fibered measures: construction, validation, disintegration, moments.
+"""Discrete and fibered measures: construction, validation, disintegration.
 
 A measure lives on a finite point set indexed 0..n-1 whose pairwise distances
 are recorded in a :class:`GroundCost`.  A fibered measure couples a base
@@ -71,6 +71,8 @@ class DiscreteMeasure:
     ------
     ValueError
         if any input weight is not finite, or their total overflows.
+    IndexOutOfRange
+        if any point id is negative.
     NegativeWeight
         if any input weight is negative.
     AllZeroMass
@@ -84,6 +86,8 @@ class DiscreteMeasure:
         w = np.asarray(weights, dtype=np.float64)
         if ids.shape != w.shape or ids.ndim != 1:
             raise ValueError("point_ids and weights must be 1-d and equally long")
+        if ids.size and ids.min() < 0:
+            raise IndexOutOfRange(f"negative point id {ids.min()}")
         if w.size and w.min() < 0.0:
             i = int(w.argmin())
             raise NegativeWeight(f"weight {w[i]} at point {ids[i]}")
@@ -122,9 +126,6 @@ class DiscreteMeasure:
 
     def as_dict(self) -> dict[int, float]:
         return {int(i): float(w) for i, w in zip(self.point_ids, self.weights)}
-
-    def is_dirac(self) -> bool:
-        return len(self) == 1
 
     def almost_equal(self, other: "DiscreteMeasure", tol: float = MASS_TOL) -> bool:
         return (
@@ -239,21 +240,6 @@ def validate_ground_cost(d: Sequence[Sequence[float]] | np.ndarray) -> Validatio
                 )
             )
     return ValidationReport(tuple(out))
-
-
-@dataclass(frozen=True)
-class ReferencePoint:
-    """Designated fiber point: one shared index, or one index per base point."""
-
-    y0: int | None = None
-    per_fiber: Mapping[str, int] | None = None
-
-    def index_for(self, base_id: str) -> int:
-        if self.per_fiber is not None and base_id in self.per_fiber:
-            return int(self.per_fiber[base_id])
-        if self.y0 is None:
-            raise IndexOutOfRange(f"no reference index for base point {base_id!r}")
-        return int(self.y0)
 
 
 class Bundle:
@@ -400,54 +386,3 @@ def disintegrate(atoms_on_total_space: Iterable[tuple[str, int, float]]) -> Fibe
     sigma = [masses[b] for b in base_ids]
     fibers = {b: normalize_measure(grouped[b]) for b in base_ids}
     return FiberedMeasure(base_ids, sigma, fibers)
-
-
-def reference_delta(
-    bundle: Bundle, y0: ReferencePoint | int, sigma: Mapping[str, float] | Sequence[float]
-) -> FiberedMeasure:
-    """Fibered measure whose fiber at each base point is the Dirac at (relabeled) y0."""
-    ref = ReferencePoint(y0) if isinstance(y0, int) else y0
-    if isinstance(sigma, Mapping):
-        base_ids = list(bundle.base_ids)
-        svals = [float(sigma.get(b, 0.0)) for b in base_ids]
-    else:
-        base_ids = list(bundle.base_ids)
-        svals = [float(s) for s in sigma]
-        if len(svals) != len(base_ids):
-            raise BaseMismatch("sigma length does not match bundle base points")
-    fibers = {}
-    for b, s in zip(base_ids, svals):
-        if s <= 0.0:
-            continue
-        idx = ref.index_for(b)
-        n = bundle.cost(b).n
-        if not 0 <= idx < n:
-            raise IndexOutOfRange(f"reference index {idx} outside fiber of size {n} at {b!r}")
-        fibers[b] = dirac(bundle.relabel(b, idx))
-    return FiberedMeasure(base_ids, svals, fibers)
-
-
-def p_moment(m: FiberedMeasure, ref: FiberedMeasure, bundle: Bundle, p: float) -> float:
-    """sigma-average of the p-th moment of each fiber about the reference Dirac.
-
-    ``ref`` must share base weights with ``m`` and have Dirac fibers.  Always
-    finite on finite supports.
-    """
-    if not 1.0 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1")
-    if not m.same_base(ref):
-        raise BaseMismatch("m and ref have different base weights")
-    terms = []
-    for b, s in zip(m.base_ids, m.sigma):
-        rf = ref.fiber(b)
-        if not rf.is_dirac():
-            raise BaseMismatch(f"reference fiber at {b!r} is not a Dirac")
-        y = int(rf.point_ids[0])
-        cost = bundle.cost(b)
-        f = m.fiber(b)
-        if f.point_ids.size and f.point_ids[-1] >= cost.n:
-            raise IndexOutOfRange(f"fiber atoms at {b!r} outside the point set")
-        dist = cost.d[y, f.point_ids]
-        dp = dist if p == 1.0 else dist**p
-        terms.append(s * float(np.dot(dp, f.weights)))
-    return math.fsum(terms)

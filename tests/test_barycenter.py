@@ -7,7 +7,6 @@ import pytest
 
 from disot import barycenter
 from disot.barycenter import (
-    candidate_search,
     classical_barycenter,
     classical_problem,
     disint_barycenter,
@@ -53,12 +52,10 @@ class TestObjective:
         assert objective(prob, m) == 0.0
 
     def test_arithmetic_on_known_distances(self):
-        # distances (1, 2) at kappa = 2, lambda = (1/2, 1/2) -> 2.5
+        # distances (1, 2) at p = 2, lambda = (1/2, 1/2) -> 2.5
         pts = np.array([0.0, 1.0, 2.0])
         cost = line_cost(pts)
-        prob = classical_problem(
-            [dirac(1), dirac(2)], cost, [0.5, 0.5], p=1.0, kappa=2.0
-        )
+        prob = classical_problem([dirac(1), dirac(2)], cost, [0.5, 0.5], p=2.0)
         cand = single_base(dirac(0))
         assert objective(prob, cand) == pytest.approx(0.5 * 1.0 + 0.5 * 4.0)
 
@@ -155,10 +152,6 @@ class TestProblem:
             args["lambdas"] = [0.25, 0.25, 0.5]
         elif case == "lambda_nan":
             args["lambdas"] = [math.nan, 0.5]
-        elif case == "kappa":
-            args["kappa"] = 0.0
-        elif case == "kappa_nan":
-            args["kappa"] = math.nan
         elif case == "base":
             args["inputs"] = [m1, FiberedMeasure(["w1", "w2"], [0.25, 0.75], m2.fibers)]
         elif case == "support":
@@ -173,8 +166,6 @@ class TestProblem:
             ("one_input", ValueError),
             ("lambda_count", ValueError),
             ("lambda_nan", ValueError),
-            ("kappa", ValueError),
-            ("kappa_nan", ValueError),
             ("base", BaseMismatch),
             ("support", SupportViolation),
             ("costs", FiberMismatch),
@@ -297,11 +288,20 @@ class TestDisintBarycenter:
         for mk in ms:
             assert res.value <= objective(prob, mk) + 1e-9
 
-    def test_kappa_must_equal_p(self, rng):
+    @pytest.mark.parametrize(
+        "settings",
+        [{"max_iter": 0}, {"max_iter": -3}, {"tol": math.nan}, {"tol": -1e-3}],
+        ids=["max_iter_0", "max_iter_negative", "tol_nan", "tol_negative"],
+    )
+    def test_subgradient_settings_are_validated(self, rng, settings):
         ms, costs = random_fibered_instance(rng, 2, 2, 3)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs, kappa=3.0)
-        with pytest.raises(ValueError):
-            disint_barycenter(prob)
+        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
+        with pytest.raises(ValueError, match="must be"):
+            disint_barycenter(prob, **settings)
+        # the LP routes read neither setting
+        for q in (2.0, math.inf):
+            lp = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
+            assert disint_barycenter(lp, **settings).certified
 
 
 def grid_search_oracle(prob, steps=32):
@@ -439,22 +439,3 @@ class TestUniquenessProbe:
         assert probe.n_candidates >= 2
         assert probe.witness
         assert probe.max_pairwise_distance >= 0.25
-
-
-class TestCandidateSearch:
-    def test_kappa_not_p_uses_candidate_list(self, rng):
-        # kappa != p has no LP structure; the supported route is exhaustive
-        # evaluation over supplied candidates
-        ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs, kappa=3.0)
-        candidates = list(ms)
-        res = candidate_search(prob, candidates)
-        vals = [objective(prob, c) for c in candidates]
-        assert res.value == min(vals)
-        assert res.solver_log["method"] == "candidate_search"
-
-    def test_empty_list_rejected(self, rng):
-        ms, costs = random_fibered_instance(rng, 2, 2, 3)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
-        with pytest.raises(ValueError):
-            candidate_search(prob, [])

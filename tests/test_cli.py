@@ -104,10 +104,10 @@ class TestIO:
         assert measure.as_dict() == {0: 0.25, 1: 0.75}
 
     def test_report_csv_long_format(self):
-        text = report_to_csv({"results": {"value": 1.5, "profile": {"w1": 2.0}}})
+        # a base point stays in the quantity's key path, '@' and all
+        text = report_to_csv({"results": {"value": 1.5, "profile": {"a@b": 2.0}}})
         lines = text.strip().splitlines()
-        assert lines[0] == "quantity,base_id,value"
-        assert "results.value,,1.5" in lines
+        assert lines == ["quantity,base_id,value", "results.value,,1.5", "results.profile.a@b,,2"]
 
 
 class TestGenerate:
@@ -299,6 +299,47 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows" in captured.err
+
+    def test_negative_point_id_exit_2(self, tmp_path, capsys):
+        doc = {
+            "base": [{"id": "w", "sigma": 1.0}],
+            "fibers": {
+                "w": {
+                    "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+                    "measures": {
+                        "mu": [{"point": -1, "w": 1.0}],
+                        "nu": [{"point": 0, "w": 1.0}],
+                    },
+                }
+            },
+        }
+        path = self._write(tmp_path, doc)
+        assert main(["ot", "--input", path, "--p", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative point id -1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["disint-bary", "--q", "4", "--max-iter", "0"],
+            ["disint-bary", "--q", "4", "--max-iter", "-3"],
+            ["disint-bary", "--q", "4", "--tol", "nan"],
+            ["disint-bary", "--q", "4", "--tol", "-0.001"],
+            ["certify", "--q", "inf", "--tol", "nan"],
+            ["certify", "--q", "inf", "--tol", "-1"],
+            ["probe-uniqueness", "--q", "4", "--max-iter", "0"],
+        ],
+        ids=["max_iter_0", "max_iter_negative", "tol_nan", "tol_negative",
+             "certify_q_inf_tol_nan", "certify_q_inf_tol_negative", "probe_max_iter_0"],
+    )
+    def test_bad_subgradient_settings_exit_2(self, tmp_path, capsys, argv):
+        doc = generate_instance(seed=1, n_fibers=2, n_atoms=4)
+        path = self._write(tmp_path, doc)
+        assert main([argv[0], "--input", path, "--p", "2", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -314,6 +314,15 @@ class TestGapReport:
         assert not report.certified
         assert report.dual == -math.inf
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3])
+    def test_tol_must_be_nonnegative(self, rng, tol):
+        ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
+        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, math.inf), costs)
+        res = disint_barycenter(prob)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            duality_gap(prob, res, res.certificate, tol=tol)
+        assert duality_gap(prob, res, res.certificate, tol=0.0).tol == 0.0
+
     def test_serialization_roundtrip(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
         prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
