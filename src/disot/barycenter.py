@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BaseMismatch, EmptySupport, SupportViolation
+from .errors import BaseMismatch, EmptySupport, SupportOutOfRange, SupportViolation
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import CostTable, DisintConfig, cost_at, lq_norm, scrmk
 from .ot import coupling_rows, highs, transport
@@ -69,6 +69,14 @@ class BarycenterProblem:
             if not base.same_base(other):
                 raise BaseMismatch("inputs must share base points and base weights")
         costs = {b: cost_at(self.costs, b) for b in base.base_ids}
+        for k, mk in enumerate(self.inputs):
+            for b, f in mk.fibers.items():
+                # atoms are sorted by point id, so the last is the largest
+                if f.point_ids.size and int(f.point_ids[-1]) >= costs[b].n:
+                    raise SupportOutOfRange(
+                        f"input {k + 1} has atom {int(f.point_ids[-1])} at base point {b!r}, "
+                        f"outside its point set of size {costs[b].n}"
+                    )
         sup = {}
         for b in base.base_ids:
             ids = np.asarray(self.support[b], dtype=np.int64)
@@ -505,6 +513,10 @@ def _resolve(
             if sub_support[b].size == 0:
                 sub_support[b] = problem.support[b]
         sub = replace(problem, support=sub_support)
+        if _lp_route(sub):
+            # the LP weights alone: the certificate and distances of a full
+            # solve would be discarded
+            return _assemble(sub, _lp_weights(sub)[0])
         return disint_barycenter(sub, max_iter=max_iter, tol=tol).minimizer
     # random feasible start for the subgradient path
     start = {

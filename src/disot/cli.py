@@ -154,11 +154,11 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
     results = {
         "value_p": res.value_p,
         "mk": res.mk,
-        "coupling": [[float(x) for x in row] for row in res.coupling.gamma],
-        "row_points": [int(i) for i in res.coupling.row_ids],
-        "col_points": [int(i) for i in res.coupling.col_ids],
-        "phi": [float(x) for x in res.phi],
-        "psi": [float(x) for x in res.psi],
+        "coupling": res.coupling.gamma.tolist(),
+        "row_points": res.coupling.row_ids.tolist(),
+        "col_points": res.coupling.col_ids.tolist(),
+        "phi": res.phi.tolist(),
+        "psi": res.psi.tolist(),
         "deterministic_map": {str(k): v for k, v in tmap.items()} if tmap else None,
     }
     return {"command": "ot", "config": {"p": args.p, **source}, "results": results}, EXIT_OK

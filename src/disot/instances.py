@@ -153,20 +153,18 @@ def generate_instance(
         if kind == "interval":
             pts = np.sort(rng.random(n_atoms))
             dmat = np.abs(pts[:, None] - pts[None, :])
-            plist = [float(x) for x in pts]
         else:
             pts = rng.random((n_atoms, 2))
             dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-            plist = [[float(x), float(y)] for x, y in pts]
         measures = {}
         for m in range(n_measures):
-            w = rng.dirichlet(np.ones(n_atoms))
-            measures[f"m{m + 1}"] = [
-                {"point": int(j), "w": float(w[j])} for j in range(n_atoms)
-            ]
+            w = rng.dirichlet(np.ones(n_atoms)).tolist()
+            measures[f"m{m + 1}"] = [{"point": j, "w": w[j]} for j in range(n_atoms)]
+        # tolist() hands io.dumps plain Python floats, which it formats a row
+        # at a time
         doc["fibers"][f"w{i + 1}"] = {
-            "points": plist,
-            "cost": [[float(x) for x in row] for row in dmat],
+            "points": pts.tolist(),
+            "cost": dmat.tolist(),
             "measures": measures,
         }
     return doc

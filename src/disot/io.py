@@ -33,38 +33,54 @@ def format_float(x: float) -> str:
         return '"nan"'
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    out = f"{x:.12g}"
-    return out
+    return f"{x:.12g}"
+
+
+def _number(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (np.floating, float)):
+        return format_float(float(x))
+    return str(int(x))
+
+
+_NUMBER = (int, float, np.integer, np.floating)
 
 
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON text with fixed float formatting.
 
     Dict insertion order is preserved; floats use 12 significant digits;
-    non-finite floats become the strings "inf", "-inf", "nan".
+    non-finite floats become the strings "inf", "-inf", "nan".  A list of
+    numbers prints on one line.  When its entries are all plain Python
+    floats (as ``ndarray.tolist()`` gives), the row is formatted in one
+    ``"{:.12g}"`` pass, and kept only if no entry printed as inf or nan
+    (no "n" in the text); each entry is then exactly what
+    :func:`format_float` returns for it, so the bytes are those of a
+    per-number pass.  Any other row of numbers goes through the per-number
+    branches.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
+        inner = "  " * (indent + 1)
         items = [f'{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             return "[]"
-        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq)
-        if flat:
-            return "[" + ", ".join(dumps(v) for v in seq) + "]"
+        if set(map(type, seq)) == {float}:
+            text = ", ".join(map("{:.12g}".format, seq))
+            if "n" not in text:
+                return "[" + text + "]"
+        if all(isinstance(v, _NUMBER) for v in seq):
+            return "[" + ", ".join(map(_number, seq)) + "]"
+        inner = "  " * (indent + 1)
         items = [f"{inner}{dumps(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (np.floating, float)):
-        return format_float(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return str(int(obj))
+        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
+    if isinstance(obj, _NUMBER):
+        return _number(obj)
     if obj is None:
         return "null"
     return json.dumps(obj)

@@ -297,10 +297,15 @@ def exact_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> 
     """Objective of the basic solution carried by a spanning-tree basis.
 
     The allocations are re-derived from the marginals by leaf elimination in
-    exact rational arithmetic and the cost sum rounded once, so the value is
+    exact arithmetic and the cost sum rounded once, so the value is
     independent of pivot order and of any relabeling of the points.  Both
     marginals are first rescaled to exact total mass 1, which removes their
     ~1e-16 float imbalance symmetrically.
+
+    The elimination runs on integers: the marginals at a common mass (see
+    :func:`_common_mass`) and the basic cells' costs as dyadic integers over
+    one power of two cs, so the value is one integer over mass * cs, rounded
+    once.
     """
     m, n = cost.shape
     adj_r: list[set[int]] = [set() for _ in range(m)]
@@ -308,12 +313,10 @@ def exact_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> 
     for i, j in basis:
         adj_r[i].add(j)
         adj_c[j].add(i)
-    ra = [Fraction(float(x)) for x in a]
-    rb = [Fraction(float(x)) for x in b]
-    ta, tb = sum(ra), sum(rb)
-    ra = [x / ta for x in ra]
-    rb = [x / tb for x in rb]
-    total = Fraction(0)
+    ra, rb, mass = _common_mass(a, b)
+    ic, cs = _dyadic_ints([cost.item(i, j) for i, j in basis])
+    c = dict(zip(basis, ic))
+    total = 0
     stack = [(True, i) for i in range(m) if len(adj_r[i]) == 1]
     stack += [(False, j) for j in range(n) if len(adj_c[j]) == 1]
     remaining = len(basis)
@@ -325,24 +328,25 @@ def exact_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> 
         other = next(iter(adj))
         if is_row:
             alloc = ra[node]
-            total += alloc * Fraction(float(cost[node, other]))
+            total += alloc * c[node, other]
             rb[other] -= alloc
-            ra[node] = Fraction(0)
+            ra[node] = 0
             adj_r[node].discard(other)
             adj_c[other].discard(node)
             if len(adj_c[other]) == 1:
                 stack.append((False, other))
         else:
             alloc = rb[node]
-            total += alloc * Fraction(float(cost[other, node]))
+            total += alloc * c[other, node]
             ra[other] -= alloc
-            rb[node] = Fraction(0)
+            rb[node] = 0
             adj_c[node].discard(other)
             adj_r[other].discard(node)
             if len(adj_r[other]) == 1:
                 stack.append((True, other))
         remaining -= 1
-    return float(total)
+    # int / int is correctly rounded, as float(Fraction(...)) is
+    return total / (mass * cs)
 
 
 def _check_supports(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost):
@@ -380,23 +384,34 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: floa
 
 def _dyadic_ints(values) -> tuple[list[int], int]:
     """Integers n_i and a power of two s with float(values_i) == n_i / s exactly."""
-    fr = [Fraction(float(x)) for x in values]
-    s = max(f.denominator for f in fr)
-    return [f.numerator * (s // f.denominator) for f in fr], s
+    fr = [float(x).as_integer_ratio() for x in values]
+    s = max((d for _, d in fr), default=1)
+    return [n * (s // d) for n, d in fr], s
+
+
+def _common_mass(a, b) -> tuple[list[int], list[int], int]:
+    """Both marginals as integers at one common mass, and that mass.
+
+    With a_i = ia_i / s and b_j = ib_j / t as dyadic integers, row i gets
+    ia_i * sum(ib) and column j gets ib_j * sum(ia): divided by the mass
+    sum(ia) * sum(ib), each marginal is rescaled to exact total 1.
+    """
+    ia, _ = _dyadic_ints(a)
+    ib, _ = _dyadic_ints(b)
+    ta, tb = sum(ia), sum(ib)
+    return [x * tb for x in ia], [x * ta for x in ib], ta * tb
 
 
 def _vertex_min_exact(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Fraction:
     """Exact LP minimum by enumerating greedy saturation orders (all vertices).
 
     Both marginals are rescaled to exact mass 1, as in exact_basis_value; the
-    recursion runs on integers, at the common mass sum(ia) * sum(ib).
+    recursion runs on integers, at their common mass.
     """
-    ia, _ = _dyadic_ints(a)
-    ib, _ = _dyadic_ints(b)
+    ra, rb, mass = _common_mass(a, b)
     flat, cs = _dyadic_ints(cost.ravel())
-    ta, tb = sum(ia), sum(ib)
-    n = len(ib)
-    costs = [flat[i * n : (i + 1) * n] for i in range(len(ia))]
+    n = len(rb)
+    costs = [flat[i * n : (i + 1) * n] for i in range(len(ra))]
     memo: dict[tuple, int] = {}
 
     def rec(ra: tuple, rb: tuple) -> int:
@@ -422,7 +437,7 @@ def _vertex_min_exact(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Fractio
         memo[key] = best
         return best
 
-    return Fraction(rec(tuple(x * tb for x in ia), tuple(x * ta for x in ib)), ta * tb * cs)
+    return Fraction(rec(tuple(ra), tuple(rb)), mass * cs)
 
 
 def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: float) -> float:

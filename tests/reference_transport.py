@@ -5,11 +5,16 @@ dict/set depth-first search, on the same pivot rules as ``ot.transport``.  Its
 north-west start keeps the residual masses as numpy scalars, as the engine
 first did.  The two must agree bit for bit on every problem; see
 ``tests/test_ot.py::TestTransportReference``.
+
+``reference_basis_value`` is the earlier ``ot.exact_basis_value``, which does
+the same leaf elimination in ``Fraction`` arithmetic; the integer version
+must return the same float bit for bit (``TestExactBasisValueReference``).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -144,3 +149,48 @@ def reference_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     value = math.fsum((gamma * cost).ravel().tolist())
     basis = [(i, j) for i in range(m) for j in basis_rows[i]]
     return value, gamma, u, v, basis
+
+
+def reference_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> float:
+    """Same contract and return value as ``ot.exact_basis_value``."""
+    m, n = cost.shape
+    adj_r: list[set[int]] = [set() for _ in range(m)]
+    adj_c: list[set[int]] = [set() for _ in range(n)]
+    for i, j in basis:
+        adj_r[i].add(j)
+        adj_c[j].add(i)
+    ra = [Fraction(float(x)) for x in a]
+    rb = [Fraction(float(x)) for x in b]
+    ta, tb = sum(ra), sum(rb)
+    ra = [x / ta for x in ra]
+    rb = [x / tb for x in rb]
+    total = Fraction(0)
+    stack = [(True, i) for i in range(m) if len(adj_r[i]) == 1]
+    stack += [(False, j) for j in range(n) if len(adj_c[j]) == 1]
+    remaining = len(basis)
+    while stack and remaining:
+        is_row, node = stack.pop()
+        adj = adj_r[node] if is_row else adj_c[node]
+        if len(adj) != 1:
+            continue
+        other = next(iter(adj))
+        if is_row:
+            alloc = ra[node]
+            total += alloc * Fraction(float(cost[node, other]))
+            rb[other] -= alloc
+            ra[node] = Fraction(0)
+            adj_r[node].discard(other)
+            adj_c[other].discard(node)
+            if len(adj_c[other]) == 1:
+                stack.append((False, other))
+        else:
+            alloc = rb[node]
+            total += alloc * Fraction(float(cost[other, node]))
+            ra[other] -= alloc
+            rb[node] = Fraction(0)
+            adj_c[node].discard(other)
+            adj_r[other].discard(node)
+            if len(adj_r[other]) == 1:
+                stack.append((True, other))
+        remaining -= 1
+    return float(total)

@@ -16,7 +16,13 @@ from disot.barycenter import (
     uniqueness_probe,
 )
 from disot.duality import extract_certificate
-from disot.errors import BaseMismatch, EmptySupport, FiberMismatch, SupportViolation
+from disot.errors import (
+    BaseMismatch,
+    EmptySupport,
+    FiberMismatch,
+    SupportOutOfRange,
+    SupportViolation,
+)
 from disot.instances import interval_pair, shared_fiber_nonuniqueness
 from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
@@ -158,6 +164,9 @@ class TestProblem:
             args["support"] = {"w1": [0, 3], "w2": [1]}
         elif case == "costs":
             args["costs"] = {"w1": cost}
+        elif case == "atom":
+            m3 = FiberedMeasure(["w1", "w2"], [0.5, 0.5], {"w1": dirac(0), "w2": dirac(5)})
+            args["inputs"], args["lambdas"] = [m1, m2, m3], [0.25, 0.25, 0.5]
         return args
 
     @pytest.mark.parametrize(
@@ -169,12 +178,19 @@ class TestProblem:
             ("base", BaseMismatch),
             ("support", SupportViolation),
             ("costs", FiberMismatch),
+            ("atom", SupportOutOfRange),
         ],
     )
     def test_typed_errors(self, case, error):
         args = self._case(case)
         with pytest.raises(error):
             make_problem(config=DisintConfig(1.0, 2.0), **args)
+
+    def test_input_atom_outside_cost_names_base_point_and_atom(self):
+        with pytest.raises(SupportOutOfRange, match="input 3 has atom 5 at base point 'w2'"):
+            make_problem(config=DisintConfig(2.0, 2.0), **self._case("atom"))
+        with pytest.raises(SupportOutOfRange, match="atom 7"):
+            classical_problem([dirac(0), dirac(7)], line_cost([0.0, 1.0]), [0.5, 0.5], p=1.0)
 
     def test_costs_become_a_dict_per_base_point(self):
         cost = line_cost([0.0, 1.0, 2.0])
@@ -425,6 +441,27 @@ class TestUniquenessProbe:
         probe = uniqueness_probe(prob, res, trials=6, radius=1e-9, seed=3)
         assert probe.max_pairwise_distance <= 1e-4
         assert not probe.witness
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_lp_support_trials_solve_only_the_weights(self, rng, monkeypatch, q):
+        ms, costs = random_fibered_instance(rng, 2, 2, 5)
+        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
+        # the support subset the trial draws, and the full solve on it
+        draws = np.random.default_rng(7)
+        keep = {b: draws.random(prob.support[b].size) < 0.5 for b in prob.base_ids}
+        sub = {b: prob.support[b][k] if k.any() else prob.support[b] for b, k in keep.items()}
+        full = disint_barycenter(make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs, sub))
+
+        def no_full_solve(*args, **kwargs):
+            raise AssertionError("a support trial ran a full barycenter solve")
+
+        monkeypatch.setattr(barycenter, "disint_barycenter", no_full_solve)
+        trial_rng = np.random.default_rng(7)
+        got = barycenter._resolve(prob, trial_rng, 0.1, "support", 10, 1e-6)
+        assert trial_rng.random() == draws.random()
+        for b in prob.base_ids:
+            assert got.fiber(b).point_ids.tolist() == full.minimizer.fiber(b).point_ids.tolist()
+            assert got.fiber(b).weights.tobytes() == full.minimizer.fiber(b).weights.tobytes()
 
     def test_shared_fiber_q_inf_witness_is_exact(self, monkeypatch):
         def no_subgradient(*args, **kwargs):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disot
 from disot import barycenter, cli
@@ -24,6 +26,8 @@ from disot.io import (
     report_to_csv,
     save_document,
 )
+
+from reference_serializer import reference_dumps
 
 TWO_DIRAC_DOC = {
     "base": [{"id": "w", "sigma": 1.0}],
@@ -55,6 +59,10 @@ class _RecordingNamespace(argparse.Namespace):
 
 # frozen hash of generate_instance(seed=0, 2 fibers x 3 atoms); determinism golden
 GOLDEN_SHA256 = "39a49a36b14ed9a4001feebfd7ccb12a04b0f0426fabcaed1b7d4db77f078d29"
+# generate_instance(seed=3, 1 fiber x 40 atoms, square), and the `ot --p 2`
+# report on it, both recorded with the per-number serializer
+SQUARE40_SHA256 = "8124e3d87550345eea07a0b81d3d60c00169562a7bb4f1cfd353c86d0c6e3d82"
+SQUARE40_OT_SHA256 = "7653865f14539405dd3d701fcd40330ecaa530ca1ac53284ec2445ef63ba11bf"
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -108,6 +116,50 @@ class TestIO:
         text = report_to_csv({"results": {"value": 1.5, "profile": {"a@b": 2.0}}})
         lines = text.strip().splitlines()
         assert lines == ["quantity,base_id,value", "results.value,,1.5", "results.profile.a@b,,2"]
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_numbers = st.one_of(
+    _floats,
+    _floats.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+_documents = st.recursive(
+    _numbers | st.none() | st.text(max_size=3) | st.lists(_floats) | st.just([]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestSerializerReference:
+    """``dumps`` against the per-number serializer kept in tests/reference_serializer.py."""
+
+    @given(_documents)
+    @settings(max_examples=400, deadline=None)
+    def test_same_text(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @given(st.lists(_floats, min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_plain_floats(self, row):
+        # the one-pass row, and the same row after an inf or nan
+        assert dumps(row) == reference_dumps(row)
+        assert dumps([row, row + [math.nan]]) == reference_dumps([row, row + [math.nan]])
+
+    def test_generated_instance_is_pinned(self):
+        text = dump_text(generate_instance(seed=3, n_fibers=1, n_atoms=40, kind="square"))
+        assert hashlib.sha256(text.encode()).hexdigest() == SQUARE40_SHA256
+
+    def test_ot_report_is_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_document("inst.json", generate_instance(seed=3, n_fibers=1, n_atoms=40, kind="square"))
+        code = main(["ot", "--input", "inst.json", "--p", "2", "--mu", "m1", "--nu", "m2"])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == SQUARE40_OT_SHA256
 
 
 class TestGenerate:
@@ -318,6 +370,35 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "negative point id -1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bary", "--p", "1"],
+            ["disint-bary", "--p", "2", "--q", "4"],
+            ["certify", "--p", "2", "--q", "2"],
+            ["probe-uniqueness", "--p", "2", "--q", "inf"],
+        ],
+        ids=["bary", "disint_bary", "certify", "probe"],
+    )
+    def test_input_atom_outside_cost_exit_2(self, tmp_path, capsys, argv):
+        doc = {
+            "base": [{"id": "w", "sigma": 1.0}],
+            "fibers": {
+                "w": {
+                    "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+                    "measures": {
+                        "mu": [{"point": 5, "w": 1.0}],
+                        "nu": [{"point": 0, "w": 1.0}],
+                    },
+                }
+            },
+        }
+        path = self._write(tmp_path, doc)
+        assert main([argv[0], "--input", path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input 1 has atom 5 at base point 'w'" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

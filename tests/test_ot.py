@@ -36,7 +36,7 @@ from disot.tolerances import OPT_TOL
 
 from conftest import metric_cost, random_measure
 from reference_transport import _northwest_corner as reference_northwest_corner
-from reference_transport import reference_transport
+from reference_transport import reference_basis_value, reference_transport
 
 
 def line_cost(points):
@@ -317,6 +317,37 @@ class TestTransportReference:
         want_gamma, want_basis = reference_northwest_corner(a, b)
         assert gamma.tobytes() == want_gamma.tobytes()
         assert basis == want_basis
+
+
+class TestExactBasisValueReference:
+    """``exact_basis_value`` on integers against the ``Fraction`` version in tests/."""
+
+    @given(
+        st.integers(1, 14),
+        st.integers(1, 14),
+        st.sampled_from(["euclid", "tied", "constant", "random"]),
+        st.sampled_from(["plain", "zeros", "tiny"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 9, "euclid", "tiny", False, 0)
+    @example(6, 6, "tied", "zeros", True, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal(self, m, n, kind, weights, linprog_basis, seed):
+        rng = np.random.default_rng(seed)
+        cost = _test_cost(rng, m, n, kind)
+        a, b = _test_weights(rng, m, weights == "zeros"), _test_weights(rng, n, weights == "zeros")
+        if weights == "tiny":
+            a[int(rng.integers(m))] = 1e-300
+            b[-1] = 1e-300
+            a, b = a / a.sum(), b / b.sum()
+        # the LP fallback's basis is the support of its solution: it need not
+        # be a spanning tree
+        solve = _transport_linprog if linprog_basis else transport
+        basis = solve(cost, a, b)[4]
+        got = ot.exact_basis_value(cost, a, b, basis)
+        want = reference_basis_value(cost, a, b, basis)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def _random_small_problem(rng):
