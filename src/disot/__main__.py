@@ -1,0 +1,8 @@
+"""``python -m disot``: the same command line as the ``disot`` entry point."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -546,6 +546,11 @@ def uniqueness_probe(
     (all three in :mod:`disot.tolerances`).  ``max_iter`` and ``tol`` are
     passed to every subgradient re-solve, as to :func:`disint_barycenter`.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    # written so that a NaN radius fails
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     rng = np.random.default_rng(seed)
     exact = _lp_route(problem)
     rel = PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL

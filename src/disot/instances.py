@@ -61,6 +61,8 @@ class IntervalPair:
 
 
 def interval_pair(n: int = 50) -> IntervalPair:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     grid0 = -2.0 + (np.arange(n) + 0.5) / n
     grid1 = 1.0 + (np.arange(n) + 0.5) / n
     points = np.concatenate([grid0, grid1])

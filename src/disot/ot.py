@@ -2,14 +2,18 @@
 
 The workhorse is a primal network simplex on the bipartite transportation
 graph (:func:`transport`).  It returns a vertex coupling together with exact
-dual potentials normalized so the first row potential is zero.  The basis is
-a spanning tree rooted at the first row and kept in parent and depth arrays:
-each pivot finds its cycle by walking up the tree from both ends of the
-entering cell, and recomputes only the potentials of the subtree that the
-leaving cell cuts off, once it is hung back from the entering cell.  A run of
-degenerate pivots switches pricing to Bland's rule, and a problem that
-reaches the pivot limit (both in :mod:`disot.tolerances`) is re-solved by a
-dense LP.  :func:`brute_force_ot` is an independent oracle that enumerates
+dual potentials normalized so the first row potential is zero.  It starts
+from the north-west corner tree and returns it as it is when it is optimal,
+as on sorted 1-d costs; otherwise it starts over from the row-minimum tree,
+where each row in turn fills its cheapest open column, which on 2-d costs
+leaves a third to a half of the pivots.  The basis is a spanning tree
+rooted at the first row and kept in parent and depth arrays: each pivot
+finds its cycle by walking up the tree from both ends of the entering cell,
+and recomputes only the potentials of the subtree that the leaving cell
+cuts off, once it is hung back from the entering cell.  A run of degenerate
+pivots switches pricing to Bland's rule, and a problem that reaches the
+pivot limit (both in :mod:`disot.tolerances`) is re-solved by a dense LP.
+:func:`brute_force_ot` is an independent oracle that enumerates
 transportation polytope vertices in exact rational arithmetic.
 
 :func:`highs` is the package's one entry to scipy's HiGHS solver: the
@@ -100,6 +104,40 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return gamma, basis
 
 
+def _row_minimum(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Row-minimum start: each row in turn fills its cheapest open column.
+
+    Every allocation closes exactly one line: the row once its mass is spent
+    (or when one open column is left, which takes any float residue as the
+    north-west start does), the column otherwise; the last row closes every
+    remaining column.  The cells are therefore m + n - 1 edges that connect
+    all rows and columns, a spanning tree.  Ties go to the first column.
+    """
+    m, n = cost.shape
+    gamma = np.zeros((m, n))
+    basis: list[tuple[int, int]] = []
+    ra, rb = a.tolist(), b.tolist()
+    closed = np.zeros(n, dtype=bool)
+    n_open = n
+    for i in range(m):
+        row = np.where(closed, np.inf, cost[i])
+        while True:
+            j = int(row.argmin())
+            t = min(ra[i], rb[j])
+            gamma[i, j] = t
+            basis.append((i, j))
+            ra[i] -= t
+            rb[j] -= t
+            if i < m - 1 and (n_open == 1 or ra[i] <= 0.0):
+                break
+            n_open -= 1
+            if n_open == 0:
+                break
+            closed[j] = True
+            row[j] = np.inf
+    return gamma, basis
+
+
 def _hang(top, adj, parent, depth, pot, cost, m):
     """Set parent, depth and potential below ``top`` from its neighbours.
 
@@ -120,11 +158,47 @@ def _hang(top, adj, parent, depth, pot, cost, m):
                 stack.append(y)
 
 
+def _tree(basis, cost, m, n):
+    """Adjacency lists, parent, depth and potentials of a basis rooted at row 0."""
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
+    _hang(0, adj, parent, depth, pot, cost, m)
+    return adj, parent, depth, pot
+
+
+def _price(pot, cost, reduced, tol, bland):
+    """Potentials as an array and the entering cell, or None at optimality.
+
+    The entering cell is the first minimum of the reduced costs, or with
+    ``bland`` the first improving cell in row-major order.
+    """
+    m, n = cost.shape
+    uv = np.array(pot)
+    np.subtract(cost, uv[:m, None], out=reduced)
+    np.subtract(reduced, uv[None, m:], out=reduced)
+    if not bland:
+        ei, ej = divmod(int(reduced.argmin()), n)
+        return uv, (None if reduced[ei, ej] >= -tol else (ei, ej))
+    cand = np.argwhere(reduced < -tol)
+    return uv, (None if cand.size == 0 else (int(cand[0][0]), int(cand[0][1])))
+
+
 def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Minimize <gamma, cost> over couplings of weight vectors a and b.
 
     Zero entries in a or b are allowed (their rows/columns stay basic with
     zero allocation, and their duals remain meaningful subgradients).
+
+    The start is the north-west corner tree.  If its first pricing pass finds
+    an entering cell, the simplex starts over from the row-minimum tree
+    (:func:`_row_minimum`) instead, which on 2-d costs needs a third to a half
+    of the pivots; where the north-west corner is already optimal, as on sorted
+    1-d costs, it is returned as it is.
 
     The basis is a spanning tree over nodes 0..m-1 (rows) and m..m+n-1
     (columns), rooted at row 0 and stored as adjacency lists with ``parent``
@@ -147,35 +221,23 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=np.float64)
     m, n = cost.shape
     gamma, basis = _northwest_corner(a, b)
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    pot = [0.0] * (m + n)
-    _hang(0, adj, parent, depth, pot, cost, m)
+    adj, parent, depth, pot = _tree(basis, cost, m, n)
     tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
     max_pivots = MAX_PIVOTS_PER_NODE * (m + n) + MAX_PIVOTS_BASE
     degenerate_run = 0
     bland_after = BLAND_AFTER_PER_NODE * (m + n) + BLAND_AFTER_BASE
     reduced = np.empty_like(cost)
 
-    for _ in range(max_pivots):
-        uv = np.array(pot)
-        np.subtract(cost, uv[:m, None], out=reduced)
-        np.subtract(reduced, uv[None, m:], out=reduced)
-        if degenerate_run < bland_after:
-            flat = int(reduced.argmin())
-            ei, ej = divmod(flat, n)
-            if reduced[ei, ej] >= -tol:
-                break
-        else:
-            # Bland's rule: first improving cell in row-major order
-            cand = np.argwhere(reduced < -tol)
-            if cand.size == 0:
-                break
-            ei, ej = int(cand[0][0]), int(cand[0][1])
+    for k in range(max_pivots):
+        uv, entering = _price(pot, cost, reduced, tol, degenerate_run >= bland_after)
+        if k == 0 and entering is not None:
+            # the north-west tree is not optimal: start over from row minima
+            gamma, basis = _row_minimum(cost, a, b)
+            adj, parent, depth, pot = _tree(basis, cost, m, n)
+            uv, entering = _price(pot, cost, reduced, tol, degenerate_run >= bland_after)
+        if entering is None:
+            break
+        ei, ej = entering
         # the cycle is the tree path from row ei to column ej; rows sit at
         # even depth and columns at odd depth, so the walks never tie
         x, y = ei, m + ej

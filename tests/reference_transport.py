@@ -3,8 +3,9 @@
 It recomputes every potential by a full tree search and finds each cycle by a
 dict/set depth-first search, on the same pivot rules as ``ot.transport``.  Its
 north-west start keeps the residual masses as numpy scalars, as the engine
-first did.  The two must agree bit for bit on every problem; see
-``tests/test_ot.py::TestTransportReference``.
+first did, and so does its row-minimum start, which takes over as in
+``ot.transport`` when the north-west tree is not optimal.  The two must agree
+bit for bit on every problem; see ``tests/test_ot.py::TestTransportReference``.
 
 ``reference_basis_value`` is the earlier ``ot.exact_basis_value``, which does
 the same leaf elimination in ``Fraction`` arithmetic; the integer version
@@ -44,6 +45,39 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
         else:
             j += 1
     return gamma, basis
+
+
+def _row_minimum(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    m, n = cost.shape
+    gamma = np.zeros((m, n))
+    basis: list[tuple[int, int]] = []
+    ra, rb = a.copy(), b.copy()
+    open_cols = list(range(n))
+    for i in range(m):
+        while True:
+            j = min(open_cols, key=lambda c: (cost[i, c], c))
+            t = min(ra[i], rb[j])
+            gamma[i, j] = t
+            basis.append((i, j))
+            ra[i] -= t
+            rb[j] -= t
+            # a row closes once spent, or when one column is left for it and
+            # the rows below; otherwise the column closes
+            if i < m - 1 and (len(open_cols) == 1 or ra[i] <= 0.0):
+                break
+            open_cols.remove(j)
+            if not open_cols:
+                break
+    return gamma, basis
+
+
+def _basis_sets(basis, m, n):
+    basis_rows: list[set[int]] = [set() for _ in range(m)]
+    basis_cols: list[set[int]] = [set() for _ in range(n)]
+    for i, j in basis:
+        basis_rows[i].add(j)
+        basis_cols[j].add(i)
+    return basis_rows, basis_cols
 
 
 def _tree_potentials(cost, basis_rows, basis_cols, m, n):
@@ -103,30 +137,33 @@ def reference_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=np.float64)
     m, n = cost.shape
     gamma, basis = _northwest_corner(a, b)
-    basis_rows: list[set[int]] = [set() for _ in range(m)]
-    basis_cols: list[set[int]] = [set() for _ in range(n)]
-    for i, j in basis:
-        basis_rows[i].add(j)
-        basis_cols[j].add(i)
+    basis_rows, basis_cols = _basis_sets(basis, m, n)
     tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
     max_pivots = 200 * (m + n) + 2000
     degenerate_run = 0
     bland_after = 10 * (m + n) + 50
 
-    for _ in range(max_pivots):
+    def entering_cell():
         u, v = _tree_potentials(cost, basis_rows, basis_cols, m, n)
         reduced = cost - u[:, None] - v[None, :]
         if degenerate_run < bland_after:
             flat = int(np.argmin(reduced))
             ei, ej = divmod(flat, n)
-            if reduced[ei, ej] >= -tol:
-                break
-        else:
-            # Bland's rule: first improving cell in row-major order
-            cand = np.argwhere(reduced < -tol)
-            if cand.size == 0:
-                break
-            ei, ej = int(cand[0][0]), int(cand[0][1])
+            return u, v, (None if reduced[ei, ej] >= -tol else (ei, ej))
+        # Bland's rule: first improving cell in row-major order
+        cand = np.argwhere(reduced < -tol)
+        return u, v, (None if cand.size == 0 else (int(cand[0][0]), int(cand[0][1])))
+
+    for k in range(max_pivots):
+        u, v, cell = entering_cell()
+        if k == 0 and cell is not None:
+            # the north-west tree is not optimal: start over from row minima
+            gamma, basis = _row_minimum(cost, a, b)
+            basis_rows, basis_cols = _basis_sets(basis, m, n)
+            u, v, cell = entering_cell()
+        if cell is None:
+            break
+        ei, ej = cell
         path = _tree_path(ei, ej, basis_rows, basis_cols)
         minus = path[0::2]
         plus = path[1::2]

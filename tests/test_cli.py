@@ -422,6 +422,26 @@ class TestCLI:
         assert captured.out == ""
         assert "must be" in captured.err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_example_intervals_without_atoms_exit_2(self, capsys, n):
+        assert main(["example", "2.2", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be at least 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--trials", "-1"), ("--radius", "nan"), ("--radius", "-3")],
+        ids=["trials_negative", "radius_nan", "radius_negative"],
+    )
+    def test_bad_probe_settings_exit_2(self, tmp_path, capsys, flag, value):
+        path = self._write(tmp_path, generate_instance(seed=1, n_fibers=2, n_atoms=4))
+        argv = ["probe-uniqueness", "--input", path, "--p", "2", "--q", "2", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[2:]} must be" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -475,8 +495,9 @@ class TestCLI:
         assert exc.value.code == 2
 
     def test_disint_bary_square_report_is_pinned(self, tmp_path, monkeypatch, capsys):
-        # recorded with the earlier network-simplex engine: any change to a
-        # pivot, a dual or a subgradient iterate shows in these bytes
+        # re-recorded when the simplex gained its row-minimum start, which
+        # moved `gap` by 2e-15: any change to a pivot, a dual or a subgradient
+        # iterate shows in these bytes
         monkeypatch.chdir(tmp_path)
         doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
         save_document("inst.json", doc)
@@ -596,11 +617,15 @@ with open(sys.argv[1], "w") as fh:
 class TestStartup:
     """Commands that never solve an LP start without loading scipy."""
 
-    @pytest.fixture
-    def run_fresh(self, tmp_path):
+    @staticmethod
+    def _env():
         src = str(Path(disot.__file__).resolve().parent.parent)
         path = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    @pytest.fixture
+    def run_fresh(self, tmp_path):
+        env = self._env()
         for name, n_fibers, kind in [("square", 1, "square"), ("multi", 3, "square"), ("one", 1, "interval")]:
             doc = generate_instance(seed=n_fibers, n_fibers=n_fibers, n_atoms=5, kind=kind)
             save_document(str(tmp_path / f"{name}.json"), doc)
@@ -631,3 +656,15 @@ class TestStartup:
         loaded = run_fresh("bary", "--input", "one.json", "--p", "1")
         assert loaded["status"] == 0
         assert "scipy.optimize" in loaded["scipy"]
+
+    def test_python_dash_m_disot(self, tmp_path, capsys):
+        argv = ["generate", "--seed", "2", "--fibers", "1", "--atoms", "3"]
+        proc = subprocess.run([sys.executable, "-m", "disot", *argv], cwd=tmp_path,
+                              env=self._env(), check=True, capture_output=True, timeout=120)
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+        # ``import disot`` does not load the ``-m`` entry module
+        child = "import sys, disot; print('disot.__main__' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path,
+                              env=self._env(), check=True, capture_output=True, timeout=120)
+        assert proc.stdout.strip() == b"False"

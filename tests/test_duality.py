@@ -126,6 +126,11 @@ class TestEvalDual:
         assert validate_certificate(cert, prob).ok
         assert eval_dual(cert, prob) == pytest.approx(1.5, abs=0.02)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_interval_pair_needs_an_atom(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            interval_pair(n)
+
     def test_weak_duality_for_random_certificates(self, rng):
         violations = 0
         for _ in range(20):

@@ -15,7 +15,8 @@ from disot.errors import (
     SupportOutOfRange,
     TooLarge,
 )
-from disot.instances import tent_potential
+from disot.instances import generate_instance, tent_potential
+from disot.io import parse_instance
 from disot.measures import (
     DiscreteMeasure,
     FiberedMeasure,
@@ -317,6 +318,117 @@ class TestTransportReference:
         want_gamma, want_basis = reference_northwest_corner(a, b)
         assert gamma.tobytes() == want_gamma.tobytes()
         assert basis == want_basis
+
+
+def _is_spanning_tree(basis, m, n):
+    """True when the cells connect all m rows and n columns without a cycle."""
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i, j in basis:
+        ri, rj = find(i), find(m + j)
+        if ri == rj:
+            return False
+        root[ri] = rj
+    return len(basis) == m + n - 1
+
+
+class TestRowMinimumStart:
+    """The row-minimum start tree and when ``transport`` takes it."""
+
+    @given(
+        st.integers(1, 20),
+        st.integers(1, 20),
+        st.sampled_from(["euclid", "tied", "constant", "random"]),
+        st.sampled_from(["plain", "zeros", "tiny"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 7, "random", "tiny", 0)
+    @example(7, 1, "tied", "zeros", 1)
+    @example(1, 1, "constant", "plain", 2)
+    @settings(max_examples=300, deadline=None)
+    def test_spanning_tree_with_marginals(self, m, n, kind, weights, seed):
+        rng = np.random.default_rng(seed)
+        cost = _test_cost(rng, m, n, kind)
+        a, b = _test_weights(rng, m, weights == "zeros"), _test_weights(rng, n, weights == "zeros")
+        if weights == "tiny":
+            a[int(rng.integers(m))] = 1e-300
+            b[-1] = 1e-300
+            a, b = a / a.sum(), b / b.sum()
+        gamma, basis = ot._row_minimum(cost, a, b)
+        assert _is_spanning_tree(basis, m, n)
+        assert (gamma >= 0.0).all()
+        # cells outside the tree hold nothing
+        off = np.ones((m, n), dtype=bool)
+        off[tuple(np.array(basis).T)] = False
+        assert not gamma[off].any()
+        # the marginals hold to the float residue the north-west start leaves
+        nw_gamma, _ = ot._northwest_corner(a, b)
+        bound = abs(a.sum() - b.sum()) + (m + n) * np.finfo(np.float64).eps
+        for g in (gamma, nw_gamma):
+            residue = max(np.abs(g.sum(axis=1) - a).max(), np.abs(g.sum(axis=0) - b).max())
+            assert residue <= bound
+
+    @given(
+        st.integers(1, 25),
+        st.integers(1, 25),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_line_costs_keep_the_northwest_corner(self, m, n, p, zeros_a, zeros_b, seed):
+        # the north-west corner is optimal on sorted 1-d costs: it is
+        # returned as it is, and the row-minimum tree is never built
+        rng = np.random.default_rng(seed)
+        x, y = np.sort(rng.random(m)), np.sort(rng.random(n))
+        cost = np.abs(x[:, None] - y[None, :]) ** p
+        a, b = _test_weights(rng, m, zeros_a), _test_weights(rng, n, zeros_b)
+        calls = []
+        row_minimum = ot._row_minimum
+
+        def spy(*args):
+            calls.append(args)
+            return row_minimum(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot, "_row_minimum", spy)
+            _, gamma, _, _, basis = transport(cost, a, b)
+        want_gamma, want_basis = ot._northwest_corner(a, b)
+        assert calls == []
+        assert gamma.tobytes() == want_gamma.tobytes()
+        assert set(basis) == set(want_basis)
+
+    def test_pivot_count_on_a_square_instance(self, monkeypatch):
+        # 24 x 24 p = 2 problem on 2-d points: every pivot and every tree
+        # build hangs one subtree, and both starts build two trees
+        inst = parse_instance(generate_instance(seed=1, n_fibers=1, n_atoms=24, kind="square"))
+        base = inst.base_ids[0]
+        mu, nu = inst.measure("m1").fiber(base), inst.measure("m2").fiber(base)
+        cost = inst.bundle.cost(base).powered_submatrix(mu.point_ids, nu.point_ids, 2.0)
+        assert cost.shape == (24, 24)
+        calls = []
+        hang = ot._hang
+
+        def spy(*args):
+            calls.append(args[0])
+            return hang(*args)
+
+        monkeypatch.setattr(ot, "_hang", spy)
+        value = transport(cost, mu.weights, nu.weights)[0]
+        pivots = len(calls) - 2
+        calls.clear()
+        monkeypatch.setattr(ot, "_row_minimum", lambda cost, a, b: ot._northwest_corner(a, b))
+        assert transport(cost, mu.weights, nu.weights)[0] == pytest.approx(value, rel=1e-12)
+        northwest_pivots = len(calls) - 2
+        assert pivots <= 33
+        assert 2 * pivots < northwest_pivots
 
 
 class TestExactBasisValueReference:
