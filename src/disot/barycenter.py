@@ -300,6 +300,47 @@ def fiber_lps(problem: BarycenterProblem, zeta: np.ndarray):
     return values, weights, betas
 
 
+# floats in one block of the m1 x m2 x s sums behind a pair cost (8 MB)
+_PAIR_BLOCK = 1 << 20
+
+
+def _pair_cost(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """C[i, j] = min over s of c1[i, s] + c2[j, s], a block of rows at a time."""
+    m1, s = c1.shape
+    m2 = c2.shape[0]
+    step = max(1, _PAIR_BLOCK // (m2 * s))
+    out = np.empty((m1, m2))
+    for lo in range(0, m1, step):
+        np.min(c1[lo : lo + step, None, :] + c2[None, :, :], axis=2, out=out[lo : lo + step])
+    return out
+
+
+def pair_betas(problem: BarycenterProblem, zeta: np.ndarray):
+    """Optimal betas of each fiber's joint LP at tau = lambda * zeta[:, i], for two inputs.
+
+    With c_k = tau_k * d(f_k, support)**p, the joint LP of two inputs equals
+    one transport problem between them with cost C(i, j) = min_s c_1[i, s] +
+    c_2[j, s] (the two-marginal case of Agueh & Carlier 2011).  Its potentials
+    (u, v), c-transformed onto the support, are optimal betas:
+    beta_1(s) = min_i c_1[i, s] - u_i and beta_2(s) = min_j c_2[j, s] - v_j.
+    They meet the conditions of :func:`fiber_barycenter_lp` with alpha = (u, v):
+    c_k - alpha_k >= beta_k holds exactly in floats, and beta_1 + beta_2 >= 0
+    up to the pivot tolerance.  Returns the betas keyed by base point.
+    """
+    p = problem.config.p
+    betas = {}
+    for i, b in enumerate(problem.base_ids):
+        tau = problem.lambdas * zeta[:, i]
+        fibers = [mk.fiber(b) for mk in problem.inputs]
+        c1, c2 = (
+            t * problem.costs[b].powered_submatrix(f.point_ids, problem.support[b], p)
+            for t, f in zip(tau, fibers)
+        )
+        _, _, u, v, _ = transport(_pair_cost(c1, c2), fibers[0].weights, fibers[1].weights)
+        betas[b] = [(c1 - u[:, None]).min(axis=0), (c2 - v[:, None]).min(axis=0)]
+    return betas
+
+
 def _lp_weights(problem: BarycenterProblem):
     """Optimal weights keyed by base point, LP value, solver log, and the duals zeta, betas.
 
@@ -525,6 +566,15 @@ def _resolve(
     return disint_barycenter(problem, start=start, max_iter=max_iter, tol=tol).minimizer
 
 
+def check_probe_settings(trials: int, radius: float) -> None:
+    """Raise ValueError unless ``trials >= 0`` and ``radius`` is finite and ``>= 0``."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    # written so that a NaN radius fails
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+
+
 def uniqueness_probe(
     problem: BarycenterProblem,
     result: BarycenterResult,
@@ -546,11 +596,7 @@ def uniqueness_probe(
     (all three in :mod:`disot.tolerances`).  ``max_iter`` and ``tol`` are
     passed to every subgradient re-solve, as to :func:`disint_barycenter`.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    # written so that a NaN radius fails
-    if not 0.0 <= radius < math.inf:
-        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    check_probe_settings(trials, radius)
     rng = np.random.default_rng(seed)
     exact = _lp_route(problem)
     rel = PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL

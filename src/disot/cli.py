@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .barycenter import (
+    check_probe_settings,
     classical_barycenter,
     disint_barycenter,
     make_problem,
@@ -235,6 +236,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_probe(args: argparse.Namespace) -> tuple[dict, int]:
+    check_probe_settings(args.trials, args.radius)
     names, problem, result = _solve(args)
     probe = uniqueness_probe(
         problem,

@@ -9,6 +9,10 @@ optimality.
 
 Each barycenter solve extracts its certificate once, at the minimizer it
 returns, from the duals it holds, and returns it as ``result.certificate``.
+At p < q < inf those duals are per-fiber betas: for two inputs they come from
+one transport problem per fiber (``pair_betas``), otherwise from the
+zeta-weighted joint LPs (``fiber_lps``), which the LP routes q = p and
+q = inf also use.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .barycenter import BarycenterProblem, BarycenterResult, fiber_lps, objective
+from .barycenter import BarycenterProblem, BarycenterResult, fiber_lps, objective, pair_betas
 from .errors import ShapeMismatch
 from .measures import FiberedMeasure, ValidationReport, Violation
 from .metric import fiber_distance_profile, lq_norm
@@ -160,8 +164,10 @@ def extract_certificate(
     zeta: as given by the solve (ones at q = p, where they attain the
     supremum; the minimax multipliers at q = inf), else (q < inf only) the
     Hoelder-aligned powers of the fiber distance profile to ``minimizer``.
-    betas: the duals of the zeta-weighted joint LPs (``fiber_lps``), solved
-    here when not given.  xi: per fiber, -beta_k / zeta_k; the first K-1 are
+    betas: optimal duals of the zeta-weighted joint LPs, computed here when
+    not given: from one transport problem per fiber (``pair_betas``) for two
+    inputs at p < q < inf, from the joint LPs themselves (``fiber_lps``)
+    otherwise.  xi: per fiber, -beta_k / zeta_k; the first K-1 are
     tightened by a double transform, the K-th rebuilt to make the weighted
     sum vanish identically, and all are re-centered to vanish at the fiber's
     first support point (which changes no value).
@@ -176,7 +182,10 @@ def extract_certificate(
         zeta = np.maximum(raw, ZETA_FLOOR)
         zeta /= np.array([[lq_norm(row, problem.sigma, problem.config.r_conj)] for row in zeta])
     if betas is None:
-        betas = fiber_lps(problem, zeta)[2]
+        if K == 2 and p < q < math.inf:
+            betas = pair_betas(problem, zeta)
+        else:
+            betas = fiber_lps(problem, zeta)[2]
 
     xi: list[dict[str, np.ndarray]] = [dict() for _ in range(K)]
     for i, b in enumerate(problem.base_ids):

@@ -20,7 +20,8 @@ transportation polytope vertices in exact rational arithmetic.
 transport fallback, the joint barycenter LP and the q = inf minimax LP all go
 through it, with their rows laid out by :func:`coupling_rows`.  It imports
 scipy on its first call, so a command that never solves an LP (``generate``,
-``dist``, ``ot`` short of the pivot limit) starts without loading scipy.
+``dist``, ``ot``, and a two-input barycenter at p < q < inf, each short of
+the pivot limit) starts without loading scipy.
 """
 
 from __future__ import annotations

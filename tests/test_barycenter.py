@@ -1,21 +1,27 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from disot import barycenter
 from disot.barycenter import (
     classical_barycenter,
     classical_problem,
     disint_barycenter,
+    fiber_barycenter_lp,
+    fiber_lps,
     make_problem,
     objective,
+    pair_betas,
     project_simplex,
     uniqueness_probe,
 )
-from disot.duality import extract_certificate
+from disot.duality import eval_dual, extract_certificate
 from disot.errors import (
     BaseMismatch,
     EmptySupport,
@@ -26,9 +32,10 @@ from disot.errors import (
 from disot.instances import interval_pair, shared_fiber_nonuniqueness
 from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
-from disot.ot import transport
+from disot.ot import _vertex_min_exact, transport
+from disot.tolerances import OPT_TOL
 
-from conftest import assert_same_certificate, random_fibered_instance
+from conftest import assert_same_certificate, metric_cost, random_fibered_instance
 
 
 def line_cost(points):
@@ -318,6 +325,99 @@ class TestDisintBarycenter:
         for q in (2.0, math.inf):
             lp = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
             assert disint_barycenter(lp, **settings).certified
+
+
+class TestPairBetas:
+    """Two-input joint-LP betas from one transport problem per fiber."""
+
+    @given(
+        st.sampled_from(["interval", "square"]),
+        st.sampled_from([1.0, 2.0]),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # HiGHS stops 6e-8 relative above the joint LP's optimum here
+    @example("interval", 2.0, 6, 1, False, False, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_betas_are_optimal_joint_lp_duals(self, kind, p, m1, m2, subset, tiny, seed):
+        rng = np.random.default_rng(seed)
+        n = 6
+        cost = metric_cost(rng, n, kind)
+        mus = []
+        for m in (m1, m2):
+            w = rng.dirichlet(np.ones(m))
+            if tiny and m > 1:
+                w[-1] = 1e-300
+            mus.append(DiscreteMeasure(rng.choice(n, size=m, replace=False), w))
+        support = np.flatnonzero(rng.random(n) < 0.5) if subset else None
+        if support is not None and support.size == 0:
+            support = None
+        lam = rng.uniform(0.05, 0.95)
+        prob = classical_problem(mus, cost, [lam, 1.0 - lam], p, support=support, q=2.0 * p)
+        zeta = rng.uniform(0.1, 2.0, size=(2, 1))
+        solved = []
+
+        def spy(c, a, b):
+            out = transport(c, a, b)
+            solved.append((c, out[1], out[2], out[3]))
+            return out
+
+        with mock.patch.object(barycenter, "transport", spy):
+            b = prob.base_ids[0]
+            beta = pair_betas(prob, zeta)[b]
+        ((pair_cost, gamma, u, v),) = solved
+        fibers = [mk.fiber(b) for mk in prob.inputs]
+        tau = prob.lambdas * zeta[:, 0]
+        sup = prob.support[b]
+        c = [t * cost.powered_submatrix(f.point_ids, sup, p) for t, f in zip(tau, fibers)]
+        # joint-LP dual feasibility: alpha + beta <= tau d^p in floats, with
+        # alpha the transport potentials, and beta_1 + beta_2 >= 0
+        assert np.all(c[0] - u[:, None] >= beta[0])
+        assert np.all(c[1] - v[:, None] >= beta[1])
+        tol = OPT_TOL * max(1.0, float(np.abs(pair_cost).max()))
+        assert np.all(beta[0] + beta[1] >= -tol)
+        dual = math.fsum([*(fibers[0].weights * u), *(fibers[1].weights * v)])
+        # the transport plan pushed through the argmin s is a joint-LP plan
+        # (both couplings have column marginal w) of the same value, so both
+        # are optimal
+        rows, cols = np.nonzero(gamma)
+        s_star = (c[0][rows] + c[1][cols]).argmin(axis=1)
+        g1, g2 = np.zeros_like(c[0]), np.zeros_like(c[1])
+        np.add.at(g1, (rows, s_star), gamma[rows, cols])
+        np.add.at(g2, (cols, s_star), gamma[rows, cols])
+        assert g1.sum(axis=0) == pytest.approx(g2.sum(axis=0), abs=1e-15)
+        primal = math.fsum([*(c[0] * g1).ravel(), *(c[1] * g2).ravel()])
+        assert dual == pytest.approx(primal, rel=1e-9)
+        # weak duality against HiGHS's optimum of the joint LP; HiGHS can stop
+        # up to ~1e-7 relative above the optimum, so equality is not asserted
+        value = fiber_barycenter_lp(fibers, cost, tau, p, sup)[0]
+        assert dual <= value + 1e-9 * abs(value) + 1e-12
+        if m1 <= 4 and m2 <= 4:
+            # the exact oracle on the pair cost
+            exact = _vertex_min_exact(fibers[0].weights, fibers[1].weights, pair_cost)
+            assert float(exact) == pytest.approx(dual, rel=1e-9)
+
+    def test_pair_cost_blocks_match_the_full_minimum(self, rng, monkeypatch):
+        c1, c2 = rng.random((7, 5)), rng.random((4, 5))
+        want = (c1[:, None, :] + c2[None, :, :]).min(axis=2)
+        # blocks of one row, of two rows (the last one short), and one block
+        for block in (1, 40, 10**6):
+            monkeypatch.setattr(barycenter, "_PAIR_BLOCK", block)
+            assert barycenter._pair_cost(c1, c2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["interval", "square"])
+    def test_certificate_bound_is_no_worse_than_joint_lp_betas(self, rng, kind):
+        ms, _ = random_fibered_instance(rng, 2, 3, 5)
+        costs = {b: metric_cost(rng, 5, kind) for b in ms[0].base_ids}
+        prob = make_problem(ms, [0.3, 0.7], DisintConfig(1.0, 3.0), costs)
+        res = disint_barycenter(prob)
+        cert = extract_certificate(prob, res.minimizer)
+        lp_cert = extract_certificate(prob, res.minimizer, cert.zeta, fiber_lps(prob, cert.zeta)[2])
+        lp_bound = eval_dual(lp_cert, prob)
+        assert eval_dual(cert, prob) >= lp_bound - 1e-12 * abs(lp_bound)
 
 
 def grid_search_oracle(prob, steps=32):

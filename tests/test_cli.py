@@ -434,13 +434,24 @@ class TestCLI:
         [("--trials", "-1"), ("--radius", "nan"), ("--radius", "-3")],
         ids=["trials_negative", "radius_nan", "radius_negative"],
     )
-    def test_bad_probe_settings_exit_2(self, tmp_path, capsys, flag, value):
+    def test_bad_probe_settings_exit_2(self, tmp_path, capsys, monkeypatch, flag, value):
         path = self._write(tmp_path, generate_instance(seed=1, n_fibers=2, n_atoms=4))
+        solves = []
+        solve = barycenter.disint_barycenter
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(barycenter, "disint_barycenter", spy)
+        monkeypatch.setattr(cli, "disint_barycenter", spy)
         argv = ["probe-uniqueness", "--input", path, "--p", "2", "--q", "2", flag, value]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag[2:]} must be" in captured.err
+        # the settings are checked before the barycenter solve
+        assert solves == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -495,9 +506,10 @@ class TestCLI:
         assert exc.value.code == 2
 
     def test_disint_bary_square_report_is_pinned(self, tmp_path, monkeypatch, capsys):
-        # re-recorded when the simplex gained its row-minimum start, which
-        # moved `gap` by 2e-15: any change to a pivot, a dual or a subgradient
-        # iterate shows in these bytes
+        # re-recorded when the certificate's betas came from one transport
+        # problem per fiber instead of the joint LPs, which moved `gap` by
+        # 2e-15 (value and dual_bound unchanged): any change to a pivot, a
+        # dual or a subgradient iterate shows in these bytes
         monkeypatch.chdir(tmp_path)
         doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
         save_document("inst.json", doc)
@@ -629,6 +641,8 @@ class TestStartup:
         for name, n_fibers, kind in [("square", 1, "square"), ("multi", 3, "square"), ("one", 1, "interval")]:
             doc = generate_instance(seed=n_fibers, n_fibers=n_fibers, n_atoms=5, kind=kind)
             save_document(str(tmp_path / f"{name}.json"), doc)
+        doc = generate_instance(seed=3, n_fibers=3, n_atoms=5, n_measures=3, kind="square")
+        save_document(str(tmp_path / "three.json"), doc)
 
         def run(*argv):
             out = tmp_path / "loaded.json"
@@ -645,8 +659,11 @@ class TestStartup:
             ["generate", "--seed", "1", "--fibers", "1", "--atoms", "3", "--output", "gen.json"],
             ["ot", "--input", "square.json", "--p", "2", "--mu", "m1", "--nu", "m2"],
             ["dist", "--input", "multi.json", "--p", "2", "--q", "inf", "--m", "m1", "--n", "m2"],
+            # two inputs at p < q < inf: betas from transport problems
+            ["disint-bary", "--input", "multi.json", "--p", "2", "--q", "4"],
+            ["certify", "--input", "multi.json", "--p", "2", "--q", "4"],
         ],
-        ids=["import", "generate", "ot", "dist_q_inf"],
+        ids=["import", "generate", "ot", "dist_q_inf", "disint_bary_q4", "certify_q4"],
     )
     def test_simplex_only_commands_skip_scipy(self, run_fresh, argv):
         assert run_fresh(*argv) == {"status": 0, "scipy": []}
@@ -654,6 +671,12 @@ class TestStartup:
     def test_lp_command_loads_scipy(self, run_fresh):
         # the check above is not vacuous: a HiGHS solve does load scipy
         loaded = run_fresh("bary", "--input", "one.json", "--p", "1")
+        assert loaded["status"] == 0
+        assert "scipy.optimize" in loaded["scipy"]
+
+    def test_three_input_subgradient_loads_scipy(self, run_fresh):
+        # with three inputs the certificate's betas still come from joint LPs
+        loaded = run_fresh("disint-bary", "--input", "three.json", "--p", "2", "--q", "4")
         assert loaded["status"] == 0
         assert "scipy.optimize" in loaded["scipy"]
 

@@ -260,12 +260,20 @@ def square_problem(q):
 class TestSolveCertificate:
     """Each kappa = p solve extracts its certificate once, at its minimizer."""
 
-    @pytest.mark.parametrize("q", ["2", "inf", "4"])
-    def test_certify_hands_highs_no_lp_twice(self, q, tmp_path, capsys, highs_calls):
+    @pytest.mark.parametrize(
+        "q, measures", [("2", 2), ("inf", 2), ("4", 2), ("4", 3)], ids=["2", "inf", "4", "4-K3"]
+    )
+    def test_certify_hands_highs_no_lp_twice(self, q, measures, tmp_path, capsys, highs_calls):
         path = str(tmp_path / "inst.json")
-        save_document(path, square_instance())
+        # square_instance(), with ``measures`` inputs
+        doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, n_measures=measures, kind="square")
+        save_document(path, doc)
         assert main(["certify", "--input", path, "--p", "2", "--q", q]) == 0
         capsys.readouterr()
+        if (q, measures) == ("4", 2):
+            # two inputs at p < q < inf take their betas from transport problems
+            assert highs_calls == []
+            return
         seen = [
             (c.c.tobytes(), c.kwargs["A_eq"].toarray().tobytes(), c.kwargs["b_eq"].tobytes())
             for c in highs_calls
