@@ -50,8 +50,6 @@ from .measures import (
     GroundCost,
     ValidationReport,
     dirac,
-    disintegrate,
-    normalize_measure,
     validate_ground_cost,
 )
 from .metric import (

@@ -128,13 +128,12 @@ def classical_problem(
     lambdas: Sequence[float],
     p: float,
     support: Sequence[int] | None = None,
-    q: float | None = None,
 ) -> BarycenterProblem:
     """Wrap plain discrete measures as a one-point-base fibered problem."""
     fibered = [
         FiberedMeasure([_ONE_POINT_BASE], [1.0], {_ONE_POINT_BASE: mu}) for mu in mus
     ]
-    cfg = DisintConfig(p, p if q is None else q)
+    cfg = DisintConfig(p, p)
     sup = None if support is None else {_ONE_POINT_BASE: np.asarray(support, dtype=np.int64)}
     return make_problem(fibered, lambdas, cfg, cost, sup)
 

@@ -60,18 +60,6 @@ class DualCertificate:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "DualCertificate":
-        zeta_map = payload["zeta"]
-        xi_map = payload["xi"]
-        ks = sorted(zeta_map, key=int)
-        base_ids = tuple(zeta_map[ks[0]].keys())
-        zeta = np.array([[float(zeta_map[k][b]) for b in base_ids] for k in ks])
-        xi = tuple(
-            {b: np.asarray(xi_map[k][b], dtype=np.float64) for b in base_ids} for k in ks
-        )
-        return cls(base_ids=base_ids, zeta=zeta, xi=xi)
-
 
 @dataclass(frozen=True)
 class GapReport:

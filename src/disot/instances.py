@@ -18,6 +18,7 @@ from .duality import DualCertificate
 from .errors import TooLarge
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from .metric import DisintConfig
+from .ot import ORACLE_GENERAL_BOUND
 
 
 def tent_potential(t: np.ndarray) -> np.ndarray:
@@ -42,7 +43,6 @@ class IntervalPair:
     map matches the grids atom by atom).
     """
 
-    n: int
     points: np.ndarray
     cost: GroundCost
     nu0: DiscreteMeasure
@@ -69,7 +69,7 @@ def interval_pair(n: int = 50) -> IntervalPair:
     cost = GroundCost(np.abs(points[:, None] - points[None, :]))
     nu0 = DiscreteMeasure(np.arange(n), np.full(n, 1.0 / n))
     nu1 = DiscreteMeasure(np.arange(n, 2 * n), np.full(n, 1.0 / n))
-    return IntervalPair(n=n, points=points, cost=cost, nu0=nu0, nu1=nu1)
+    return IntervalPair(points=points, cost=cost, nu0=nu0, nu1=nu1)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class SharedFiberInstance:
     binding level, giving a continuum of minimizers.
     """
 
-    grid: np.ndarray
     cost: GroundCost
     inputs: tuple[FiberedMeasure, FiberedMeasure]
     candidate_uniform_mid: FiberedMeasure
@@ -109,15 +108,11 @@ def shared_fiber_nonuniqueness() -> SharedFiberInstance:
     cand_a = FiberedMeasure(base, sigma, {"w1": dirac(2), "w2": dirac(2)})
     cand_b = FiberedMeasure(base, sigma, {"w1": dirac(1), "w2": dirac(2)})
     return SharedFiberInstance(
-        grid=grid,
         cost=cost,
         inputs=(m1, m2),
         candidate_uniform_mid=cand_a,
         candidate_modified=cand_b,
     )
-
-
-ORACLE_GENERAL_BOUND = 4
 
 
 def generate_instance(

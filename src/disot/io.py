@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, normalize_measure
+from .measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost
 
 
 def format_float(x: float) -> str:
@@ -126,7 +126,7 @@ def _parse_atoms(raw, where: str) -> DiscreteMeasure:
         pairs = [(int(a["point"]), parse_extended_float(a["w"])) for a in raw]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad atom list at {where}: {exc}") from None
-    return normalize_measure(pairs)
+    return DiscreteMeasure([i for i, _ in pairs], [w for _, w in pairs])
 
 
 def parse_instance(doc: Mapping) -> Instance:

@@ -1,4 +1,4 @@
-"""Discrete and fibered measures: construction, validation, disintegration.
+"""Discrete and fibered measures: construction and validation.
 
 A measure lives on a finite point set indexed 0..n-1 whose pairwise distances
 are recorded in a :class:`GroundCost`.  A fibered measure couples a base
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -123,27 +123,6 @@ class DiscreteMeasure:
     def __repr__(self) -> str:
         atoms = ", ".join(f"{i}: {w:.6g}" for i, w in zip(self.point_ids, self.weights))
         return f"DiscreteMeasure({{{atoms}}})"
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(i): float(w) for i, w in zip(self.point_ids, self.weights)}
-
-    def almost_equal(self, other: "DiscreteMeasure", tol: float = MASS_TOL) -> bool:
-        return (
-            self.point_ids.shape == other.point_ids.shape
-            and bool(np.all(self.point_ids == other.point_ids))
-            and bool(np.all(np.abs(self.weights - other.weights) <= tol))
-        )
-
-
-def normalize_measure(raw_atoms: Iterable[tuple[int, float]]) -> DiscreteMeasure:
-    """Build a DiscreteMeasure from (point_id, weight) pairs.
-
-    Duplicates are merged, zero atoms pruned, weights rescaled to sum to 1.
-    """
-    pairs = list(raw_atoms)
-    ids = [p for p, _ in pairs]
-    ws = [w for _, w in pairs]
-    return DiscreteMeasure(ids, ws)
 
 
 def dirac(point_id: int) -> DiscreteMeasure:
@@ -331,12 +310,6 @@ class FiberedMeasure:
     def __setattr__(self, name, value):
         raise AttributeError("FiberedMeasure is immutable")
 
-    def sigma_at(self, base_id: str) -> float:
-        try:
-            return float(self.sigma[self.base_ids.index(str(base_id))])
-        except ValueError:
-            return 0.0
-
     def fiber(self, base_id: str) -> DiscreteMeasure:
         try:
             return self.fibers[str(base_id)]
@@ -347,42 +320,3 @@ class FiberedMeasure:
         return self.base_ids == other.base_ids and bool(
             np.all(np.abs(self.sigma - other.sigma) <= MASS_TOL)
         )
-
-    def atoms(self) -> list[tuple[str, int, float]]:
-        """Flat (base_id, fiber_point_id, weight) list reconstructing the measure."""
-        out = []
-        for b, s in zip(self.base_ids, self.sigma):
-            f = self.fibers[b]
-            for i, w in zip(f.point_ids, f.weights):
-                out.append((b, int(i), float(s * w)))
-        return out
-
-
-def disintegrate(atoms_on_total_space: Iterable[tuple[str, int, float]]) -> FiberedMeasure:
-    """Split atoms (base_id, fiber_point_id, weight) into sigma and conditionals.
-
-    sigma[b] is the total mass over base point b; the fiber at b is the
-    conditional measure (weights divided by sigma[b]).  Reconstructing through
-    :meth:`FiberedMeasure.atoms` reproduces the input up to merging, pruning
-    and 1e-12 arithmetic.
-    """
-    grouped: dict[str, list[tuple[int, float]]] = {}
-    order: list[str] = []
-    for b, i, w in atoms_on_total_space:
-        b = str(b)
-        if not math.isfinite(w):
-            raise ValueError(f"weight {w} at ({b!r}, {i}) is not finite")
-        if w < 0.0:
-            raise NegativeWeight(f"weight {w} at ({b!r}, {i})")
-        if b not in grouped:
-            grouped[b] = []
-            order.append(b)
-        grouped[b].append((int(i), float(w)))
-    masses = {b: math.fsum(w for _, w in pairs) for b, pairs in grouped.items()}
-    total = math.fsum(masses.values())
-    if total <= 0.0:
-        raise AllZeroMass("atoms carry no positive mass")
-    base_ids = [b for b in order if masses[b] > 0.0]
-    sigma = [masses[b] for b in base_ids]
-    fibers = {b: normalize_measure(grouped[b]) for b in base_ids}
-    return FiberedMeasure(base_ids, sigma, fibers)

@@ -503,13 +503,20 @@ def _vertex_min_exact(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Fractio
     return Fraction(rec(tuple(ra), tuple(rb)), mass * cs)
 
 
+# brute_force_ot's enumeration bounds: support sizes per side in general, and
+# atom counts when both measures are uniform with equal counts
+ORACLE_GENERAL_BOUND = 4
+ORACLE_UNIFORM_BOUND = 8
+
+
 def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: float) -> float:
     """Independent oracle for solve_ot's value on small instances.
 
-    General case (supports of size <= 4 each): enumerates the vertices of the
-    transportation polytope via greedy saturation orders in exact rational
-    arithmetic.  Uniform case with equal atom counts <= 8: minimizes over all
-    permutation couplings.  Anything larger raises TooLarge.
+    General case (supports of size <= ORACLE_GENERAL_BOUND each): enumerates
+    the vertices of the transportation polytope via greedy saturation orders in
+    exact rational arithmetic.  Uniform case with equal atom counts <=
+    ORACLE_UNIFORM_BOUND: minimizes over all permutation couplings.  Anything
+    larger raises TooLarge.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError("p must be finite and >= 1")
@@ -523,7 +530,7 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p
         and bool(np.all(nu.weights == nu.weights[0]))
         and abs(mu.weights[0] - nu.weights[0]) == 0.0
     )
-    if uniform_equal and n <= 8:
+    if uniform_equal and n <= ORACLE_UNIFORM_BOUND:
         best_perm = None
         best = math.inf
         rows = np.arange(n)
@@ -534,10 +541,11 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p
                 best_perm = perm
         exact = math.fsum(cp[i, j] for i, j in zip(rows, best_perm))
         return float(mu.weights[0]) * exact
-    if m <= 4 and n <= 4:
+    if m <= ORACLE_GENERAL_BOUND and n <= ORACLE_GENERAL_BOUND:
         return float(_vertex_min_exact(mu.weights, nu.weights, cp))
+    g, u = ORACLE_GENERAL_BOUND, ORACLE_UNIFORM_BOUND
     raise TooLarge(
-        f"supports {m}x{n} exceed the enumeration bounds (4x4 general, 8x8 uniform-equal)"
+        f"supports {m}x{n} exceed the enumeration bounds ({g}x{g} general, {u}x{u} uniform-equal)"
     )
 
 

@@ -352,7 +352,7 @@ def test_criterion_10_uniqueness_probe():
     cost = line_cost(pts)
     mu0 = DiscreteMeasure(np.arange(n), np.full(n, 1.0 / n))
     mu1 = DiscreteMeasure(np.arange(n, 2 * n), np.full(n, 1.0 / n))
-    problem = classical_problem([mu0, mu1], cost, [0.5, 0.5], p=2.0, q=2.0)
+    problem = classical_problem([mu0, mu1], cost, [0.5, 0.5], p=2.0)
     result = classical_barycenter(problem)
 
     probe = uniqueness_probe(problem, result, trials=10, radius=1e-9, seed=0)

@@ -94,14 +94,18 @@ class TestClassicalBarycenter:
         prob = classical_problem([mu, mu], cost, [0.5, 0.5], p=2.0)
         res = classical_barycenter(prob)
         assert res.value == pytest.approx(0.0, abs=1e-12)
-        assert res.minimizer.fiber("base").almost_equal(mu, tol=1e-9)
+        fiber = res.minimizer.fiber("base")
+        assert np.array_equal(fiber.point_ids, mu.point_ids)
+        assert np.allclose(fiber.weights, mu.weights, rtol=0.0, atol=1e-9)
 
     def test_two_diracs_meet_in_the_middle(self):
         # support {0, 1/2, 1}: grid search at step 1/64 confirms delta_{1/2}
         cost = line_cost([0.0, 0.5, 1.0])
         prob = classical_problem([dirac(0), dirac(2)], cost, [0.5, 0.5], p=2.0)
         res = classical_barycenter(prob)
-        assert res.minimizer.fiber("base").as_dict() == {1: 1.0}
+        fiber = res.minimizer.fiber("base")
+        assert fiber.point_ids.tolist() == [1]
+        assert fiber.weights.tolist() == [1.0]
         assert res.value == pytest.approx(0.25, abs=1e-12)
         grid_best = min(
             objective(prob, single_base(DiscreteMeasure([0, 1, 2], w)))
@@ -271,7 +275,12 @@ class TestDisintBarycenter:
         start = {b: rng.dirichlet(np.ones(prob.support[b].size)) for b in prob.base_ids}
         tuned = disint_barycenter(prob, start=start, max_iter=1, tol=0.5)
         assert tuned.value == plain.value
-        assert tuned.minimizer.atoms() == plain.minimizer.atoms()
+        assert tuned.minimizer.base_ids == plain.minimizer.base_ids
+        assert np.array_equal(tuned.minimizer.sigma, plain.minimizer.sigma)
+        for b in plain.minimizer.base_ids:
+            t, u = tuned.minimizer.fiber(b), plain.minimizer.fiber(b)
+            assert np.array_equal(t.point_ids, u.point_ids)
+            assert np.array_equal(t.weights, u.weights)
         assert np.array_equal(tuned.per_k_distances, plain.per_k_distances)
         assert (tuned.certified, tuned.gap, tuned.dual_bound) == (True, 0.0, plain.value)
 
@@ -356,7 +365,7 @@ class TestPairBetas:
         if support is not None and support.size == 0:
             support = None
         lam = rng.uniform(0.05, 0.95)
-        prob = classical_problem(mus, cost, [lam, 1.0 - lam], p, support=support, q=2.0 * p)
+        prob = classical_problem(mus, cost, [lam, 1.0 - lam], p, support=support)
         zeta = rng.uniform(0.1, 2.0, size=(2, 1))
         solved = []
 

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from disot.io import (
     report_to_csv,
     save_document,
 )
+from disot.ot import ORACLE_GENERAL_BOUND, brute_force_ot
 
 from reference_serializer import reference_dumps
 
@@ -73,7 +76,9 @@ class TestIO:
         save_document(str(path), TWO_DIRAC_DOC)
         inst = load_instance(str(path))
         assert inst.base_ids == ("w",)
-        assert inst.measure("mu").fiber("w").as_dict() == {0: 1.0}
+        fiber = inst.measure("mu").fiber("w")
+        assert fiber.point_ids.tolist() == [0]
+        assert fiber.weights.tolist() == [1.0]
         assert inst.bundle.cost("w").d[0, 1] == 2.0
 
     def test_shared_fiber_schema_with_relabeling(self, tmp_path):
@@ -90,7 +95,9 @@ class TestIO:
         inst = parse_instance(doc)
         assert inst.bundle.shared_fiber
         assert inst.bundle.relabel("b", 0) == 1
-        assert inst.measure("m").fiber("b").as_dict() == {1: 1.0}
+        fiber = inst.measure("m").fiber("b")
+        assert fiber.point_ids.tolist() == [1]
+        assert fiber.weights.tolist() == [1.0]
 
     def test_missing_measure_is_parse_error(self):
         doc = json.loads(json.dumps(TWO_DIRAC_DOC))
@@ -109,7 +116,8 @@ class TestIO:
         path.write_text("x,w\n0.0,1.0\n1.0,3.0\n")
         coords, measure = load_csv_measure(str(path))
         assert np.allclose(coords, [0.0, 1.0])
-        assert measure.as_dict() == {0: 0.25, 1: 0.75}
+        assert measure.point_ids.tolist() == [0, 1]
+        assert measure.weights.tolist() == [0.25, 0.75]
 
     def test_report_csv_long_format(self):
         # a base point stays in the quantity's key path, '@' and all
@@ -175,8 +183,22 @@ class TestGenerate:
         assert a != b
 
     def test_oracle_bound_enforced(self):
-        with pytest.raises(TooLarge):
-            generate_instance(seed=0, n_atoms=5, oracle_checkable=True)
+        for kind in ("interval", "square"):
+            # at the bound every pair of measures on every fiber is within
+            # brute_force_ot's enumeration
+            doc = generate_instance(
+                seed=0, n_fibers=2, n_atoms=ORACLE_GENERAL_BOUND, n_measures=3, kind=kind,
+                oracle_checkable=True,
+            )
+            inst = parse_instance(doc)
+            for b in inst.base_ids:
+                fibers = [m.fiber(b) for m in inst.measures.values()]
+                for mu, nu in itertools.combinations(fibers, 2):
+                    assert brute_force_ot(mu, nu, inst.bundle.cost(b), 2.0) >= 0.0
+            with pytest.raises(TooLarge):
+                generate_instance(
+                    seed=0, n_atoms=ORACLE_GENERAL_BOUND + 1, kind=kind, oracle_checkable=True
+                )
 
     def test_generated_instances_parse(self, tmp_path):
         for kind in ("interval", "square"):
@@ -372,16 +394,24 @@ class TestCLI:
         assert "negative point id -1" in captured.err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["bary", "--p", "1"],
-            ["disint-bary", "--p", "2", "--q", "4"],
-            ["certify", "--p", "2", "--q", "2"],
-            ["probe-uniqueness", "--p", "2", "--q", "inf"],
+            (["bary", "--p", "1"], "input 1 has atom 5 at base point 'w'"),
+            (["disint-bary", "--p", "2", "--q", "4"], "input 1 has atom 5 at base point 'w'"),
+            (["certify", "--p", "2", "--q", "2"], "input 1 has atom 5 at base point 'w'"),
+            (
+                ["probe-uniqueness", "--p", "2", "--q", "inf"],
+                "input 1 has atom 5 at base point 'w'",
+            ),
+            (["ot", "--p", "1"], "mu has atom 5 outside point set of size 3"),
+            (
+                ["dist", "--p", "2", "--q", "4", "--m", "mu", "--n", "nu"],
+                "fiber atoms at 'w' outside the shared point set",
+            ),
         ],
-        ids=["bary", "disint_bary", "certify", "probe"],
+        ids=["bary", "disint_bary", "certify", "probe", "ot", "dist"],
     )
-    def test_input_atom_outside_cost_exit_2(self, tmp_path, capsys, argv):
+    def test_input_atom_outside_cost_exit_2(self, tmp_path, capsys, argv, message):
         doc = {
             "base": [{"id": "w", "sigma": 1.0}],
             "fibers": {
@@ -398,7 +428,7 @@ class TestCLI:
         assert main([argv[0], "--input", path, *argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "input 1 has atom 5 at base point 'w'" in captured.err
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -691,3 +721,28 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path,
                               env=self._env(), check=True, capture_output=True, timeout=120)
         assert proc.stdout.strip() == b"False"
+
+
+# Every public name of ``import disot`` apart from its submodules; a name added
+# to or dropped from the package namespace has to be added or dropped here too.
+PUBLIC_NAMES = {
+    "AllZeroMass", "BarycenterProblem", "BarycenterResult", "BaseMismatch", "Bundle",
+    "Coupling", "DegenerateInput", "DiscreteMeasure", "DisintConfig", "DisotError",
+    "DualCertificate", "EmptySupport", "FiberMismatch", "FiberedMeasure", "GapReport",
+    "GroundCost", "IndexOutOfRange", "InvalidGroundCost", "LPInfeasible", "NegativeWeight",
+    "OTResult", "ParseError", "ProbeReport", "ShapeMismatch", "SupportOutOfRange",
+    "SupportViolation", "TooLarge", "ValidationReport", "brute_force_ot", "c_transform",
+    "classical_barycenter", "classical_problem", "coupling_is_deterministic", "dirac",
+    "disint_barycenter", "duality_gap", "eval_dual", "fiber_distance_profile",
+    "make_problem", "objective", "project_simplex", "scrmk", "solve_ot", "transport",
+    "uniqueness_probe", "validate_certificate", "validate_ground_cost",
+}
+
+
+def test_public_names_are_pinned():
+    names = {
+        name
+        for name, value in vars(disot).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == PUBLIC_NAMES

@@ -336,16 +336,6 @@ class TestGapReport:
             duality_gap(prob, res, res.certificate, tol=tol)
         assert duality_gap(prob, res, res.certificate, tol=0.0).tol == 0.0
 
-    def test_serialization_roundtrip(self, rng):
-        ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
-        res = disint_barycenter(prob)
-        cert = res.certificate
-        clone = DualCertificate.from_dict(cert.to_dict())
-        assert clone.base_ids == cert.base_ids
-        assert np.allclose(clone.zeta, cert.zeta)
-        assert eval_dual(clone, prob) == pytest.approx(eval_dual(cert, prob), abs=1e-15)
-
 
 def _scoped_nodes(tree, scope):
     """(dotted enclosing scope, node) for every node under ``tree``."""

@@ -18,39 +18,40 @@ from disot.measures import (
     FiberedMeasure,
     GroundCost,
     dirac,
-    disintegrate,
-    normalize_measure,
     validate_ground_cost,
 )
 
 
 class TestNormalize:
     def test_rescale(self):
-        m = normalize_measure([(0, 2.0), (1, 2.0)])
-        assert m.as_dict() == {0: 0.5, 1: 0.5}
+        m = DiscreteMeasure([0, 1], [2.0, 2.0])
+        assert m.point_ids.tolist() == [0, 1]
+        assert m.weights.tolist() == [0.5, 0.5]
 
     def test_duplicate_merge(self):
-        m = normalize_measure([(0, 1.0), (0, 1.0)])
-        assert m.as_dict() == {0: 1.0}
+        m = DiscreteMeasure([0, 0], [1.0, 1.0])
+        assert m.point_ids.tolist() == [0]
+        assert m.weights.tolist() == [1.0]
 
     def test_zero_atom_prune(self):
-        m = normalize_measure([(0, 0.0), (1, 3.0)])
-        assert m.as_dict() == {1: 1.0}
+        m = DiscreteMeasure([0, 1], [0.0, 3.0])
+        assert m.point_ids.tolist() == [1]
+        assert m.weights.tolist() == [1.0]
 
     def test_all_zero_mass(self):
         with pytest.raises(AllZeroMass):
-            normalize_measure([(0, 0.0), (1, 0.0)])
+            DiscreteMeasure([0, 1], [0.0, 0.0])
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
-            normalize_measure([(0, -0.5), (1, 1.5)])
+            DiscreteMeasure([0, 1], [-0.5, 1.5])
 
     def test_negative_point_id(self):
         # numpy would index a negative id from the end of the point set
         with pytest.raises(IndexOutOfRange, match="negative point id -2"):
             DiscreteMeasure([-2, 1], [0.5, 0.5])
         with pytest.raises(IndexOutOfRange):
-            normalize_measure([(1, 0.5), (-1, 0.5)])
+            DiscreteMeasure([1, -1], [0.5, 0.5])
 
     @given(
         st.lists(
@@ -60,11 +61,12 @@ class TestNormalize:
         )
     )
     def test_mass_one_and_sorted(self, atoms):
-        if sum(w for _, w in atoms) <= 0.0:
+        ids, weights = zip(*atoms)
+        if sum(weights) <= 0.0:
             with pytest.raises(AllZeroMass):
-                normalize_measure(atoms)
+                DiscreteMeasure(ids, weights)
             return
-        m = normalize_measure(atoms)
+        m = DiscreteMeasure(ids, weights)
         assert abs(m.weights.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(m.point_ids) > 0)
         assert np.all(m.weights > 0.0)
@@ -104,12 +106,6 @@ class TestNonFiniteInputs:
             cost.powered_submatrix(ids, ids, 2.0)
         assert cost.powered_submatrix(ids, ids, 1.5)[0, 1] == pytest.approx(1e300)
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf])
-    def test_disintegrate_weights(self, weight):
-        # a base point whose mass is not finite was dropped, finite atoms and all
-        with pytest.raises(ValueError, match="not finite"):
-            disintegrate([("a", 0, 1.0), ("b", 0, weight), ("b", 1, 1.0)])
-
 
 class TestGroundCostValidation:
     def test_two_point_metric(self):
@@ -143,61 +139,26 @@ class TestGroundCostValidation:
 
 
 class TestDisintegrate:
-    def test_conditional_normalization(self):
-        fm = disintegrate([("w1", 0, 0.5), ("w1", 1, 0.25), ("w2", 0, 0.25)])
-        assert fm.sigma_at("w1") == pytest.approx(0.75)
-        assert fm.sigma_at("w2") == pytest.approx(0.25)
-        assert fm.fiber("w1").as_dict() == pytest.approx({0: 2 / 3, 1: 1 / 3})
-        assert fm.fiber("w2").as_dict() == {0: 1.0}
-
-    def test_one_point_base(self):
-        fm = disintegrate([("w", 0, 0.2), ("w", 1, 0.6)])
-        assert fm.sigma_at("w") == 1.0
-        assert fm.fiber("w").as_dict() == pytest.approx({0: 0.25, 1: 0.75})
+    """FiberedMeasure holds base weights sigma and one conditional fiber
+    measure per base point."""
 
     def test_null_base_point(self):
-        fm = disintegrate([("w1", 0, 1.0)])
-        assert fm.sigma_at("w2") == 0.0
+        fm = FiberedMeasure(["w1", "w2"], [1.0, 0.0], {"w1": dirac(0)})
+        assert fm.base_ids == ("w1",)
+        assert fm.sigma.tolist() == [1.0]
         with pytest.raises(BaseMismatch):
             fm.fiber("w2")
 
     def test_errors(self):
         with pytest.raises(AllZeroMass):
-            disintegrate([("w1", 0, 0.0)])
+            FiberedMeasure(["w1"], [0.0], {"w1": dirac(0)})
         with pytest.raises(NegativeWeight):
-            disintegrate([("w1", 0, -1.0)])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["a", "b", "c"]),
-                st.integers(0, 4),
-                st.floats(0.0, 5.0, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_reconstruction_roundtrip(self, atoms):
-        total = sum(w for _, _, w in atoms)
-        if total <= 0.0:
-            return
-        fm = disintegrate(atoms)
-        # merge the input the same way for comparison
-        merged = {}
-        for b, i, w in atoms:
-            merged[(b, i)] = merged.get((b, i), 0.0) + w / total
-        rebuilt = {(b, i): w for b, i, w in fm.atoms()}
-        for key, w in merged.items():
-            if w > 0.0:
-                assert rebuilt[key] == pytest.approx(w, abs=1e-12)
+            FiberedMeasure(["w1", "w2"], [-1.0, 2.0], {"w1": dirac(0), "w2": dirac(0)})
 
     def test_normalization_conservation(self, rng):
-        atoms = [
-            (f"w{rng.integers(3)}", int(rng.integers(5)), float(rng.random()))
-            for _ in range(30)
-        ]
-        fm = disintegrate(atoms)
+        base = ["w0", "w1", "w2"]
+        fibers = {b: DiscreteMeasure(rng.integers(5, size=10), 5.0 * rng.random(10)) for b in base}
+        fm = FiberedMeasure(base, 5.0 * rng.random(3), fibers)
         assert abs(fm.sigma.sum() - 1.0) <= 1e-12
         for b in fm.base_ids:
             assert abs(fm.fiber(b).weights.sum() - 1.0) <= 1e-12
