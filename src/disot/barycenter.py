@@ -5,20 +5,22 @@ inputs, which is convex in the target fiber weights.  q = p decouples into
 one exact joint transportation LP per fiber; at q = inf the objective is
 piecewise linear, and one exact minimax LP covers all fibers.  p < q < inf is
 solved by projected subgradient descent on the weight simplices.  Every solve
-also returns the dual certificate of its minimizer.
+also returns the dual certificate of its minimizer: each route chooses its zeta
+and betas, and :func:`disot.duality.extract_certificate` builds the pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .duality import DualCertificate, eval_dual, extract_certificate
 from .errors import BaseMismatch, EmptySupport, SupportOutOfRange, SupportViolation
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
-from .metric import CostTable, DisintConfig, cost_at, lq_norm, scrmk
+from .metric import CostTable, DisintConfig, cost_at, fiber_distance_profile, lq_norm, scrmk
 from .ot import coupling_rows, highs, transport
 from .tolerances import (
     CERT_EVERY,
@@ -30,9 +32,6 @@ from .tolerances import (
     PROBE_VALUE_TOL,
     ZETA_FLOOR,
 )
-
-if TYPE_CHECKING:
-    from .duality import DualCertificate
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class BarycenterResult:
     solver_log: dict
     certified: bool
     gap: float
-    dual_bound: float | None
+    dual_bound: float
     certificate: DualCertificate
 
 
@@ -257,11 +256,17 @@ def minimax_barycenter_lp(problem: BarycenterProblem):
     weights = dict(zip(problem.base_ids, np.split(w, np.cumsum(s[: B - 1]))))
     value = math.fsum((problem.lambdas * res.x[t_off:]).tolist())
     # multipliers are <= 0 for a minimization; rescaled by lambda_k * sigma
-    # they are the aligned zeta_k, of unit L^1(sigma) norm
+    # they are the aligned zeta_k, of unit L^1(sigma) norm (r' = 1 at q = inf)
     rho = np.maximum(-res.ineqlin.marginals.reshape(K, B), 0.0)
-    zeta = np.maximum(rho / (problem.lambdas[:, None] * problem.sigma[None, :]), ZETA_FLOOR)
-    zeta /= np.array([[lq_norm(row, problem.sigma, 1.0)] for row in zeta])
+    zeta = _unit_zeta(problem, rho / (problem.lambdas[:, None] * problem.sigma[None, :]))
     return value, weights, zeta
+
+
+def _unit_zeta(problem: BarycenterProblem, raw: np.ndarray) -> np.ndarray:
+    """K x B base weights floored at ZETA_FLOOR, each row scaled to unit L^{r'}(sigma) norm."""
+    zeta = np.maximum(raw, ZETA_FLOOR)
+    zeta /= np.array([[lq_norm(row, problem.sigma, problem.config.r_conj)] for row in zeta])
+    return zeta
 
 
 def _assemble(problem: BarycenterProblem, weights: Mapping[str, np.ndarray]) -> FiberedMeasure:
@@ -355,11 +360,11 @@ def _lp_weights(problem: BarycenterProblem):
 
 
 def _lp_barycenter(problem: BarycenterProblem) -> BarycenterResult:
-    from . import duality  # deferred: duality builds on this module's LP helpers
-
     weights, value, log, zeta, betas = _lp_weights(problem)
+    if betas is None:  # the minimax LP: betas from the joint LPs at its zeta
+        betas = fiber_lps(problem, zeta)[2]
     minimizer = _assemble(problem, weights)
-    cert = duality.extract_certificate(problem, minimizer, zeta, betas)
+    cert = extract_certificate(problem, zeta, betas)
     return _result(
         problem, minimizer, value, log, certified=True, gap=0.0, dual_bound=value, certificate=cert
     )
@@ -402,9 +407,20 @@ def disint_barycenter(
     return _subgradient_barycenter(problem, start, max_iter, tol)
 
 
-def _subgradient_barycenter(problem, start, max_iter, tol):
-    from . import duality  # deferred: duality builds on this module's LP helpers
+def _certificate_at(problem: BarycenterProblem, minimizer: FiberedMeasure) -> DualCertificate:
+    """Certificate at a p < q < inf minimizer.
 
+    zeta is Hoelder-aligned with the fiber distance profile to it; the betas
+    come from :func:`pair_betas` for two inputs, else from :func:`fiber_lps`.
+    """
+    p, q = problem.config.p, problem.config.q
+    prof = [fiber_distance_profile(mk, minimizer, p, problem.costs) for mk in problem.inputs]
+    zeta = _unit_zeta(problem, np.array([[d for _, d in pk] for pk in prof]) ** (q - p))
+    betas = pair_betas(problem, zeta) if problem.K == 2 else fiber_lps(problem, zeta)[2]
+    return extract_certificate(problem, zeta, betas)
+
+
+def _subgradient_barycenter(problem, start, max_iter, tol):
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     # written so that a NaN tol fails
@@ -476,8 +492,8 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
         if it == 1 or it % CERT_EVERY == 0:
             if best_w is not cert_w:
                 cert_w = best_w
-                cert = duality.extract_certificate(problem, _assemble(problem, best_w))
-                dual_bound = max(dual_bound, duality.eval_dual(cert, problem))
+                cert = _certificate_at(problem, _assemble(problem, best_w))
+                dual_bound = max(dual_bound, eval_dual(cert, problem))
             gap = best_val - dual_bound
             trace.append((it, best_val, dual_bound))
             if gap <= tol * (1.0 + abs(best_val)):
@@ -485,7 +501,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
                 break
 
         step = step_scale / math.sqrt(it)
-        if dual_bound > -math.inf and obj > dual_bound:
+        if obj > dual_bound:
             # Polyak step toward the certified lower bound; the bound only
             # underestimates the optimum, so this remains convergent and is
             # much faster than the plain c/sqrt(iter) tail
@@ -501,16 +517,10 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     }
     minimizer = _assemble(problem, best_w)
     if best_w is not cert_w:
-        cert = duality.extract_certificate(problem, minimizer)
+        cert = _certificate_at(problem, minimizer)
     return _result(
-        problem,
-        minimizer,
-        best_val,
-        log,
-        certified=certified,
-        gap=gap,
-        dual_bound=dual_bound if dual_bound > -math.inf else None,
-        certificate=cert,
+        problem, minimizer, best_val, log,
+        certified=certified, gap=gap, dual_bound=dual_bound, certificate=cert,
     )
 
 

@@ -114,17 +114,15 @@ def _solve(args: argparse.Namespace):
 
 
 def _result_payload(result) -> dict:
-    payload = {
+    return {
         "value": result.value,
         "per_k_distances": [float(d) for d in result.per_k_distances],
         "minimizer": _measure_payload(result.minimizer),
         "certified": result.certified,
         "solver_log": result.solver_log,
         "gap": result.gap,
+        "dual_bound": result.dual_bound,
     }
-    if result.dual_bound is not None:
-        payload["dual_bound"] = result.dual_bound
-    return payload
 
 
 def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:

@@ -7,28 +7,28 @@ dual value, a transform-and-integrate functional, lower-bounds the barycenter
 objective of every feasible candidate (weak duality); a zero gap certifies
 optimality.
 
-Each barycenter solve extracts its certificate once, at the minimizer it
-returns, from the duals it holds, and returns it as ``result.certificate``.
-At p < q < inf those duals are per-fiber betas: for two inputs they come from
-one transport problem per fiber (``pair_betas``), otherwise from the
-zeta-weighted joint LPs (``fiber_lps``), which the LP routes q = p and
-q = inf also use.
+This module builds and checks certificates; it does not solve.  Each
+barycenter solve (:mod:`disot.barycenter`) chooses the zeta and the per-fiber
+betas of its route and hands them to :func:`extract_certificate` once, at the
+minimizer it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .barycenter import BarycenterProblem, BarycenterResult, fiber_lps, objective, pair_betas
 from .errors import ShapeMismatch
-from .measures import FiberedMeasure, ValidationReport, Violation
-from .metric import fiber_distance_profile, lq_norm
+from .measures import ValidationReport, Violation
+from .metric import lq_norm
 from .ot import c_transform
-from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL, ZETA_FLOOR
+from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL
+
+if TYPE_CHECKING:
+    from .barycenter import BarycenterProblem, BarycenterResult
 
 
 @dataclass(frozen=True)
@@ -142,39 +142,19 @@ def eval_dual(cert: DualCertificate, problem: BarycenterProblem) -> float:
 
 
 def extract_certificate(
-    problem: BarycenterProblem,
-    minimizer: FiberedMeasure,
-    zeta: np.ndarray | None = None,
-    betas: Mapping[str, Sequence[np.ndarray]] | None = None,
+    problem: BarycenterProblem, zeta: np.ndarray, betas: Mapping[str, Sequence[np.ndarray]]
 ) -> DualCertificate:
-    """Build a feasible certificate at a minimizer of the problem.
+    """Build a feasible certificate from a solve's zeta (K x B) and per-fiber betas.
 
-    zeta: as given by the solve (ones at q = p, where they attain the
-    supremum; the minimax multipliers at q = inf), else (q < inf only) the
-    Hoelder-aligned powers of the fiber distance profile to ``minimizer``.
-    betas: optimal duals of the zeta-weighted joint LPs, computed here when
-    not given: from one transport problem per fiber (``pair_betas``) for two
-    inputs at p < q < inf, from the joint LPs themselves (``fiber_lps``)
-    otherwise.  xi: per fiber, -beta_k / zeta_k; the first K-1 are
-    tightened by a double transform, the K-th rebuilt to make the weighted
-    sum vanish identically, and all are re-centered to vanish at the fiber's
-    first support point (which changes no value).
+    betas[b][k] is an optimal dual of the k-th input's column links in the
+    joint LP of fiber b = base_ids[i] at tau = lambda * zeta[:, i].  xi: per
+    fiber, -beta_k / zeta_k; the first K-1 are tightened by a double
+    transform, the K-th rebuilt to make the weighted sum vanish identically,
+    and all are re-centered to vanish at the fiber's first support point
+    (which changes no value).
     """
-    p, q = problem.config.p, problem.config.q
+    p = problem.config.p
     K = problem.K
-    if zeta is None:
-        if math.isinf(q):
-            raise ValueError("a q = inf certificate takes zeta from the minimax LP")
-        prof = [fiber_distance_profile(mk, minimizer, p, problem.costs) for mk in problem.inputs]
-        raw = np.array([[d for _, d in pk] for pk in prof]) ** (q - p)
-        zeta = np.maximum(raw, ZETA_FLOOR)
-        zeta /= np.array([[lq_norm(row, problem.sigma, problem.config.r_conj)] for row in zeta])
-    if betas is None:
-        if K == 2 and p < q < math.inf:
-            betas = pair_betas(problem, zeta)
-        else:
-            betas = fiber_lps(problem, zeta)[2]
-
     xi: list[dict[str, np.ndarray]] = [dict() for _ in range(K)]
     for i, b in enumerate(problem.base_ids):
         cost = problem.costs[b]
@@ -202,6 +182,9 @@ def duality_gap(
 ) -> GapReport:
     """Primal objective at the result versus the certificate's dual value.
 
+    The primal is sum_k lambda_k * d_k**p over the result's distances to the
+    inputs, the barycenter objective at its minimizer.
+
     ``tol`` is relative: the gap passes when it is at most
     tol * (1 + |primal|), which the report carries as its ``tol``.  It
     defaults to EXACT_CERT_TOL in the exact LP regime q = p and to CERT_TOL
@@ -212,7 +195,8 @@ def duality_gap(
         tol = EXACT_CERT_TOL if problem.config.q == problem.config.p else CERT_TOL
     elif not tol >= 0.0:  # written so that a NaN tol fails
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    primal = objective(problem, result.minimizer)
+    p = problem.config.p
+    primal = math.fsum(lam * d**p for lam, d in zip(problem.lambdas, result.per_k_distances))
     tol = tol * (1.0 + abs(primal))
     report = validate_certificate(cert, problem)
     if not report.ok:

@@ -249,7 +249,7 @@ def report_to_csv(report: Mapping) -> str:
         if isinstance(value, Mapping):
             for k, v in value.items():
                 emit(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, (list, tuple, np.ndarray)):
             for i, v in enumerate(value):
                 emit(f"{prefix}[{i}]", v)
         else:

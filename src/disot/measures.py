@@ -278,7 +278,7 @@ class FiberedMeasure:
 
     Base points with zero sigma carry no fiber measure and are dropped, so the
     pushforward onto the base equals sigma by construction and every stored
-    fiber sums to 1.
+    fiber sums to 1.  A base point listed twice raises BaseMismatch.
     """
 
     __slots__ = ("base_ids", "sigma", "fibers")
@@ -288,6 +288,9 @@ class FiberedMeasure:
         s = np.asarray(sigma, dtype=np.float64)
         if len(bids) != s.size:
             raise BaseMismatch("base_ids and sigma lengths differ")
+        if len(set(bids)) < len(bids):
+            dup = next(b for i, b in enumerate(bids) if b in bids[:i])
+            raise BaseMismatch(f"base point {dup!r} is listed more than once")
         if s.size and s.min() < 0.0:
             raise NegativeWeight("negative base weight")
         total = _total_mass(s, "base weights")

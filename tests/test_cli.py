@@ -1,5 +1,7 @@
 import argparse
+import ast
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -121,9 +123,22 @@ class TestIO:
 
     def test_report_csv_long_format(self):
         # a base point stays in the quantity's key path, '@' and all
-        text = report_to_csv({"results": {"value": 1.5, "profile": {"a@b": 2.0}}})
+        # and an array gives one row per entry, at 12 significant digits
+        text = report_to_csv(
+            {
+                "config": {"lambda": np.full(3, 1.0 / 3.0)},
+                "results": {"value": 1.5, "profile": {"a@b": 2.0}},
+            }
+        )
         lines = text.strip().splitlines()
-        assert lines == ["quantity,base_id,value", "results.value,,1.5", "results.profile.a@b,,2"]
+        assert lines == [
+            "quantity,base_id,value",
+            "config.lambda[0],,0.333333333333",
+            "config.lambda[1],,0.333333333333",
+            "config.lambda[2],,0.333333333333",
+            "results.value,,1.5",
+            "results.profile.a@b,,2",
+        ]
 
 
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
@@ -429,6 +444,31 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--p", "2", "--q", "4", "--m", "mu", "--n", "nu"],
+            ["disint-bary", "--p", "2", "--q", "4"],
+        ],
+        ids=["dist", "disint_bary"],
+    )
+    def test_repeated_base_point_exit_2(self, tmp_path, capsys, argv):
+        # two base entries share the id 'w': the fiber entry and the minimax
+        # LP's blocks keyed by id would keep only one of them
+        fiber = {
+            "cost": [[0.0, 1.0], [1.0, 0.0]],
+            "measures": {"mu": [{"point": 0, "w": 1.0}], "nu": [{"point": 1, "w": 1.0}]},
+        }
+        doc = {
+            "base": [{"id": "w", "sigma": 0.5}, {"id": "w", "sigma": 0.5}],
+            "fibers": {"w": fiber},
+        }
+        path = self._write(tmp_path, doc)
+        assert main([argv[0], "--input", path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "base point 'w' is listed more than once" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -746,3 +786,18 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps these by name and fails a traced run (exit
+    # 70) when a required one is gone, so a move or rename is caught here
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    required = [(module, attr) for module, attr, _, needed in targets if needed]
+    assert required
+    for module, attr in required:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"

@@ -11,9 +11,11 @@ import pytest
 import disot
 from disot import ot
 from disot.barycenter import (
+    _certificate_at,
     classical_barycenter,
     disint_barycenter,
     fiber_barycenter_lp,
+    fiber_lps,
     make_problem,
     minimax_barycenter_lp,
     objective,
@@ -292,15 +294,20 @@ class TestSolveCertificate:
         else:
             res = disint_barycenter(prob, max_iter=max_iter, tol=0.0)
             assert res.solver_log["iterations"] == max_iter
-        assert_same_certificate(res.certificate, extract_certificate(prob, res.minimizer))
+        if q == 2.0:
+            # q = p: zeta = 1 and the joint-LP betas
+            ones = np.ones((prob.K, len(prob.base_ids)))
+            fresh = extract_certificate(prob, ones, fiber_lps(prob, ones)[2])
+        else:
+            fresh = _certificate_at(prob, res.minimizer)
+        assert_same_certificate(res.certificate, fresh)
 
     def test_q_inf_needs_the_minimax_zeta(self):
         prob = square_problem(math.inf)
         res = disint_barycenter(prob)
-        with pytest.raises(ValueError):
-            extract_certificate(prob, res.minimizer)
         zeta = minimax_barycenter_lp(prob)[2]
-        assert_same_certificate(res.certificate, extract_certificate(prob, res.minimizer, zeta))
+        fresh = extract_certificate(prob, zeta, fiber_lps(prob, zeta)[2])
+        assert_same_certificate(res.certificate, fresh)
 
 
 class TestGapReport:
@@ -314,6 +321,8 @@ class TestGapReport:
             xi=tuple({b: np.zeros(prob.support[b].size) for b in prob.base_ids} for _ in range(2)),
         )
         report = duality_gap(prob, res, zero)
+        # the primal comes from the result's distances, as the objective would
+        assert report.primal == objective(prob, res.minimizer)
         assert report.dual == 0.0
         assert report.gap == pytest.approx(report.primal)
 
@@ -345,6 +354,39 @@ def _scoped_nodes(tree, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}"
         yield from _scoped_nodes(node, inner)
+
+
+class TestDependencyDirection:
+    """barycenter chooses each route's zeta and betas; duality builds and checks."""
+
+    @staticmethod
+    def _tree(name):
+        return ast.parse((Path(disot.__file__).parent / f"{name}.py").read_text())
+
+    def test_duality_has_no_runtime_import_of_barycenter(self):
+        # imports under ``if TYPE_CHECKING:`` serve annotations only
+        runtime = [
+            node
+            for stmt in self._tree("duality").body
+            if not (isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING")
+            for node in ast.walk(stmt)
+        ]
+        names = [a.name for n in runtime if isinstance(n, ast.Import) for a in n.names]
+        names += [
+            f"{n.module or ''}.{a.name}"
+            for n in runtime
+            if isinstance(n, ast.ImportFrom)
+            for a in n.names
+        ]
+        assert names and not [m for m in names if "barycenter" in m.split(".")]
+
+    def test_barycenter_imports_only_at_module_level(self):
+        nested = [
+            scope
+            for scope, node in _scoped_nodes(self._tree("barycenter"), "barycenter")
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and scope != "barycenter"
+        ]
+        assert nested == []
 
 
 class TestLPLayout:

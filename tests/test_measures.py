@@ -155,6 +155,11 @@ class TestDisintegrate:
         with pytest.raises(NegativeWeight):
             FiberedMeasure(["w1", "w2"], [-1.0, 2.0], {"w1": dirac(0), "w2": dirac(0)})
 
+    @pytest.mark.parametrize("sigma", [[0.5, 0.5], [1.0, 0.0]], ids=["both_charged", "one_null"])
+    def test_repeated_base_point(self, sigma):
+        with pytest.raises(BaseMismatch, match="base point 'w' is listed more than once"):
+            FiberedMeasure(["w", "w"], sigma, {"w": dirac(0)})
+
     def test_normalization_conservation(self, rng):
         base = ["w0", "w1", "w2"]
         fibers = {b: DiscreteMeasure(rng.integers(5, size=10), 5.0 * rng.random(10)) for b in base}
