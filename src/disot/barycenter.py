@@ -1,18 +1,22 @@
 """Barycenters on fixed candidate supports: exact LPs and projected subgradient.
 
 The objective is the weighted sum of p-th powers of the distances to the
-inputs, which is convex in the target fiber weights.  q = p decouples into
-one exact joint transportation LP per fiber; at q = inf the objective is
-piecewise linear, and one exact minimax LP covers all fibers.  p < q < inf is
-solved by projected subgradient descent on the weight simplices.  Every solve
-also returns the dual certificate of its minimizer: each route chooses its zeta
-and betas, and :func:`disot.duality.extract_certificate` builds the pair.
+inputs, which is convex in the target fiber weights.  Every route asks one
+question per fiber, the joint transportation LP at input weights tau, and
+:func:`fiber_barycenter_lp` alone answers it: with two inputs by one exact
+transport problem between them, with three or more by HiGHS.  q = p
+decouples into one such LP per fiber; at q = inf the objective is piecewise
+linear, and one exact minimax LP covers all fibers.  p < q < inf is solved by
+projected subgradient descent on the weight simplices.  Every solve also
+returns the dual certificate of its minimizer: each route chooses its zeta,
+the fiber LPs at that zeta give the betas, and
+:func:`disot.duality.extract_certificate` builds the pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,7 +25,7 @@ from .duality import DualCertificate, eval_dual, extract_certificate
 from .errors import BaseMismatch, EmptySupport, SupportOutOfRange, SupportViolation
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import CostTable, DisintConfig, cost_at, fiber_distance_profile, lq_norm, scrmk
-from .ot import coupling_rows, highs, transport
+from .ot import coupling_rows, exact_basis_value, highs, transport
 from .tolerances import (
     CERT_EVERY,
     CERT_TOL,
@@ -41,7 +45,9 @@ class BarycenterProblem:
     ``support`` maps each base point to the candidate point ids the barycenter
     may charge; it defaults to every point of that fiber's cost matrix.
     ``costs`` accepts any cost table and is stored as a dict from each base
-    point to its ground cost.
+    point to its ground cost.  ``blocks[b][k]`` is the cost block
+    d(f_k^b, support_b)**p from the k-th input's atoms at base point b to its
+    candidate support, built once here for every solve on the problem.
     """
 
     inputs: tuple[FiberedMeasure, ...]
@@ -49,6 +55,7 @@ class BarycenterProblem:
     config: DisintConfig
     costs: Mapping[str, GroundCost]
     support: Mapping[str, np.ndarray]
+    blocks: Mapping[str, tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.inputs) < 2:
@@ -76,7 +83,7 @@ class BarycenterProblem:
                         f"input {k + 1} has atom {int(f.point_ids[-1])} at base point {b!r}, "
                         f"outside its point set of size {costs[b].n}"
                     )
-        sup = {}
+        sup, blocks = {}, {}
         for b in base.base_ids:
             ids = np.asarray(self.support[b], dtype=np.int64)
             if ids.size == 0:
@@ -84,8 +91,13 @@ class BarycenterProblem:
             if ids.min() < 0 or ids.max() >= costs[b].n:
                 raise SupportViolation(f"support ids out of range at {b!r}")
             sup[b] = np.unique(ids)
+            blocks[b] = tuple(
+                costs[b].powered_submatrix(mk.fiber(b).point_ids, sup[b], self.config.p)
+                for mk in self.inputs
+            )
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def K(self) -> int:
@@ -175,33 +187,66 @@ def objective(problem: BarycenterProblem, candidate: FiberedMeasure) -> float:
     return math.fsum(lam * d**problem.config.p for lam, d in zip(problem.lambdas, dists))
 
 
-def fiber_barycenter_lp(
-    fibers: Sequence[DiscreteMeasure],
-    cost: GroundCost,
-    tau: np.ndarray,
-    p: float,
-    support: np.ndarray,
-):
-    """Joint transportation LP for one fiber.
+# floats in one block of the m1 x m2 x s sums behind a pair cost (8 MB)
+_PAIR_BLOCK = 1 << 20
 
-    Variables are one coupling per input plus shared target weights w on the
-    support; couplings are constrained to have their row marginals equal to
-    the inputs and all column marginals equal to w.
 
-    Returns (value, w, betas), where beta_k, the exact LP dual of the k-th
-    input's column links, lives on the candidate support.  With alpha_k the
-    duals of the k-th input's row marginals, they satisfy
-    alpha_k(i) + beta_k(s) <= tau_k * d(i, s)**p and sum_k beta_k >= 0.
+def _pair_cost(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """C[i, j] = min over s of c1[i, s] + c2[j, s], a block of rows at a time."""
+    m1, s = c1.shape
+    m2 = c2.shape[0]
+    step = max(1, _PAIR_BLOCK // (m2 * s))
+    out = np.empty((m1, m2))
+    for lo in range(0, m1, step):
+        np.min(c1[lo : lo + step, None, :] + c2[None, :, :], axis=2, out=out[lo : lo + step])
+    return out
+
+
+def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
+    """Fiber b's joint transportation LP at input weights tau: (value, w, betas).
+
+    The LP couples each input's fiber to shared weights w on the support at
+    cost sum_k <gamma_k, c_k>, with c_k = tau_k * ``problem.blocks[b][k]``.
+    beta_k, an optimal dual of the k-th input's column links to w, satisfies
+    alpha_k(i) + beta_k(s) <= c_k[i, s] with alpha_k optimal duals of its row
+    marginals, and sum_k beta_k >= 0 up to the pivot tolerance.
+
+    Two inputs make one transport problem between them on the pair cost
+    C(i, j) = min_s c_1[i, s] + c_2[j, s] (Agueh & Carlier 2011).  The value
+    is its optimal basis's exact value, w its plan pushed through the first
+    minimizing s, and its potentials (u, v) give beta_1(s) = min_i c_1[i, s]
+    - u_i and beta_2(s) = min_j c_2[j, s] - v_j.  More inputs go to HiGHS.
     """
-    K = len(fibers)
-    s = support.size
+    if problem.K > 2:
+        return _joint_lp(problem, b, tau)
+    c1, c2 = (t * c for t, c in zip(tau, problem.blocks[b]))
+    a1, a2 = (mk.fiber(b).weights for mk in problem.inputs)
+    pair = _pair_cost(c1, c2)
+    _, gamma, u, v, basis = transport(pair, a1, a2)
+    # nonnegative costs make the optimum nonnegative; see solve_ot
+    value = max(0.0, exact_basis_value(pair, a1, a2, basis))
+    rows, cols = np.nonzero(gamma)
+    w = np.zeros(c1.shape[1])
+    np.add.at(w, (c1[rows] + c2[cols]).argmin(axis=1), gamma[rows, cols])
+    betas = [(c1 - u[:, None]).min(axis=0), (c2 - v[:, None]).min(axis=0)]
+    return value, w, betas
+
+
+def _joint_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
+    """:func:`fiber_barycenter_lp` by HiGHS, for any number of inputs.
+
+    Variables are one coupling per input plus w; the rows are every input's
+    row marginals, then per input the column links of its coupling to w.
+    The betas are HiGHS's duals of those links.
+    """
+    K = problem.K
+    s = problem.support[b].size
+    fibers = [mk.fiber(b) for mk in problem.inputs]
     sizes = np.array([len(f) for f in fibers])
     n_marg = int(sizes.sum())
     n_gamma = n_marg * s
-    # rows: every input's row marginals, then per input s column links to w
     rows, cols, data = coupling_rows(sizes, np.full(K, s), np.full(K, n_gamma))
-    blocks = [cost.powered_submatrix(f.point_ids, support, p).ravel() for f in fibers]
-    cvec = np.concatenate([t * cp for t, cp in zip(tau, blocks)] + [np.zeros(s)])
+    cvec = np.concatenate([t * cp.ravel() for t, cp in zip(tau, problem.blocks[b])] + [np.zeros(s)])
     beq = np.concatenate([f.weights for f in fibers] + [np.zeros(K * s)])
     res = highs(cvec, (rows, cols, data, beq))
     w = np.maximum(res.x[n_gamma:], 0.0)
@@ -217,12 +262,11 @@ def minimax_barycenter_lp(problem: BarycenterProblem):
     fiber) coupling.  Returns (value, weights, zeta): the optimum, the optimal
     w keyed by base point, and the rescaled K x B epigraph multipliers zeta.
     """
-    p = problem.config.p
     K, B = problem.K, len(problem.base_ids)
     # variable layout: [gamma blocks (k major, fiber minor), w blocks, t (K)]
-    blocks = [(mk.fiber(b), b) for mk in problem.inputs for b in problem.base_ids]
-    m = np.array([len(f) for f, _ in blocks])
-    s = np.array([problem.support[b].size for _, b in blocks])
+    cp = [problem.blocks[b][k] for k in range(K) for b in problem.base_ids]
+    m = np.array([c.shape[0] for c in cp])
+    s = np.array([c.shape[1] for c in cp])
     n_gamma = int((m * s).sum())
     w_off = n_gamma + np.cumsum(s[:B]) - s[:B]
     t_off = n_gamma + int(s[:B].sum())
@@ -230,14 +274,10 @@ def minimax_barycenter_lp(problem: BarycenterProblem):
     cvec[t_off:] = problem.lambdas
 
     # epigraph row k * B + i: <gamma_(k, b_i), cp> - t_k <= 0
-    cp = [
-        problem.costs[b].powered_submatrix(f.point_ids, problem.support[b], p).ravel()
-        for f, b in blocks
-    ]
     epi = np.arange(K * B)
     ub_rows = np.concatenate([np.repeat(epi, m * s), epi])
     ub_cols = np.concatenate([np.arange(n_gamma), t_off + epi // B])
-    ub_data = np.concatenate(cp + [np.full(K * B, -1.0)])
+    ub_data = np.concatenate([c.ravel() for c in cp] + [np.full(K * B, -1.0)])
 
     # each block's row marginals directly followed by its column links to w;
     # HiGHS returns other (equally optimal) multipliers for other row orders
@@ -250,7 +290,8 @@ def minimax_barycenter_lp(problem: BarycenterProblem):
         ]
     )
     beq = np.zeros(order.size)
-    beq[order[:n_marg]] = np.concatenate([f.weights for f, _ in blocks])
+    fibers = [mk.fiber(b) for mk in problem.inputs for b in problem.base_ids]
+    beq[order[:n_marg]] = np.concatenate([f.weights for f in fibers])
     res = highs(cvec, (order[rows], cols, data, beq), (ub_rows, ub_cols, ub_data, np.zeros(K * B)))
     w = np.maximum(res.x[n_gamma:t_off], 0.0)
     weights = dict(zip(problem.base_ids, np.split(w, np.cumsum(s[: B - 1]))))
@@ -294,55 +335,9 @@ def fiber_lps(problem: BarycenterProblem, zeta: np.ndarray):
     """Each fiber's joint LP at tau = lambda * zeta[:, i]: values, weights, betas by base point."""
     values, weights, betas = {}, {}, {}
     for i, b in enumerate(problem.base_ids):
-        values[b], weights[b], betas[b] = fiber_barycenter_lp(
-            [mk.fiber(b) for mk in problem.inputs],
-            problem.costs[b],
-            problem.lambdas * zeta[:, i],
-            problem.config.p,
-            problem.support[b],
-        )
-    return values, weights, betas
-
-
-# floats in one block of the m1 x m2 x s sums behind a pair cost (8 MB)
-_PAIR_BLOCK = 1 << 20
-
-
-def _pair_cost(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """C[i, j] = min over s of c1[i, s] + c2[j, s], a block of rows at a time."""
-    m1, s = c1.shape
-    m2 = c2.shape[0]
-    step = max(1, _PAIR_BLOCK // (m2 * s))
-    out = np.empty((m1, m2))
-    for lo in range(0, m1, step):
-        np.min(c1[lo : lo + step, None, :] + c2[None, :, :], axis=2, out=out[lo : lo + step])
-    return out
-
-
-def pair_betas(problem: BarycenterProblem, zeta: np.ndarray):
-    """Optimal betas of each fiber's joint LP at tau = lambda * zeta[:, i], for two inputs.
-
-    With c_k = tau_k * d(f_k, support)**p, the joint LP of two inputs equals
-    one transport problem between them with cost C(i, j) = min_s c_1[i, s] +
-    c_2[j, s] (the two-marginal case of Agueh & Carlier 2011).  Its potentials
-    (u, v), c-transformed onto the support, are optimal betas:
-    beta_1(s) = min_i c_1[i, s] - u_i and beta_2(s) = min_j c_2[j, s] - v_j.
-    They meet the conditions of :func:`fiber_barycenter_lp` with alpha = (u, v):
-    c_k - alpha_k >= beta_k holds exactly in floats, and beta_1 + beta_2 >= 0
-    up to the pivot tolerance.  Returns the betas keyed by base point.
-    """
-    p = problem.config.p
-    betas = {}
-    for i, b in enumerate(problem.base_ids):
         tau = problem.lambdas * zeta[:, i]
-        fibers = [mk.fiber(b) for mk in problem.inputs]
-        c1, c2 = (
-            t * problem.costs[b].powered_submatrix(f.point_ids, problem.support[b], p)
-            for t, f in zip(tau, fibers)
-        )
-        _, _, u, v, _ = transport(_pair_cost(c1, c2), fibers[0].weights, fibers[1].weights)
-        betas[b] = [(c1 - u[:, None]).min(axis=0), (c2 - v[:, None]).min(axis=0)]
-    return betas
+        values[b], weights[b], betas[b] = fiber_barycenter_lp(problem, b, tau)
+    return values, weights, betas
 
 
 def _lp_weights(problem: BarycenterProblem):
@@ -411,13 +406,12 @@ def _certificate_at(problem: BarycenterProblem, minimizer: FiberedMeasure) -> Du
     """Certificate at a p < q < inf minimizer.
 
     zeta is Hoelder-aligned with the fiber distance profile to it; the betas
-    come from :func:`pair_betas` for two inputs, else from :func:`fiber_lps`.
+    come from the fiber LPs at that zeta.
     """
     p, q = problem.config.p, problem.config.q
     prof = [fiber_distance_profile(mk, minimizer, p, problem.costs) for mk in problem.inputs]
     zeta = _unit_zeta(problem, np.array([[d for _, d in pk] for pk in prof]) ** (q - p))
-    betas = pair_betas(problem, zeta) if problem.K == 2 else fiber_lps(problem, zeta)[2]
-    return extract_certificate(problem, zeta, betas)
+    return extract_certificate(problem, zeta, fiber_lps(problem, zeta)[2])
 
 
 def _subgradient_barycenter(problem, start, max_iter, tol):
@@ -426,18 +420,12 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     # written so that a NaN tol fails
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    p, r = problem.config.p, problem.config.r
+    r = problem.config.r
     base_ids = problem.base_ids
     sigma = problem.sigma
     K = problem.K
     lambdas = problem.lambdas
     supports = problem.support
-
-    # cost blocks per (k, fiber): input support x candidate support, p-th power
-    cp = {}
-    for k, mk in enumerate(problem.inputs):
-        for b in base_ids:
-            cp[(k, b)] = problem.costs[b].powered_submatrix(mk.fiber(b).point_ids, supports[b], p)
 
     if start is None:
         w = {b: np.full(supports[b].size, 1.0 / supports[b].size) for b in base_ids}
@@ -460,7 +448,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
         duals = {b: [] for b in base_ids}
         for i, b in enumerate(base_ids):
             for k, mk in enumerate(problem.inputs):
-                fmat[k, i], _, _, v, _ = transport(cp[(k, b)], mk.fiber(b).weights, w[b])
+                fmat[k, i], _, _, v, _ = transport(problem.blocks[b][k], mk.fiber(b).weights, w[b])
                 duals[b].append(v)
         per_k_norm = np.array([lq_norm(fmat[k], sigma, r) for k in range(K)])
         obj = math.fsum(lambdas * per_k_norm)

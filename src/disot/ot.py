@@ -17,11 +17,12 @@ pivot limit (both in :mod:`disot.tolerances`) is re-solved by a dense LP.
 transportation polytope vertices in exact rational arithmetic.
 
 :func:`highs` is the package's one entry to scipy's HiGHS solver: the
-transport fallback, the joint barycenter LP and the q = inf minimax LP all go
-through it, with their rows laid out by :func:`coupling_rows`.  It imports
-scipy on its first call, so a command that never solves an LP (``generate``,
-``dist``, ``ot``, and a two-input barycenter at p < q < inf, each short of
-the pivot limit) starts without loading scipy.
+transport fallback, the joint barycenter LP of three or more inputs and the
+q = inf minimax LP all go through it, with their rows laid out by
+:func:`coupling_rows`.  It imports scipy on its first call, so a command that
+never solves an LP (``generate``, ``dist``, ``ot``, and a two-input
+barycenter at q < inf, each short of the pivot limit) starts without loading
+scipy.
 """
 
 from __future__ import annotations

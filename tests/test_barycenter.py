@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,14 +12,13 @@ from hypothesis import strategies as st
 from disot import barycenter
 from disot.barycenter import (
     _certificate_at,
+    _joint_lp,
     classical_barycenter,
     classical_problem,
     disint_barycenter,
     fiber_barycenter_lp,
-    fiber_lps,
     make_problem,
     objective,
-    pair_betas,
     project_simplex,
     uniqueness_probe,
 )
@@ -30,10 +30,11 @@ from disot.errors import (
     SupportOutOfRange,
     SupportViolation,
 )
-from disot.instances import interval_pair, shared_fiber_nonuniqueness
+from disot.instances import generate_instance, interval_pair, shared_fiber_nonuniqueness
+from disot.io import parse_instance
 from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
-from disot.ot import _vertex_min_exact, transport
+from disot.ot import _vertex_min_exact, solve_ot, transport
 from disot.tolerances import OPT_TOL
 
 from conftest import assert_same_certificate, metric_cost, random_fibered_instance
@@ -337,8 +338,32 @@ class TestDisintBarycenter:
             assert disint_barycenter(lp, **settings).certified
 
 
+def pair_instance(kind, p, m1, m2, subset, tiny, seed):
+    """A one-fiber two-input problem on six points, with random zeta (2 x 1)."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    cost = metric_cost(rng, n, kind)
+    mus = []
+    for m in (m1, m2):
+        w = rng.dirichlet(np.ones(m))
+        if tiny and m > 1:
+            w[-1] = 1e-300
+        mus.append(DiscreteMeasure(rng.choice(n, size=m, replace=False), w))
+    support = np.flatnonzero(rng.random(n) < 0.5) if subset else None
+    if support is not None and support.size == 0:
+        support = None
+    lam = rng.uniform(0.05, 0.95)
+    prob = classical_problem(mus, cost, [lam, 1.0 - lam], p, support=support)
+    zeta = rng.uniform(0.1, 2.0, size=(2, 1))
+    return prob, zeta, cost
+
+
+# HiGHS stops 6e-8 relative above the joint LP's optimum here
+HIGHS_SUBOPTIMAL = ("interval", 2.0, 6, 1, False, False, 1)
+
+
 class TestPairBetas:
-    """Two-input joint-LP betas from one transport problem per fiber."""
+    """Two-input joint LPs from one transport problem per fiber."""
 
     @given(
         st.sampled_from(["interval", "square"]),
@@ -349,25 +374,12 @@ class TestPairBetas:
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    # HiGHS stops 6e-8 relative above the joint LP's optimum here
-    @example("interval", 2.0, 6, 1, False, False, 1)
+    @example(*HIGHS_SUBOPTIMAL)
     @settings(max_examples=200, deadline=None)
     def test_betas_are_optimal_joint_lp_duals(self, kind, p, m1, m2, subset, tiny, seed):
-        rng = np.random.default_rng(seed)
-        n = 6
-        cost = metric_cost(rng, n, kind)
-        mus = []
-        for m in (m1, m2):
-            w = rng.dirichlet(np.ones(m))
-            if tiny and m > 1:
-                w[-1] = 1e-300
-            mus.append(DiscreteMeasure(rng.choice(n, size=m, replace=False), w))
-        support = np.flatnonzero(rng.random(n) < 0.5) if subset else None
-        if support is not None and support.size == 0:
-            support = None
-        lam = rng.uniform(0.05, 0.95)
-        prob = classical_problem(mus, cost, [lam, 1.0 - lam], p, support=support)
-        zeta = rng.uniform(0.1, 2.0, size=(2, 1))
+        prob, zeta, cost = pair_instance(kind, p, m1, m2, subset, tiny, seed)
+        b = prob.base_ids[0]
+        tau = prob.lambdas * zeta[:, 0]
         solved = []
 
         def spy(c, a, b):
@@ -376,11 +388,9 @@ class TestPairBetas:
             return out
 
         with mock.patch.object(barycenter, "transport", spy):
-            b = prob.base_ids[0]
-            beta = pair_betas(prob, zeta)[b]
+            value, w, beta = fiber_barycenter_lp(prob, b, tau)
         ((pair_cost, gamma, u, v),) = solved
         fibers = [mk.fiber(b) for mk in prob.inputs]
-        tau = prob.lambdas * zeta[:, 0]
         sup = prob.support[b]
         c = [t * cost.powered_submatrix(f.point_ids, sup, p) for t, f in zip(tau, fibers)]
         # joint-LP dual feasibility: alpha + beta <= tau d^p in floats, with
@@ -403,12 +413,43 @@ class TestPairBetas:
         assert dual == pytest.approx(primal, rel=1e-9)
         # weak duality against HiGHS's optimum of the joint LP; HiGHS can stop
         # up to ~1e-7 relative above the optimum, so equality is not asserted
-        value = fiber_barycenter_lp(fibers, cost, tau, p, sup)[0]
-        assert dual <= value + 1e-9 * abs(value) + 1e-12
+        highs_value = _joint_lp(prob, b, tau)[0]
+        assert dual <= highs_value + 1e-9 * abs(highs_value) + 1e-12
         if m1 <= 4 and m2 <= 4:
             # the exact oracle on the pair cost
             exact = _vertex_min_exact(fibers[0].weights, fibers[1].weights, pair_cost)
             assert float(exact) == pytest.approx(dual, rel=1e-9)
+        # the returned w is a minimizer: the transports from the inputs to it
+        # cost the returned value
+        target = DiscreteMeasure(sup, w)
+        at_w = math.fsum(t * solve_ot(f, target, cost, p).value_p for t, f in zip(tau, fibers))
+        assert at_w == pytest.approx(value, rel=1e-12)
+
+    def test_value_is_exact_where_highs_stops_early(self):
+        prob, zeta, _ = pair_instance(*HIGHS_SUBOPTIMAL)
+        b = prob.base_ids[0]
+        tau = prob.lambdas * zeta[:, 0]
+        value = fiber_barycenter_lp(prob, b, tau)[0]
+        # one atom on the second side: the only plan sends everything to it,
+        # so the optimum is sum_i a_i C(i, 0), here in rationals at mass 1
+        c1, c2 = (t * blk for t, blk in zip(tau, prob.blocks[b]))
+        a = [Fraction(x) for x in prob.inputs[0].fiber(b).weights]
+        pair = [Fraction(x) for x in (c1 + c2[0]).min(axis=1)]
+        exact = sum(x * y for x, y in zip(a, pair)) / sum(a)
+        assert value == float(exact) == pytest.approx(0.0896278600988, rel=1e-12)
+        assert _joint_lp(prob, b, tau)[0] > value
+
+    def test_disint_bary_reports_the_exact_optimum(self):
+        # ``generate --seed 1 --fibers 4 --atoms 80 --measures 2 --kind
+        # interval``, where HiGHS's joint LPs gave 0.00201855849945, 5.2e-8
+        # relative above the optimum
+        doc = generate_instance(seed=1, n_fibers=4, n_atoms=80, n_measures=2, kind="interval")
+        inst = parse_instance(doc)
+        inputs = [inst.measure(name) for name in sorted(inst.measures)]
+        prob = make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, 2.0), inst.costs())
+        res = disint_barycenter(prob)
+        assert res.value == pytest.approx(0.00201855839497, rel=1e-12)
+        assert objective(prob, res.minimizer) == pytest.approx(res.value, rel=1e-12)
 
     def test_pair_cost_blocks_match_the_full_minimum(self, rng, monkeypatch):
         c1, c2 = rng.random((7, 5)), rng.random((4, 5))
@@ -425,7 +466,11 @@ class TestPairBetas:
         prob = make_problem(ms, [0.3, 0.7], DisintConfig(1.0, 3.0), costs)
         res = disint_barycenter(prob)
         cert = _certificate_at(prob, res.minimizer)
-        lp_cert = extract_certificate(prob, cert.zeta, fiber_lps(prob, cert.zeta)[2])
+        highs_betas = {
+            b: _joint_lp(prob, b, prob.lambdas * cert.zeta[:, i])[2]
+            for i, b in enumerate(prob.base_ids)
+        }
+        lp_cert = extract_certificate(prob, cert.zeta, highs_betas)
         lp_bound = eval_dual(lp_cert, prob)
         assert eval_dual(cert, prob) >= lp_bound - 1e-12 * abs(lp_bound)
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import importlib
+import importlib.util
 import itertools
 import json
 import math
@@ -589,8 +590,8 @@ class TestCLI:
         assert out == (GOLDEN_DIR / "disint_bary_square_q4.json").read_bytes()
 
     def test_certify_square_q_inf_report_is_pinned(self, tmp_path, monkeypatch, capsys):
-        # q = inf solves the minimax LP; the certificate and dual bytes equal
-        # those of the earlier subgradient route, which reported a larger primal
+        # q = inf solves the minimax LP for zeta; the betas at that zeta come
+        # from one transport problem per fiber
         monkeypatch.chdir(tmp_path)
         doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
         save_document("inst.json", doc)
@@ -713,6 +714,8 @@ class TestStartup:
             save_document(str(tmp_path / f"{name}.json"), doc)
         doc = generate_instance(seed=3, n_fibers=3, n_atoms=5, n_measures=3, kind="square")
         save_document(str(tmp_path / "three.json"), doc)
+        doc = generate_instance(seed=3, n_fibers=1, n_atoms=5, n_measures=3, kind="interval")
+        save_document(str(tmp_path / "three_one.json"), doc)
 
         def run(*argv):
             out = tmp_path / "loaded.json"
@@ -729,18 +732,31 @@ class TestStartup:
             ["generate", "--seed", "1", "--fibers", "1", "--atoms", "3", "--output", "gen.json"],
             ["ot", "--input", "square.json", "--p", "2", "--mu", "m1", "--nu", "m2"],
             ["dist", "--input", "multi.json", "--p", "2", "--q", "inf", "--m", "m1", "--n", "m2"],
-            # two inputs at p < q < inf: betas from transport problems
+            # two inputs: every fiber LP is one transport problem
             ["disint-bary", "--input", "multi.json", "--p", "2", "--q", "4"],
             ["certify", "--input", "multi.json", "--p", "2", "--q", "4"],
+            ["bary", "--input", "one.json", "--p", "1"],
+            ["certify", "--input", "multi.json", "--p", "2", "--q", "2"],
+            ["example", "2.2"],
         ],
-        ids=["import", "generate", "ot", "dist_q_inf", "disint_bary_q4", "certify_q4"],
+        ids=[
+            "import", "generate", "ot", "dist_q_inf", "disint_bary_q4", "certify_q4",
+            "bary_p1", "certify_q2", "example_2_2",
+        ],
     )
     def test_simplex_only_commands_skip_scipy(self, run_fresh, argv):
         assert run_fresh(*argv) == {"status": 0, "scipy": []}
 
     def test_lp_command_loads_scipy(self, run_fresh):
-        # the check above is not vacuous: a HiGHS solve does load scipy
-        loaded = run_fresh("bary", "--input", "one.json", "--p", "1")
+        # the check above is not vacuous: a HiGHS solve does load scipy;
+        # three inputs solve their fiber LPs by HiGHS
+        loaded = run_fresh("bary", "--input", "three_one.json", "--p", "1")
+        assert loaded["status"] == 0
+        assert "scipy.optimize" in loaded["scipy"]
+
+    def test_minimax_lp_loads_scipy(self, run_fresh):
+        # q = inf still solves one minimax LP by HiGHS
+        loaded = run_fresh("example", "2.1")
         assert loaded["status"] == 0
         assert "scipy.optimize" in loaded["scipy"]
 
@@ -801,3 +817,81 @@ def test_tracer_targets_resolve():
     assert required
     for module, attr in required:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+class TestBenchmarkChecks:
+    """The benchmark's output checker and coverage guard, run in tier-1."""
+
+    @pytest.fixture
+    def perfbench(self, monkeypatch):
+        """Loads perfbench/<name>.py from its file, without touching sys.path."""
+
+        def load(name):
+            path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+            spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            # dataclasses look their module up in sys.modules
+            monkeypatch.setitem(sys.modules, spec.name, module)
+            spec.loader.exec_module(module)
+            return module
+
+        return load
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        # instance names relative to the working directory, as in the benchmark
+        monkeypatch.chdir(tmp_path)
+        for name, fibers, measures, kind in [
+            ("two.json", 1, 2, "interval"),
+            ("three.json", 1, 3, "interval"),
+            ("sq.json", 3, 2, "square"),
+        ]:
+            doc = generate_instance(
+                seed=5, n_fibers=fibers, n_atoms=12, n_measures=measures, kind=kind
+            )
+            save_document(name, doc)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bary", "--input", "two.json", "--p", "1"],
+            ["bary", "--input", "three.json", "--p", "1"],
+            ["certify", "--input", "sq.json", "--p", "2", "--q", "2"],
+            ["certify", "--input", "sq.json", "--p", "2", "--q", "inf"],
+            ["example", "2.2", "--n", "50"],
+        ],
+        ids=["bary_p1", "bary_p1_K3", "certify_q2", "certify_q_inf", "example_2_2"],
+    )
+    def test_reports_pass_the_checker(self, argv, workdir, capsys, perfbench):
+        check, workloads = perfbench("check"), perfbench("workloads")
+        rc = main(argv)
+        out = capsys.readouterr().out.encode()
+        inv = workloads.Invocation(argv[0], tuple(argv))
+        assert check.check_report(inv, rc, out, workdir) == []
+
+    def test_highs_callers_the_coverage_guard_needs(
+        self, workdir, capsys, monkeypatch, highs_calls, perfbench
+    ):
+        # the guard needs HiGHS busy on short-commands, whose one LP is example
+        # 2.1, and on subgradient-2d, where two-input certify --q inf also
+        # keeps the fiber oracle busy
+        workloads = perfbench("workloads")
+        assert "barycenter.highs" in workloads.short_commands(0).busy_layers
+        busy = workloads.subgradient_2d(0).busy_layers
+        assert {"barycenter.highs", "barycenter.fiber_barycenter_lp"} <= set(busy)
+        oracle_calls = []
+        oracle = barycenter.fiber_barycenter_lp
+
+        def spy(*args):
+            oracle_calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(barycenter, "fiber_barycenter_lp", spy)
+        assert main(["example", "2.1"]) == 0
+        assert [c.caller for c in highs_calls] == ["minimax_barycenter_lp"]
+        highs_calls.clear()
+        oracle_calls.clear()
+        assert main(["certify", "--input", "sq.json", "--p", "2", "--q", "inf"]) == 0
+        capsys.readouterr()
+        assert highs_calls and oracle_calls

@@ -12,9 +12,9 @@ import disot
 from disot import ot
 from disot.barycenter import (
     _certificate_at,
+    _joint_lp,
     classical_barycenter,
     disint_barycenter,
-    fiber_barycenter_lp,
     fiber_lps,
     make_problem,
     minimax_barycenter_lp,
@@ -263,7 +263,9 @@ class TestSolveCertificate:
     """Each kappa = p solve extracts its certificate once, at its minimizer."""
 
     @pytest.mark.parametrize(
-        "q, measures", [("2", 2), ("inf", 2), ("4", 2), ("4", 3)], ids=["2", "inf", "4", "4-K3"]
+        "q, measures",
+        [("2", 2), ("inf", 2), ("4", 2), ("2", 3), ("inf", 3), ("4", 3)],
+        ids=["2", "inf", "4", "2-K3", "inf-K3", "4-K3"],
     )
     def test_certify_hands_highs_no_lp_twice(self, q, measures, tmp_path, capsys, highs_calls):
         path = str(tmp_path / "inst.json")
@@ -272,10 +274,13 @@ class TestSolveCertificate:
         save_document(path, doc)
         assert main(["certify", "--input", path, "--p", "2", "--q", q]) == 0
         capsys.readouterr()
-        if (q, measures) == ("4", 2):
-            # two inputs at p < q < inf take their betas from transport problems
+        if measures == 2 and q != "inf":
+            # two inputs solve every fiber LP as one transport problem
             assert highs_calls == []
             return
+        if measures == 2:
+            # q = inf: the minimax LP alone; its betas come from transports
+            assert [c.caller for c in highs_calls] == ["minimax_barycenter_lp"]
         seen = [
             (c.c.tobytes(), c.kwargs["A_eq"].toarray().tobytes(), c.kwargs["b_eq"].tobytes())
             for c in highs_calls
@@ -441,8 +446,7 @@ class TestLPLayout:
         return make_problem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {"w": cost})
 
     def test_joint_lp(self, problem, highs_calls):
-        fibers = [mk.fiber("w") for mk in problem.inputs]
-        fiber_barycenter_lp(fibers, problem.costs["w"], problem.lambdas, 2.0, problem.support["w"])
+        _joint_lp(problem, "w", problem.lambdas)
         (call,) = highs_calls
         assert np.array_equal(call.kwargs["A_eq"].toarray(), self.JOINT_A_EQ)
         assert np.array_equal(call.kwargs["b_eq"], self.JOINT_B_EQ)
@@ -477,13 +481,12 @@ class TestLPLayout:
 
         monkeypatch.setattr(ot, "MAX_PIVOTS_PER_NODE", 0)
         monkeypatch.setattr(ot, "MAX_PIVOTS_BASE", 0)
-        fibers = [mk.fiber("w") for mk in problem.inputs]
-        fiber_barycenter_lp(fibers, problem.costs["w"], problem.lambdas, 2.0, problem.support["w"])
+        _joint_lp(problem, "w", problem.lambdas)
         minimax_barycenter_lp(problem)
         a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
         ot.transport(np.array([[0.0, 1.0], [1.0, 0.0]]), a, b)
         callers = [call.caller for call in highs_calls]
-        assert callers == ["fiber_barycenter_lp", "minimax_barycenter_lp", "_transport_linprog"]
+        assert callers == ["_joint_lp", "minimax_barycenter_lp", "_transport_linprog"]
 
     def test_minimax_lp(self, problem, highs_calls):
         minimax_barycenter_lp(problem)
