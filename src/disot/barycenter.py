@@ -4,12 +4,13 @@ The objective is the weighted sum of p-th powers of the distances to the
 inputs, which is convex in the target fiber weights.  Every route asks one
 question per fiber, the joint transportation LP at input weights tau, and
 :func:`fiber_barycenter_lp` alone answers it: with two inputs by one exact
-transport problem between them, with three or more by HiGHS.  q = p
-decouples into one such LP per fiber; at q = inf the objective is piecewise
-linear, and one exact minimax LP covers all fibers.  p < q < inf is solved by
-projected subgradient descent on the weight simplices.  Every solve also
-returns the dual certificate of its minimizer: each route chooses its zeta,
-the fiber LPs at that zeta give the betas, and
+transport problem between them, with three or more by the multi-marginal
+north-west corner where its own certificate proves it optimal, and by HiGHS
+elsewhere.  q = p decouples into one such LP per fiber; at q = inf the
+objective is piecewise linear, and one exact minimax LP covers all fibers.
+p < q < inf is solved by projected subgradient descent on the weight
+simplices.  Every solve also returns the dual certificate of its minimizer:
+each route chooses its zeta, the fiber LPs at that zeta give the betas, and
 :func:`disot.duality.extract_certificate` builds the pair.
 """
 
@@ -25,12 +26,13 @@ from .duality import DualCertificate, eval_dual, extract_certificate
 from .errors import BaseMismatch, EmptySupport, SupportOutOfRange, SupportViolation
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import CostTable, DisintConfig, cost_at, fiber_distance_profile, lq_norm, scrmk
-from .ot import coupling_rows, exact_basis_value, highs, transport
+from .ot import _common_mass, _dyadic_ints, coupling_rows, exact_basis_value, highs, transport
 from .tolerances import (
     CERT_EVERY,
     CERT_TOL,
     LAMBDA_TOL,
     MAX_ITER,
+    NW_SLACK_ULPS,
     PROBE_DIST_TOL,
     PROBE_EXACT_VALUE_TOL,
     PROBE_VALUE_TOL,
@@ -209,16 +211,19 @@ def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     cost sum_k <gamma_k, c_k>, with c_k = tau_k * ``problem.blocks[b][k]``.
     beta_k, an optimal dual of the k-th input's column links to w, satisfies
     alpha_k(i) + beta_k(s) <= c_k[i, s] with alpha_k optimal duals of its row
-    marginals, and sum_k beta_k >= 0 up to the pivot tolerance.
+    marginals, and sum_k beta_k >= 0 up to the solver's tolerance.
 
     Two inputs make one transport problem between them on the pair cost
     C(i, j) = min_s c_1[i, s] + c_2[j, s] (Agueh & Carlier 2011).  The value
     is its optimal basis's exact value, w its plan pushed through the first
     minimizing s, and its potentials (u, v) give beta_1(s) = min_i c_1[i, s]
-    - u_i and beta_2(s) = min_j c_2[j, s] - v_j.  More inputs go to HiGHS.
+    - u_i and beta_2(s) = min_j c_2[j, s] - v_j.  More inputs take the
+    multi-marginal north-west corner (:func:`_northwest_lp`) where its own
+    certificate proves it optimal, and HiGHS (:func:`_joint_lp`) elsewhere.
     """
     if problem.K > 2:
-        return _joint_lp(problem, b, tau)
+        found = _northwest_lp(problem, b, tau)
+        return _joint_lp(problem, b, tau) if found is None else found
     c1, c2 = (t * c for t, c in zip(tau, problem.blocks[b]))
     a1, a2 = (mk.fiber(b).weights for mk in problem.inputs)
     pair = _pair_cost(c1, c2)
@@ -230,6 +235,60 @@ def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     np.add.at(w, (c1[rows] + c2[cols]).argmin(axis=1), gamma[rows, cols])
     betas = [(c1 - u[:, None]).min(axis=0), (c2 - v[:, None]).min(axis=0)]
     return value, w, betas
+
+
+def _northwest_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
+    """:func:`fiber_barycenter_lp` by the multi-marginal north-west corner, or None.
+
+    The fiber LP equals the multi-marginal transport over K-tuples of input
+    atoms at cost C(i_1..i_K) = min_s sum_k c_k[i_k, s].  Where every c_k is
+    Monge in point order, as |x - s|^p is on the line, C is submodular and the
+    comonotone north-west corner plan is optimal (Carlier 2003; Bein, Brucker,
+    Park & Pathak 1995).  The walk visits tuples in point-id order: each step
+    moves the least residual mass to the tuple's first minimizing s, then
+    advances the first exhausted input; ties insert tuples of zero mass.
+
+    The path potentials phi_k, with sum_k phi_k(i_k) = C on every visited
+    tuple, give beta_k(s) = min_i c_k[i, s] - phi_k(i).  They prove the plan
+    optimal when sum_k beta_k >= 0, the joint LP's one remaining dual row; the
+    check allows NW_SLACK_ULPS ulps of K * max|c_k| of float rounding, and
+    None says it failed.  Masses at one common mass and costs as dyadic
+    integers make the value and the potentials exact before their one
+    rounding, as in :func:`disot.ot.exact_basis_value`.
+    """
+    c = [t * blk for t, blk in zip(tau, problem.blocks[b])]
+    K = len(c)
+    left, mass = _common_mass(*(mk.fiber(b).weights for mk in problem.inputs))
+    last = [len(r) - 1 for r in left]
+    idx = [0] * K
+    steps = []  # per visited tuple: the input that advanced into it, s, mass, its K costs
+    k = None
+    while True:
+        s = int(sum(ck[i] for ck, i in zip(c, idx)).argmin())
+        t = min(r[i] for r, i in zip(left, idx))
+        steps.append((k, s, t, [ck.item(i, s) for ck, i in zip(c, idx)]))
+        for r, i in zip(left, idx):
+            r[i] -= t
+        k = next((k for k in range(K) if left[k][idx[k]] == 0 and idx[k] < last[k]), None)
+        if k is None:
+            break
+        idx[k] += 1
+    ints, cs = _dyadic_ints([x for *_, costs in steps for x in costs])
+    tuple_cost = [sum(ints[j * K : (j + 1) * K]) for j in range(len(steps))]
+    # each input advances one atom at a time, so its potentials grow by appends
+    phi = [[tuple_cost[0]]] + [[0] for _ in range(K - 1)]
+    w = [0] * c[0].shape[1]
+    for j, (k, s, t, _) in enumerate(steps):
+        if k is not None:
+            phi[k].append(phi[k][-1] + tuple_cost[j] - tuple_cost[j - 1])
+        w[s] += t
+    betas = [(ck - np.array([x / cs for x in pk])[:, None]).min(axis=0) for ck, pk in zip(c, phi)]
+    scale = K * max(float(ck.max(initial=0.0)) for ck in c)
+    if float(sum(betas).min()) < -NW_SLACK_ULPS * math.ulp(scale):
+        return None
+    total = sum(t * ct for (_, _, t, _), ct in zip(steps, tuple_cost))
+    # int / int is correctly rounded; nonnegative costs make the optimum nonnegative
+    return max(0.0, total / (mass * cs)), np.array([x / mass for x in w]), betas
 
 
 def _joint_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):

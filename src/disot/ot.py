@@ -17,12 +17,13 @@ pivot limit (both in :mod:`disot.tolerances`) is re-solved by a dense LP.
 transportation polytope vertices in exact rational arithmetic.
 
 :func:`highs` is the package's one entry to scipy's HiGHS solver: the
-transport fallback, the joint barycenter LP of three or more inputs and the
-q = inf minimax LP all go through it, with their rows laid out by
-:func:`coupling_rows`.  It imports scipy on its first call, so a command that
-never solves an LP (``generate``, ``dist``, ``ot``, and a two-input
-barycenter at q < inf, each short of the pivot limit) starts without loading
-scipy.
+transport fallback, the joint barycenter LP of three or more inputs where
+the north-west corner fails its certificate, and the q = inf minimax LP all
+go through it, with their rows laid out by :func:`coupling_rows`.  It
+imports scipy on its first call, so a command that never solves an LP
+(``generate``, ``dist``, ``ot``, a two-input barycenter at q < inf, and one
+with more inputs whose fiber LPs the north-west corner answers, each short
+of the pivot limit) starts without loading scipy.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def exact_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> 
     for i, j in basis:
         adj_r[i].add(j)
         adj_c[j].add(i)
-    ra, rb, mass = _common_mass(a, b)
+    (ra, rb), mass = _common_mass(a, b)
     ic, cs = _dyadic_ints([cost.item(i, j) for i, j in basis])
     c = dict(zip(basis, ic))
     total = 0
@@ -453,17 +454,17 @@ def _dyadic_ints(values) -> tuple[list[int], int]:
     return [n * (s // d) for n, d in fr], s
 
 
-def _common_mass(a, b) -> tuple[list[int], list[int], int]:
-    """Both marginals as integers at one common mass, and that mass.
+def _common_mass(*marginals) -> tuple[list[list[int]], int]:
+    """Every marginal as integers at one common mass, and that mass.
 
-    With a_i = ia_i / s and b_j = ib_j / t as dyadic integers, row i gets
-    ia_i * sum(ib) and column j gets ib_j * sum(ia): divided by the mass
-    sum(ia) * sum(ib), each marginal is rescaled to exact total 1.
+    With marginal k as dyadic integers n_ki / s_k of integer total T_k, atom i
+    of marginal k gets n_ki times the product of the other totals: divided by
+    the mass T_1 * ... * T_K, each marginal is rescaled to exact total 1.
     """
-    ia, _ = _dyadic_ints(a)
-    ib, _ = _dyadic_ints(b)
-    ta, tb = sum(ia), sum(ib)
-    return [x * tb for x in ia], [x * ta for x in ib], ta * tb
+    ints = [_dyadic_ints(m)[0] for m in marginals]
+    totals = [sum(x) for x in ints]
+    mass = math.prod(totals)
+    return [[x * (mass // t) for x in xs] for xs, t in zip(ints, totals)], mass
 
 
 def _vertex_min_exact(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Fraction:
@@ -472,7 +473,7 @@ def _vertex_min_exact(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> Fractio
     Both marginals are rescaled to exact mass 1, as in exact_basis_value; the
     recursion runs on integers, at their common mass.
     """
-    ra, rb, mass = _common_mass(a, b)
+    (ra, rb), mass = _common_mass(a, b)
     flat, cs = _dyadic_ints(cost.ravel())
     n = len(rb)
     costs = [flat[i * n : (i + 1) * n] for i in range(len(ra))]

@@ -39,6 +39,14 @@ BLAND_AFTER_PER_NODE = 10
 BLAND_AFTER_BASE = 50
 """Degenerate pivots added to BLAND_AFTER_PER_NODE * (m + n) before Bland's rule takes over."""
 
+NW_SLACK_ULPS = 4
+"""Rounding slack of the north-west corner's fiber-LP certificate, in ulps of K * max|c_k|.
+
+The certificate of a fiber LP with K >= 3 inputs is exact up to the rounding
+of its potentials and c-transforms, so this bound stays at that level; a plan
+it does not prove optimal goes to HiGHS instead.
+"""
+
 MARGINAL_TOL = 1e-9
 """Largest marginal residual a transport plan may carry before it is rejected."""
 

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +36,10 @@ from disot.io import parse_instance
 from disot.measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
 from disot.ot import _vertex_min_exact, solve_ot, transport
-from disot.tolerances import OPT_TOL
+from disot.tolerances import NW_SLACK_ULPS, OPT_TOL
 
 from conftest import assert_same_certificate, metric_cost, random_fibered_instance
+from reference_multimarginal import tuple_lp_value
 
 
 def line_cost(points):
@@ -473,6 +475,88 @@ class TestPairBetas:
         lp_cert = extract_certificate(prob, cert.zeta, highs_betas)
         lp_bound = eval_dual(lp_cert, prob)
         assert eval_dual(cert, prob) >= lp_bound - 1e-12 * abs(lp_bound)
+
+
+def line_instance(K, p, tied, subset, tiny, seed):
+    """A one-fiber K-input problem on four sorted points of the line, with random tau."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    # a grid of quarters makes coordinates tie
+    pts = np.sort(rng.integers(0, 4, n) / 4.0 if tied else rng.random(n))
+    mus = []
+    for _ in range(K):
+        m = int(rng.integers(1, 4))
+        w = rng.dirichlet(np.ones(m))
+        if tiny and m > 1:
+            w[rng.integers(m)] = 1e-300
+        mus.append(DiscreteMeasure(rng.choice(n, size=m, replace=False), w))
+    support = np.flatnonzero(rng.random(n) < 0.5) if subset else None
+    if support is not None and support.size == 0:
+        support = None
+    prob = classical_problem(mus, line_cost(pts), rng.dirichlet(np.ones(K)), p, support=support)
+    return prob, prob.lambdas * rng.uniform(0.1, 2.0, size=K)
+
+
+class TestNorthWestCorner:
+    """Fiber LPs of three or more inputs by the multi-marginal north-west corner."""
+
+    @given(
+        st.sampled_from([3, 4]),
+        st.sampled_from([1.0, 2.0]),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_tuple_lp(self, K, p, tied, subset, tiny, seed):
+        prob, tau = line_instance(K, p, tied, subset, tiny, seed)
+        b = prob.base_ids[0]
+        with mock.patch.object(scipy.optimize, "linprog", wraps=scipy.optimize.linprog) as spy:
+            value, w, betas = fiber_barycenter_lp(prob, b, tau)
+        if spy.called:
+            # the certificate failed: the answer is HiGHS's
+            want = _joint_lp(prob, b, tau)
+            assert value == want[0] and w.tobytes() == want[1].tobytes()
+            return
+        fibers = [mk.fiber(b) for mk in prob.inputs]
+        c = [t * blk for t, blk in zip(tau, prob.blocks[b])]
+        exact = tuple_lp_value(c, [f.weights for f in fibers])
+        assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+        highs_value = _joint_lp(prob, b, tau)[0]
+        assert value <= highs_value + 1e-9 * abs(highs_value) + 1e-12
+        # the returned w is a minimizer: the transports from the inputs to it
+        # cost the returned value
+        target = DiscreteMeasure(prob.support[b], w)
+        at_w = math.fsum(
+            t * solve_ot(f, target, prob.costs[b], p).value_p for t, f in zip(tau, fibers)
+        )
+        assert at_w == pytest.approx(value, rel=1e-12, abs=1e-300)
+        # the betas are joint-LP duals: with alpha_k their c-transforms, the
+        # dual value is the returned value
+        scale = K * max(float(ck.max()) for ck in c)
+        assert sum(betas).min() >= -NW_SLACK_ULPS * math.ulp(scale)
+        alphas = [(ck - bk[None, :]).min(axis=1) for ck, bk in zip(c, betas)]
+        dual = math.fsum(x for f, a in zip(fibers, alphas) for x in f.weights * a)
+        assert dual == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+    def test_square_costs_fall_back_to_highs(self, rng, highs_calls):
+        # on 2-d costs the north-west corner is rarely optimal; where its
+        # certificate fails, the oracle answers by the joint LP
+        declined = 0
+        for _ in range(20):
+            ms, _ = random_fibered_instance(rng, 3, 1, 5, full_support=True)
+            prob = make_problem(ms, [0.2, 0.3, 0.5], DisintConfig(2.0, 2.0),
+                                {"w1": metric_cost(rng, 5, "square")})
+            highs_calls.clear()
+            value, w, betas = fiber_barycenter_lp(prob, "w1", prob.lambdas)
+            if not highs_calls:
+                continue
+            declined += 1
+            want_value, want_w, want_betas = _joint_lp(prob, "w1", prob.lambdas)
+            assert value == want_value and w.tobytes() == want_w.tobytes()
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(betas, want_betas))
+        assert declined > 10
 
 
 def grid_search_oracle(prob, steps=32):

@@ -738,19 +738,23 @@ class TestStartup:
             ["bary", "--input", "one.json", "--p", "1"],
             ["certify", "--input", "multi.json", "--p", "2", "--q", "2"],
             ["example", "2.2"],
+            # three inputs on the line: the north-west corner proves itself optimal
+            ["bary", "--input", "three_one.json", "--p", "2"],
+            ["disint-bary", "--input", "three_one.json", "--p", "2", "--q", "2"],
         ],
         ids=[
             "import", "generate", "ot", "dist_q_inf", "disint_bary_q4", "certify_q4",
-            "bary_p1", "certify_q2", "example_2_2",
+            "bary_p1", "certify_q2", "example_2_2", "bary_p2_K3", "disint_bary_q2_K3",
         ],
     )
     def test_simplex_only_commands_skip_scipy(self, run_fresh, argv):
         assert run_fresh(*argv) == {"status": 0, "scipy": []}
 
     def test_lp_command_loads_scipy(self, run_fresh):
-        # the check above is not vacuous: a HiGHS solve does load scipy;
-        # three inputs solve their fiber LPs by HiGHS
-        loaded = run_fresh("bary", "--input", "three_one.json", "--p", "1")
+        # the check above is not vacuous: a HiGHS solve does load scipy; on
+        # 2-d costs the three-input north-west corner does not prove itself
+        # optimal, so those fiber LPs go to HiGHS
+        loaded = run_fresh("disint-bary", "--input", "three.json", "--p", "2", "--q", "2")
         assert loaded["status"] == 0
         assert "scipy.optimize" in loaded["scipy"]
 
@@ -895,3 +899,46 @@ class TestBenchmarkChecks:
         assert main(["certify", "--input", "sq.json", "--p", "2", "--q", "inf"]) == 0
         capsys.readouterr()
         assert highs_calls and oracle_calls
+
+
+class TestThreeInputsOnTheLine:
+    """Three-input q = p commands on the benchmark's 80-atom interval instances.
+
+    Their fiber LPs go to the north-west corner, which proves itself optimal
+    at p = 2.  At p = 1 the twelve digits an instance file keeps of each
+    distance break its certificate, so those LPs still go to HiGHS.
+    """
+
+    @staticmethod
+    def _run(capsys, argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    @staticmethod
+    def _instance(tmp_path, seed):
+        path = str(tmp_path / f"iv80-{seed}.json")
+        assert main(["generate", "--seed", str(seed), "--fibers", "4", "--atoms", "80",
+                     "--measures", "3", "--kind", "interval", "--output", path]) == 0
+        return path
+
+    def test_reports_the_exact_optimum(self, tmp_path, capsys, highs_calls):
+        # the seed-1 exact-lp-1d instance, where HiGHS's joint LPs reported
+        # 0.00157596401577 and certify a gap of 2.3e-10
+        path = self._instance(tmp_path, 1001)
+        capsys.readouterr()
+        res = self._run(capsys, ["disint-bary", "--input", path, "--p", "2", "--q", "2"])
+        assert res["value"] == 0.00157596390508
+        res = self._run(capsys, ["certify", "--input", path, "--p", "2", "--q", "2"])
+        assert res["certified"] is True
+        assert abs(res["gap"]) < 1e-15
+        assert highs_calls == []
+
+    def test_highs_stays_busy_on_exact_lp_1d(self, tmp_path, capsys, highs_calls):
+        # the seed-0 exact-lp-1d instance: certify p=1 q=1 is the workload's
+        # one HiGHS caller, which its barycenter.highs coverage rests on
+        path = self._instance(tmp_path, 1)
+        capsys.readouterr()
+        self._run(capsys, ["disint-bary", "--input", path, "--p", "2", "--q", "2"])
+        assert highs_calls == []
+        self._run(capsys, ["certify", "--input", path, "--p", "1", "--q", "1"])
+        assert [c.caller for c in highs_calls] == ["_joint_lp"] * 4
