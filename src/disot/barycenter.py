@@ -37,6 +37,7 @@ from .tolerances import (
     PROBE_EXACT_VALUE_TOL,
     PROBE_VALUE_TOL,
     ZETA_FLOOR,
+    gap_allowance,
 )
 
 
@@ -445,12 +446,14 @@ def disint_barycenter(
 
     q = p (per-fiber LPs) and q = inf (one minimax LP) return the exact LP
     optimum with gap 0 and ignore ``start``, ``max_iter`` and ``tol``.  For
-    p < q < inf projected subgradient descent with steps c/sqrt(iter) stops
-    once a dual certificate bounds the gap by tol * (1 + value).  The
-    certificate is checked at the first iteration and then every CERT_EVERY
-    iterations (:mod:`disot.tolerances`).  Hitting the iteration cap returns
-    the best iterate flagged as non-certified.  On this route a ``max_iter``
-    below 1 or a NaN or negative ``tol`` raises ValueError.
+    p < q < inf projected subgradient descent takes Polyak steps toward the
+    best certified dual bound and stops once a dual certificate bounds the
+    gap by tol * (1 + value) (:func:`disot.tolerances.gap_allowance`).  The
+    certificate is checked at the first iteration, every CERT_EVERY
+    iterations, and at once when an iterate's value reaches the bound, which
+    weak duality makes optimal.  Hitting the iteration cap returns the best
+    iterate flagged as non-certified.  On this route a ``max_iter`` below 1
+    or a NaN or negative ``tol`` raises ValueError.
 
     ``certificate`` is the dual certificate at the minimizer, from the LP
     duals or from the last check (extracted anew if the minimizer moved since);
@@ -495,7 +498,6 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     best_w = None
     cert_w = cert = None  # the weights of the last check and their certificate
     dual_bound = -math.inf
-    step_scale = None
     certified = False
     gap = math.inf
     trace = []
@@ -533,26 +535,23 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
             gap = 0.0
             dual_bound = max(dual_bound, obj)
             break
-        if step_scale is None:
-            step_scale = obj / gnorm
 
-        if it == 1 or it % CERT_EVERY == 0:
+        # at obj <= dual_bound weak duality makes the iterate optimal, and
+        # the check certifies it
+        if it == 1 or it % CERT_EVERY == 0 or obj <= dual_bound:
             if best_w is not cert_w:
                 cert_w = best_w
                 cert = _certificate_at(problem, _assemble(problem, best_w))
                 dual_bound = max(dual_bound, eval_dual(cert, problem))
             gap = best_val - dual_bound
             trace.append((it, best_val, dual_bound))
-            if gap <= tol * (1.0 + abs(best_val)):
+            if gap <= gap_allowance(tol, best_val):
                 certified = True
                 break
 
-        step = step_scale / math.sqrt(it)
-        if obj > dual_bound:
-            # Polyak step toward the certified lower bound; the bound only
-            # underestimates the optimum, so this remains convergent and is
-            # much faster than the plain c/sqrt(iter) tail
-            step = (obj - dual_bound) / (gnorm * gnorm)
+        # Polyak step toward the certified lower bound, which only
+        # underestimates the optimum
+        step = (obj - dual_bound) / (gnorm * gnorm)
         for b in base_ids:
             w[b] = project_simplex(w[b] - step * grad[b])
 

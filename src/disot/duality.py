@@ -25,7 +25,7 @@ from .errors import ShapeMismatch
 from .measures import ValidationReport, Violation
 from .metric import lq_norm
 from .ot import c_transform
-from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL
+from .tolerances import CERT_TOL, EXACT_CERT_TOL, NORM_TOL, SUM_TOL, gap_allowance
 
 if TYPE_CHECKING:
     from .barycenter import BarycenterProblem, BarycenterResult
@@ -186,10 +186,11 @@ def duality_gap(
     inputs, the barycenter objective at its minimizer.
 
     ``tol`` is relative: the gap passes when it is at most
-    tol * (1 + |primal|), which the report carries as its ``tol``.  It
-    defaults to EXACT_CERT_TOL in the exact LP regime q = p and to CERT_TOL
-    otherwise.  An invalid certificate yields dual = -inf and certified = False.
-    A NaN or negative ``tol`` raises ValueError.
+    tol * (1 + |primal|) (:func:`disot.tolerances.gap_allowance`), which the
+    report carries as its ``tol``.  It defaults to EXACT_CERT_TOL in the exact
+    LP regime q = p and to CERT_TOL otherwise.  An invalid certificate yields
+    dual = -inf and certified = False.  A NaN or negative ``tol`` raises
+    ValueError.
     """
     if tol is None:
         tol = EXACT_CERT_TOL if problem.config.q == problem.config.p else CERT_TOL
@@ -197,7 +198,7 @@ def duality_gap(
         raise ValueError(f"tol must be nonnegative, got {tol}")
     p = problem.config.p
     primal = math.fsum(lam * d**p for lam, d in zip(problem.lambdas, result.per_k_distances))
-    tol = tol * (1.0 + abs(primal))
+    tol = gap_allowance(tol, primal)
     report = validate_certificate(cert, problem)
     if not report.ok:
         return GapReport(primal=primal, dual=-math.inf, gap=math.inf, certified=False, tol=tol)

@@ -162,15 +162,22 @@ def _hang(top, adj, parent, depth, pot, cost, m):
 
 
 def _tree(basis, cost, m, n):
-    """Adjacency lists, parent, depth and potentials of a basis rooted at row 0."""
+    """Adjacency lists, parent, depth and potentials of a basis forest.
+
+    Each component hangs from its lowest node, at potential 0; a spanning
+    tree, as every basis of :func:`transport` is, hangs from row 0.
+    """
     adj: list[list[int]] = [[] for _ in range(m + n)]
     for i, j in basis:
         adj[i].append(m + j)
         adj[m + j].append(i)
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
-    pot = [0.0] * (m + n)
-    _hang(0, adj, parent, depth, pot, cost, m)
+    pot = [None] * (m + n)
+    for root in range(m + n):
+        if pot[root] is None:
+            pot[root] = 0
+            _hang(root, adj, parent, depth, pot, cost, m)
     return adj, parent, depth, pot
 
 
@@ -359,57 +366,31 @@ def _transport_linprog(cost, a, b):
 
 
 def exact_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> float:
-    """Objective of the basic solution carried by a spanning-tree basis.
+    """Objective of the basic solution carried by a basis forest.
 
-    The allocations are re-derived from the marginals by leaf elimination in
-    exact arithmetic and the cost sum rounded once, so the value is
-    independent of pivot order and of any relabeling of the points.  Both
-    marginals are first rescaled to exact total mass 1, which removes their
-    ~1e-16 float imbalance symmetrically.
+    The flows are re-derived from the marginals in exact arithmetic and the
+    cost sum rounded once, so the value is independent of pivot order and of
+    any relabeling of the points.  Both marginals are first rescaled to exact
+    total mass 1, which removes their ~1e-16 float imbalance symmetrically.
 
-    The elimination runs on integers: the marginals at a common mass (see
-    :func:`_common_mass`) and the basic cells' costs as dyadic integers over
-    one power of two cs, so the value is one integer over mass * cs, rounded
-    once.
+    One pass visits the nodes of the forest that :func:`_tree` hangs, deepest
+    first: a node's net, its own mass less what its children send through it,
+    is the flow on its cell to its parent.  A component whose masses do not
+    balance, as in a :func:`_transport_linprog` forest, leaves the excess at
+    its root.  The pass runs on integers: the marginals at a common mass (see
+    :func:`_common_mass`) and the cells' costs as dyadic integers over one
+    power of two cs, so the value is one integer over mass * cs.
     """
     m, n = cost.shape
-    adj_r: list[set[int]] = [set() for _ in range(m)]
-    adj_c: list[set[int]] = [set() for _ in range(n)]
-    for i, j in basis:
-        adj_r[i].add(j)
-        adj_c[j].add(i)
+    _, parent, depth, _ = _tree(basis, cost, m, n)
+    up = sorted((x for x in range(m + n) if parent[x] >= 0), key=depth.__getitem__, reverse=True)
+    cells = [(x, parent[x] - m) if x < m else (parent[x], x - m) for x in up]
+    ints, cs = _dyadic_ints([cost.item(i, j) for i, j in cells])
     (ra, rb), mass = _common_mass(a, b)
-    ic, cs = _dyadic_ints([cost.item(i, j) for i, j in basis])
-    c = dict(zip(basis, ic))
-    total = 0
-    stack = [(True, i) for i in range(m) if len(adj_r[i]) == 1]
-    stack += [(False, j) for j in range(n) if len(adj_c[j]) == 1]
-    remaining = len(basis)
-    while stack and remaining:
-        is_row, node = stack.pop()
-        adj = adj_r[node] if is_row else adj_c[node]
-        if len(adj) != 1:
-            continue
-        other = next(iter(adj))
-        if is_row:
-            alloc = ra[node]
-            total += alloc * c[node, other]
-            rb[other] -= alloc
-            ra[node] = 0
-            adj_r[node].discard(other)
-            adj_c[other].discard(node)
-            if len(adj_c[other]) == 1:
-                stack.append((False, other))
-        else:
-            alloc = rb[node]
-            total += alloc * c[other, node]
-            ra[other] -= alloc
-            rb[node] = 0
-            adj_c[node].discard(other)
-            adj_r[other].discard(node)
-            if len(adj_r[other]) == 1:
-                stack.append((True, other))
-        remaining -= 1
+    net, total = ra + rb, 0
+    for x, c in zip(up, ints):
+        total += net[x] * c
+        net[parent[x]] -= net[x]
     # int / int is correctly rounded, as float(Fraction(...)) is
     return total / (mass * cs)
 

@@ -22,10 +22,21 @@ CERT_EVERY = 25
 LAMBDA_TOL = 1e-12
 """Largest allowed distance of the barycenter weights' sum from 1."""
 
+
+def gap_allowance(tol: float, value: float) -> float:
+    """Largest duality gap that certifies ``value`` at relative tolerance tol: tol * (1 + |value|)."""
+    return tol * (1.0 + abs(value))
+
+
 # --- transport ----------------------------------------------------------------
 
 OPT_TOL = 1e-11
-"""Optimality tolerance on network-simplex reduced costs, relative to the cost scale."""
+"""Optimality tolerance on network-simplex reduced costs, scaled by max(1, largest |cost|).
+
+``transport`` stops once no reduced cost is below -OPT_TOL * max(1, largest
+|cost|), so below a cost scale of 1 the tolerance stays absolute (the strict
+xfail ``test_costs_below_pivot_tolerance``).
+"""
 
 MAX_PIVOTS_PER_NODE = 200
 """Network-simplex pivots allowed per row and column node before the dense LP fallback."""

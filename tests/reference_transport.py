@@ -7,9 +7,10 @@ first did, and so does its row-minimum start, which takes over as in
 ``ot.transport`` when the north-west tree is not optimal.  The two must agree
 bit for bit on every problem; see ``tests/test_ot.py::TestTransportReference``.
 
-``reference_basis_value`` is the earlier ``ot.exact_basis_value``, which does
-the same leaf elimination in ``Fraction`` arithmetic; the integer version
-must return the same float bit for bit (``TestExactBasisValueReference``).
+``reference_basis_value`` is an earlier ``ot.exact_basis_value``, which
+eliminates leaves in ``Fraction`` arithmetic; the one pass over the rooted
+forest on integers must return the same float bit for bit
+(``TestExactBasisValueReference``).
 """
 
 from __future__ import annotations

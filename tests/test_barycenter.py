@@ -559,6 +559,43 @@ class TestNorthWestCorner:
         assert declined > 10
 
 
+def _tuple_lp_fiber(prob, b, tau):
+    """The fiber LP's value by the exact tuple-LP oracle."""
+    blocks = [t * blk for t, blk in zip(tau, prob.blocks[b])]
+    return tuple_lp_value(blocks, [mk.fiber(b).weights for mk in prob.inputs])
+
+
+class TestOracleOnSquareCosts:
+    """The fiber oracle against the tuple LP where HiGHS answers: 2-d costs."""
+
+    def test_matches_the_tuple_lp(self, rng, highs_calls):
+        answered = 0
+        for K, atoms in [(3, 4)] * 5 + [(4, 3)] * 5:
+            ms, _ = random_fibered_instance(rng, K, 1, atoms, full_support=True)
+            prob = make_problem(ms, rng.dirichlet(np.ones(K)), DisintConfig(2.0, 2.0),
+                                {"w1": metric_cost(rng, atoms, "square")})
+            tau = prob.lambdas * rng.uniform(0.1, 2.0, size=K)
+            highs_calls.clear()
+            value = fiber_barycenter_lp(prob, "w1", tau)[0]
+            answered += bool(highs_calls)
+            assert value == pytest.approx(float(_tuple_lp_fiber(prob, "w1", tau)), rel=1e-9, abs=0.0)
+        # on 2-d costs the north-west corner seldom proves itself optimal, so
+        # HiGHS answers most of the ten
+        assert answered > 5
+
+    @pytest.mark.parametrize("kind", ["interval", "square"])
+    def test_disintegrated_q_equals_p_fiber_by_fiber(self, kind, rng):
+        ms, _ = random_fibered_instance(rng, 3, 2, 3, full_support=True)
+        costs = {b: metric_cost(rng, 3, kind) for b in ms[0].base_ids}
+        prob = make_problem(ms, [0.2, 0.3, 0.5], DisintConfig(2.0, 2.0), costs)
+        res = disint_barycenter(prob)
+        want = sum(
+            Fraction(s) * _tuple_lp_fiber(prob, b, prob.lambdas)
+            for s, b in zip(prob.sigma, prob.base_ids)
+        )
+        assert res.value == pytest.approx(float(want), rel=1e-9, abs=0.0)
+
+
 def grid_search_oracle(prob, steps=32):
     """Exhaustive minimum over per-fiber simplex grids of the given pitch."""
     p, q = prob.config.p, prob.config.q

@@ -823,6 +823,38 @@ def test_tracer_targets_resolve():
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
 
+def test_tracer_records_exact_basis_value(tmp_path):
+    # the benchmark's busy ot.exact_basis_value layer: a traced ``ot`` and a
+    # traced two-input ``bary`` each record spans of it under the caller that
+    # values its basis, so a refactor that inlines or renames the function
+    # fails here first
+    root = Path(__file__).resolve().parents[1]
+    doc = generate_instance(seed=4, n_fibers=1, n_atoms=5, kind="square")
+    save_document(str(tmp_path / "tiny.json"), doc)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    runs = {
+        "ot": ["ot", "--input", "tiny.json", "--p", "2", "--mu", "m1", "--nu", "m2"],
+        "bary": ["bary", "--input", "tiny.json", "--p", "2"],
+    }
+    callers = {"ot": "ot.solve_ot", "bary": "barycenter.fiber_barycenter_lp"}
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), "--out", f"{name}.json",
+             "--trace", "--", *argv],
+            cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        for name, argv in runs.items()
+    }
+    for name, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+        spans = json.loads((tmp_path / f"{name}.json").read_text())["spans"]
+        parents = {spans[parent][0] for span_name, _, _, parent, _ in spans
+                   if span_name == "ot.exact_basis_value"}
+        assert callers[name] in parents, name
+
+
 class TestBenchmarkChecks:
     """The benchmark's output checker and coverage guard, run in tier-1."""
 

@@ -461,6 +461,27 @@ class TestExactBasisValueReference:
         want = reference_basis_value(cost, a, b, basis)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    def test_forest_with_an_empty_row(self):
+        # a basis as the LP fallback can return it: row 0 carries no mass and
+        # no cell, and the other cells form two components, {rows 1, 2,
+        # column 0} and the path column 1 - row 3 - column 2 - row 4
+        cost = np.array([
+            [0.3, 0.9, 0.1],
+            [0.7, 0.2, 0.6],
+            [0.1, 0.4, 1 / 3],
+            [0.5, 0.3, 0.9],
+            [0.8, 0.6, 0.7],
+        ])
+        a = np.array([0.0, 0.375, 0.125, 0.25, 0.25])
+        b = np.array([0.5, 0.125, 0.375])
+        basis = [(1, 0), (2, 0), (3, 1), (3, 2), (4, 2)]
+        got = ot.exact_basis_value(cost, a, b, basis)
+        want = reference_basis_value(cost, a, b, basis)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        flows = {(1, 0): 0.375, (2, 0): 0.125, (3, 1): 0.125, (3, 2): 0.125, (4, 2): 0.25}
+        exact = sum(Fraction(f) * Fraction(cost[cell]) for cell, f in flows.items())
+        assert got == float(exact)
+
 
 def _random_small_problem(rng):
     """A p = 2 problem of at most 4 x 4 atoms for the brute-force oracle."""
