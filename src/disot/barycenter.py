@@ -453,7 +453,10 @@ def disint_barycenter(
     iterations, and at once when an iterate's value reaches the bound, which
     weak duality makes optimal.  Hitting the iteration cap returns the best
     iterate flagged as non-certified.  On this route a ``max_iter`` below 1
-    or a NaN or negative ``tol`` raises ValueError.
+    or a NaN or negative ``tol`` raises ValueError.  Each iteration solves
+    one transport per (fiber, input) from the input's atoms to the current
+    weights at a fixed cost, warm-started from that transport's optimal tree
+    at the previous iteration (the ``basis`` of :func:`disot.ot.transport`).
 
     ``certificate`` is the dual certificate at the minimizer, from the LP
     duals or from the last check (extracted anew if the minimizer moved since);
@@ -501,6 +504,9 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     certified = False
     gap = math.inf
     trace = []
+    # each (fiber, input) transport keeps its cost while w moves, so its last
+    # optimal tree stays dual feasible and warm-starts the next solve
+    trees = {}
 
     it = 0
     for it in range(1, max_iter + 1):
@@ -509,7 +515,9 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
         duals = {b: [] for b in base_ids}
         for i, b in enumerate(base_ids):
             for k, mk in enumerate(problem.inputs):
-                fmat[k, i], _, _, v, _ = transport(problem.blocks[b][k], mk.fiber(b).weights, w[b])
+                fmat[k, i], _, _, v, trees[b, k] = transport(
+                    problem.blocks[b][k], mk.fiber(b).weights, w[b], basis=trees.get((b, k))
+                )
                 duals[b].append(v)
         per_k_norm = np.array([lq_norm(fmat[k], sigma, r) for k in range(K)])
         obj = math.fsum(lambdas * per_k_norm)

@@ -13,6 +13,15 @@ and recomputes only the potentials of the subtree that the leaving cell
 cuts off, once it is hung back from the entering cell.  A run of degenerate
 pivots switches pricing to Bland's rule, and a problem that reaches the
 pivot limit (both in :mod:`disot.tolerances`) is re-solved by a dense LP.
+
+A caller that solves one cost for many marginals, as the subgradient
+barycenter loop does, can pass the optimal tree of its last call in place of
+the row-minimum start.  That tree is still dual feasible, so a dual network
+simplex repairs it: the tree's flows are recomputed from the new marginals,
+and each dual pivot drops the cell of the most negative flow and enters the
+cheapest cell that feeds the side short of mass, reusing the same cycle walk
+and subtree re-hanging.  Any tree it cannot use goes to the row-minimum
+start, with the same result bit for bit.
 :func:`brute_force_ot` is an independent oracle that enumerates
 transportation polytope vertices in exact rational arithmetic.
 
@@ -41,8 +50,10 @@ from .tolerances import (
     BLAND_AFTER_BASE,
     BLAND_AFTER_PER_NODE,
     MARGINAL_TOL,
+    MAX_DUAL_PIVOTS_PER_NODE,
     MAX_PIVOTS_BASE,
     MAX_PIVOTS_PER_NODE,
+    NEG_FLOW_TOL,
     OPT_TOL,
 )
 
@@ -198,7 +209,141 @@ def _price(pot, cost, reduced, tol, bland):
     return uv, (None if cand.size == 0 else (int(cand[0][0]), int(cand[0][1])))
 
 
-def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _cycle(ei, ej, parent, depth, m):
+    """Cells of the tree path from row ei to column ej, and how many lie on the row's side.
+
+    The path is found by walking up from both ends, deeper end first, until
+    the walks meet; rows sit at even depth and columns at odd depth, so the
+    walks never tie.  The cells are listed from row ei to column ej, and the
+    first ones, up to the returned count, are those the walk from row ei took.
+    """
+    x, y = ei, m + ej
+    up_x: list[int] = []
+    up_y: list[int] = []
+    while x != y:
+        if depth[x] > depth[y]:
+            up_x.append(x)
+            x = parent[x]
+        else:
+            up_y.append(y)
+            y = parent[y]
+    up_y.reverse()
+    path = [(c, parent[c] - m) if c < m else (parent[c], c - m) for c in up_x + up_y]
+    return path, len(up_x)
+
+
+def _exchange(entering, leaving, top, adj, parent, depth, pot, cost, m):
+    """Swap the leaving cell for the entering cell in the tree.
+
+    Cutting the leaving cell splits off the subtree that holds ``top``, one
+    end of the entering cell; it is hung back from the entering cell's other
+    end, and only its potentials are recomputed.
+    """
+    ei, ej = entering
+    li, lj = leaving[0], m + leaving[1]
+    adj[li].remove(lj)
+    adj[lj].remove(li)
+    adj[ei].append(m + ej)
+    adj[m + ej].append(ei)
+    under = m + ej if top == ei else ei
+    parent[top] = under
+    depth[top] = depth[under] + 1
+    pot[top] = cost.item(ei, ej) - pot[under]
+    _hang(top, adj, parent, depth, pot, cost, m)
+
+
+def _upward(parent, depth, m):
+    """The non-root nodes of a hung forest, deepest first, and the cell to each one's parent."""
+    up = sorted((x for x in range(len(parent)) if parent[x] >= 0), key=depth.__getitem__, reverse=True)
+    return up, [(x, parent[x] - m) if x < m else (parent[x], x - m) for x in up]
+
+
+def _spans(basis, m, n):
+    """Whether the cells form a spanning tree of the m row and n column nodes."""
+    if len(basis) != m + n - 1:
+        return False
+    # union-find with path halving: a cell whose ends share a root closes a cycle
+    root = list(range(m + n))
+    for i, j in basis:
+        if not (0 <= i < m and 0 <= j < n):
+            return False
+        x, y = i, m + j
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        while root[y] != y:
+            root[y] = y = root[root[y]]
+        if x == y:
+            return False
+        root[x] = y
+    return True
+
+
+def _solution(gamma, uv, adj, cost, m):
+    """(value, gamma, u, v, basis) of a final tree, as :func:`transport` returns it."""
+    basis = [(i, y - m) for i in range(m) for y in adj[i]]
+    # cells outside the basis hold 0.0 and fsum skips zero terms, so this is
+    # the fsum of gamma * cost over the whole matrix
+    value = math.fsum([gamma.item(i, j) * cost.item(i, j) for i, j in basis])
+    return value, gamma, uv[:m].copy(), uv[m:].copy(), basis
+
+
+def _dual_simplex(cost, a, b, basis, tol, reduced):
+    """:func:`transport` warm-started from ``basis`` by dual pivots, or None.
+
+    None means the cold start must solve the problem instead: the cells are
+    not a spanning tree, some pricing pass finds an entering cell (the tree
+    is not dual feasible), or a flow is still below -NEG_FLOW_TOL after the
+    dual-pivot cap.
+    """
+    m, n = cost.shape
+    if not _spans(basis, m, n):
+        return None
+    adj, parent, depth, pot = _tree(basis, cost, m, n)
+    # the float twin of exact_basis_value's pass: each node's net mass is the
+    # flow on its cell to its parent
+    gamma = np.zeros((m, n))
+    net = a.tolist() + b.tolist()
+    for x, cell in zip(*_upward(parent, depth, m)):
+        gamma[cell] = net[x]
+        net[parent[x]] -= net[x]
+    for pivots in itertools.count():
+        uv, entering = _price(pot, cost, reduced, tol, False)
+        if entering is not None:
+            return None
+        li, lj = divmod(int(gamma.argmin()), n)
+        theta = -gamma[li, lj]
+        if theta <= NEG_FLOW_TOL:
+            return _solution(gamma, uv, adj, cost, m)
+        if pivots == MAX_DUAL_PIVOTS_PER_NODE * (m + n):
+            return None
+        # the leaving cell cuts off the subtree below its deeper end: a row
+        # there sends a negative flow up, so the subtree lacks mass and takes
+        # it from a row outside; a column there receives a negative flow, so
+        # the subtree has mass to spare and sends it to a column outside
+        top = li if depth[li] > depth[m + lj] else m + lj
+        inside = np.zeros(m + n, dtype=bool)
+        stack = [top]
+        while stack:
+            y = stack.pop()
+            inside[y] = True
+            stack.extend(z for z in adj[y] if z != parent[y])
+        rows, cols = (~inside[:m], inside[m:]) if top < m else (inside[:m], ~inside[m:])
+        crossing = np.where(rows[:, None] & cols[None, :], reduced, np.inf)
+        ei, ej = divmod(int(crossing.argmin()), n)
+        if crossing[ei, ej] == np.inf:
+            return None
+        # theta on the entering cell leaves the leaving cell's flow at 0
+        path, _ = _cycle(ei, ej, parent, depth, m)
+        gamma[ei, ej] = theta
+        for cell in path[1::2]:
+            gamma[cell] += theta
+        for cell in path[0::2]:
+            gamma[cell] -= theta
+        gamma[li, lj] = 0.0
+        _exchange((ei, ej), (li, lj), ei if inside[ei] else m + ej, adj, parent, depth, pot, cost, m)
+
+
+def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None):
     """Minimize <gamma, cost> over couplings of weight vectors a and b.
 
     Zero entries in a or b are allowed (their rows/columns stay basic with
@@ -209,6 +354,20 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     (:func:`_row_minimum`) instead, which on 2-d costs needs a third to a half
     of the pivots; where the north-west corner is already optimal, as on sorted
     1-d costs, it is returned as it is.
+
+    ``basis``, the optimal tree of an earlier call on the same cost, takes the
+    row-minimum tree's place (:func:`_dual_simplex`).  With other marginals it
+    stays dual feasible but its flows, recomputed deepest node first, can turn
+    negative.  While one is below -NEG_FLOW_TOL, a dual pivot drops the cell
+    of the most negative flow (the smallest cell on ties), which cuts off the
+    subtree below it; the entering cell is the first minimum reduced cost
+    among the cells that cross that cut toward the side short of mass.  The
+    flows change along the cycle, and the cut subtree is hung back from the
+    entering cell as in a primal pivot.  A basis that is not a spanning tree,
+    a pricing pass that finds an entering cell, or a flow still negative after
+    MAX_DUAL_PIVOTS_PER_NODE * (m + n) dual pivots sends the call on to the
+    row-minimum start, whose result is the same bit for bit as without a
+    basis.  A warm result may keep flows down to -NEG_FLOW_TOL.
 
     The basis is a spanning tree over nodes 0..m-1 (rows) and m..m+n-1
     (columns), rooted at row 0 and stored as adjacency lists with ``parent``
@@ -230,8 +389,8 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m, n = cost.shape
-    gamma, basis = _northwest_corner(a, b)
-    adj, parent, depth, pot = _tree(basis, cost, m, n)
+    gamma, tree = _northwest_corner(a, b)
+    adj, parent, depth, pot = _tree(tree, cost, m, n)
     tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
     max_pivots = MAX_PIVOTS_PER_NODE * (m + n) + MAX_PIVOTS_BASE
     degenerate_run = 0
@@ -241,29 +400,18 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     for k in range(max_pivots):
         uv, entering = _price(pot, cost, reduced, tol, degenerate_run >= bland_after)
         if k == 0 and entering is not None:
-            # the north-west tree is not optimal: start over from row minima
-            gamma, basis = _row_minimum(cost, a, b)
-            adj, parent, depth, pot = _tree(basis, cost, m, n)
+            # the north-west tree is not optimal: start from the given tree,
+            # or else over from row minima
+            warm = None if basis is None else _dual_simplex(cost, a, b, basis, tol, reduced)
+            if warm is not None:
+                return warm
+            gamma, tree = _row_minimum(cost, a, b)
+            adj, parent, depth, pot = _tree(tree, cost, m, n)
             uv, entering = _price(pot, cost, reduced, tol, degenerate_run >= bland_after)
         if entering is None:
             break
         ei, ej = entering
-        # the cycle is the tree path from row ei to column ej; rows sit at
-        # even depth and columns at odd depth, so the walks never tie
-        x, y = ei, m + ej
-        up_x: list[int] = []
-        up_y: list[int] = []
-        while x != y:
-            if depth[x] > depth[y]:
-                up_x.append(x)
-                x = parent[x]
-            else:
-                up_y.append(y)
-                y = parent[y]
-        up_y.reverse()
-        path = [
-            (c, parent[c] - m) if c < m else (parent[c], c - m) for c in up_x + up_y
-        ]
+        path, row_side = _cycle(ei, ej, parent, depth, m)
         minus = path[0::2]
         plus = path[1::2]
         theta = min(gamma[i, j] for i, j in minus)
@@ -274,27 +422,14 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
         for i, j in minus:
             gamma[i, j] -= theta
         gamma[leaving] = 0.0
-        li, lj = leaving[0], m + leaving[1]
-        adj[li].remove(lj)
-        adj[lj].remove(li)
-        adj[ei].append(m + ej)
-        adj[m + ej].append(ei)
         # the cut subtree holds the end of the entering cell on the leaving
-        # cell's side of the cycle; hang it from the other end
-        top, under = (ei, m + ej) if path.index(leaving) < len(up_x) else (m + ej, ei)
-        parent[top] = under
-        depth[top] = depth[under] + 1
-        pot[top] = cost.item(ei, ej) - pot[under]
-        _hang(top, adj, parent, depth, pot, cost, m)
+        # cell's side of the cycle
+        top = ei if path.index(leaving) < row_side else m + ej
+        _exchange(entering, leaving, top, adj, parent, depth, pot, cost, m)
         degenerate_run = degenerate_run + 1 if theta == 0.0 else 0
     else:
         return _transport_linprog(cost, a, b)
-
-    basis = [(i, y - m) for i in range(m) for y in adj[i]]
-    # cells outside the basis hold 0.0 and fsum skips zero terms, so this is
-    # the fsum of gamma * cost over the whole matrix
-    value = math.fsum([gamma.item(i, j) * cost.item(i, j) for i, j in basis])
-    return value, gamma, uv[:m].copy(), uv[m:].copy(), basis
+    return _solution(gamma, uv, adj, cost, m)
 
 
 def coupling_rows(m, s, w_col=None):
@@ -383,8 +518,7 @@ def exact_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> 
     """
     m, n = cost.shape
     _, parent, depth, _ = _tree(basis, cost, m, n)
-    up = sorted((x for x in range(m + n) if parent[x] >= 0), key=depth.__getitem__, reverse=True)
-    cells = [(x, parent[x] - m) if x < m else (parent[x], x - m) for x in up]
+    up, cells = _upward(parent, depth, m)
     ints, cs = _dyadic_ints([cost.item(i, j) for i, j in cells])
     (ra, rb), mass = _common_mass(a, b)
     net, total = ra + rb, 0

@@ -50,6 +50,17 @@ BLAND_AFTER_PER_NODE = 10
 BLAND_AFTER_BASE = 50
 """Degenerate pivots added to BLAND_AFTER_PER_NODE * (m + n) before Bland's rule takes over."""
 
+NEG_FLOW_TOL = 1e-14
+"""A warm-started transport tree takes dual pivots while a flow is below -NEG_FLOW_TOL.
+
+Absolute, in units of mass: the marginals are probability weights.  It sits
+above the rounding of the flows recomputed from the marginals, so a zero
+flow that rounds to -1e-17 takes no pivot, and the returned plan keeps it.
+"""
+
+MAX_DUAL_PIVOTS_PER_NODE = 1
+"""Dual pivots allowed per row and column node before a warm start gives up for the cold start."""
+
 NW_SLACK_ULPS = 4
 """Rounding slack of the north-west corner's fiber-LP certificate, in ulps of K * max|c_k|.
 

@@ -10,7 +10,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disot import barycenter
+from disot import barycenter, ot
 from disot.barycenter import (
     _certificate_at,
     _joint_lp,
@@ -338,6 +338,44 @@ class TestDisintBarycenter:
         for q in (2.0, math.inf):
             lp = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
             assert disint_barycenter(lp, **settings).certified
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("kind", ["square", "interval"])
+    def test_warm_started_transports_keep_the_route(self, K, kind, monkeypatch):
+        # the subgradient loop hands each transport its previous tree; cold
+        # solves must take the same route to the same answer
+        doc = generate_instance(seed=K, n_fibers=3, n_atoms=8, n_measures=K, kind=kind)
+        inst = parse_instance(doc)
+        inputs = [inst.measure(name) for name in sorted(inst.measures)]
+        prob = make_problem(inputs, np.full(K, 1.0 / K), DisintConfig(2.0, 4.0), inst.costs())
+        trees, answered = [], []
+        dual_simplex = ot._dual_simplex
+
+        def spy(cost, a, b, basis=None):
+            trees.append(basis is not None)
+            return transport(cost, a, b, basis=basis)
+
+        def dual_spy(*args):
+            out = dual_simplex(*args)
+            answered.append(out is not None)
+            return out
+
+        monkeypatch.setattr(barycenter, "transport", spy)
+        monkeypatch.setattr(ot, "_dual_simplex", dual_spy)
+        warm = disint_barycenter(prob, max_iter=60)
+        monkeypatch.setattr(barycenter, "transport", lambda cost, a, b, basis=None: transport(cost, a, b))
+        cold = disint_barycenter(prob, max_iter=60)
+        assert warm.solver_log["iterations"] == cold.solver_log["iterations"] > 1
+        # every iteration after the first passes each (fiber, input) its tree;
+        # on the line the north-west corner stays optimal and the tree unread
+        assert sum(trees) == (warm.solver_log["iterations"] - 1) * K * 3
+        if kind == "square":
+            assert sum(answered) > 0
+        else:
+            assert answered == []
+        assert warm.certified == cold.certified
+        assert abs(warm.value - cold.value) <= max(warm.gap, cold.gap)
+        assert abs(warm.dual_bound - cold.dual_bound) <= max(warm.gap, cold.gap)
 
 
 def pair_instance(kind, p, m1, m2, subset, tiny, seed):

@@ -579,8 +579,10 @@ class TestCLI:
     def test_disint_bary_square_report_is_pinned(self, tmp_path, monkeypatch, capsys):
         # re-recorded when the certificate's betas came from one transport
         # problem per fiber instead of the joint LPs, which moved `gap` by
-        # 2e-15 (value and dual_bound unchanged): any change to a pivot, a
-        # dual or a subgradient iterate shows in these bytes
+        # 2e-15, and again when the subgradient loop's transports started
+        # warm from their previous trees, which moved it by 1e-15 (value and
+        # dual_bound unchanged both times): any change to a pivot, a dual or
+        # a subgradient iterate shows in these bytes
         monkeypatch.chdir(tmp_path)
         doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
         save_document("inst.json", doc)

@@ -33,7 +33,7 @@ from disot.ot import (
     solve_ot,
     transport,
 )
-from disot.tolerances import OPT_TOL
+from disot.tolerances import MARGINAL_TOL, OPT_TOL
 
 from conftest import metric_cost, random_measure
 from reference_transport import _northwest_corner as reference_northwest_corner
@@ -481,6 +481,193 @@ class TestExactBasisValueReference:
         flows = {(1, 0): 0.375, (2, 0): 0.125, (3, 1): 0.125, (3, 2): 0.125, (4, 2): 0.25}
         exact = sum(Fraction(f) * Fraction(cost[cell]) for cell, f in flows.items())
         assert got == float(exact)
+
+
+def _warm_cost(rng, kind):
+    """A ground cost on four points: tied integers, mostly zero off the diagonal, or 2-d."""
+    if kind == "tied":
+        return _symmetric_cost(rng.integers(1, 3, size=6).astype(np.float64))
+    if kind == "zero_off_diagonal":
+        upper = rng.random(6)
+        upper[rng.random(6) < 0.5] = 0.0
+        return _symmetric_cost(upper)
+    return metric_cost(rng, 4, "square")
+
+
+def _warm_weights(rng, size, weights):
+    w = _test_weights(rng, size, weights == "zeros")
+    if weights == "tiny":
+        w[int(rng.integers(size))] = 1e-300
+        w /= w.sum()
+    return w
+
+
+def _assert_same_result(got, want):
+    """Bitwise equality of two ``transport`` results, basis order included."""
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for x, y in zip(got[1:4], want[1:4]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert got[4] == want[4]
+
+
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """(answered, dual pivots) of every warm start that ``transport`` tries."""
+    starts, pivots = [], []
+    dual_simplex, exchange = ot._dual_simplex, ot._exchange
+
+    def spy(*args):
+        pivots.clear()
+        out = dual_simplex(*args)
+        starts.append((out is not None, len(pivots)))
+        return out
+
+    monkeypatch.setattr(ot, "_dual_simplex", spy)
+    monkeypatch.setattr(ot, "_exchange", lambda *args: (pivots.append(1), exchange(*args)))
+    return starts
+
+
+class TestWarmStart:
+    """``transport(cost, a, b, basis=...)`` from an earlier optimal tree on the same cost."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from(["tied", "zero_off_diagonal", "square"]),
+        st.sampled_from(["plain", "zeros", "tiny"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 4, "square", "tiny", 0)
+    @example(3, 4, "zero_off_diagonal", "zeros", 1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, m, n, kind, weights, seed):
+        rng = np.random.default_rng(seed)
+        ground = _warm_cost(rng, kind)
+        ids_a, ids_b = np.sort(rng.permutation(4)[:m]), np.sort(rng.permutation(4)[:n])
+        cost = ground.powered_submatrix(ids_a, ids_b, 2.0)
+        a, b1 = _warm_weights(rng, m, "plain"), _warm_weights(rng, n, "plain")
+        b2 = _warm_weights(rng, n, weights)
+        tree = transport(cost, a, b1)[4]
+        tol = OPT_TOL * max(1.0, float(cost.max()))
+        # transport returns an optimal north-west corner without reading the
+        # tree, so the dual pivots are also checked on their own
+        results = [transport(cost, a, b2, basis=tree)]
+        warm = ot._dual_simplex(cost, a, b2, tree, tol, np.empty_like(cost))
+        results += [] if warm is None else [warm]
+        # DiscreteMeasure drops the zero atoms, which carry no mass
+        mu = DiscreteMeasure(ids_a, a)
+        nu = DiscreteMeasure(ids_b[b2 > 0.0], b2[b2 > 0.0])
+        want = brute_force_ot(mu, nu, ground, 2.0)
+        cold_exact = ot.exact_basis_value(cost, a, b2, transport(cost, a, b2)[4])
+        for value, gamma, u, v, basis in results:
+            assert abs(value - want) <= 1e-12 * want + tol
+            assert _is_spanning_tree(basis, m, n)
+            assert ot.exact_basis_value(cost, a, b2, basis) == cold_exact
+            assert u[0] == 0.0
+            assert (u[:, None] + v[None, :] - cost).max() <= tol
+            residual = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b2).max())
+            assert residual <= MARGINAL_TOL
+
+    def test_square_trees_start_warm(self, warm_starts):
+        # 24 x 24 2-d problems whose column weights move: nearly every
+        # earlier tree is still dual feasible, and most need dual pivots
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            cost = _test_cost(rng, 24, 24, "euclid")
+            a, b = _test_weights(rng, 24, False), _test_weights(rng, 24, True)
+            tree = transport(cost, a, b)[4]
+            for _ in range(3):
+                b = np.maximum(b + 0.02 * rng.normal(size=24), 0.0)
+                b /= b.sum()
+                got = transport(cost, a, b, basis=tree)
+                want = transport(cost, a, b)
+                assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+                assert ot.exact_basis_value(cost, a, b, got[4]) == ot.exact_basis_value(
+                    cost, a, b, want[4]
+                )
+                tree = got[4]
+        assert len(warm_starts) == 60
+        assert sum(ok for ok, _ in warm_starts) >= 54
+        assert sum(ok and k > 0 for ok, k in warm_starts) >= 30
+
+
+class TestWarmStartFallsBack:
+    """A tree the warm start cannot use leaves the result to the cold start, bit for bit."""
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        m, n = (int(x) for x in rng.integers(4, 12, size=2))
+        cost = _test_cost(rng, m, n, "euclid")
+        return cost, _test_weights(rng, m, False), _test_weights(rng, n, bool(seed % 2))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tree_not_dual_feasible(self, seed, warm_starts):
+        cost, a, b = self._problem(seed)
+        m, n = cost.shape
+        # the optimal tree of another cost on the same shape
+        other = _test_cost(np.random.default_rng(seed + 100), m, n, "euclid")
+        tree = transport(other, a, b)[4]
+        _, _, _, pot = ot._tree(tree, cost, m, n)
+        tol = OPT_TOL * max(1.0, float(cost.max()))
+        assert ot._price(pot, cost, np.empty_like(cost), tol, False)[1] is not None
+        warm_starts.clear()
+        _assert_same_result(transport(cost, a, b, basis=tree), transport(cost, a, b))
+        assert warm_starts == [(False, 0)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("defect", ["missing_cell", "cycle", "out_of_range"])
+    def test_cells_not_a_spanning_tree(self, seed, defect, warm_starts):
+        cost, a, b = self._problem(seed)
+        m, n = cost.shape
+        tree = list(transport(cost, a, b)[4])
+        if defect == "missing_cell":
+            tree.pop(int(np.random.default_rng(seed).integers(len(tree))))
+        elif defect == "cycle":
+            # a cell that closes a cycle in place of a tree cell off that
+            # cycle, which cuts the tree in two
+            _, parent, depth, _ = ot._tree(tree, cost, m, n)
+            for cell in itertools.product(range(m), range(n)):
+                off = [c for c in tree if c not in ot._cycle(*cell, parent, depth, m)[0]]
+                if cell not in tree and off:
+                    tree[tree.index(off[0])] = cell
+                    break
+        else:
+            tree[-1] = (m, n)
+        assert not _is_spanning_tree([c for c in tree if c[0] < m], m, n)
+        warm_starts.clear()
+        _assert_same_result(transport(cost, a, b, basis=tree), transport(cost, a, b))
+        assert warm_starts == [(False, 0)]
+
+    def test_masses_out_of_balance(self):
+        # the path row 0 - column 0 - row 1 - column 1 is dual feasible here;
+        # rows 0.1 + 1.2 against columns 0.5 + 0.5 put -0.2 on cell (0, 0),
+        # and no cell leads out of the subtree below it to a column
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a, b = np.array([0.1, 1.2]), np.array([0.5, 0.5])
+        tree = [(0, 0), (1, 0), (1, 1)]
+        assert ot._dual_simplex(cost, a, b, tree, OPT_TOL, np.empty_like(cost)) is None
+
+    def test_dual_pivot_cap(self, monkeypatch, warm_starts):
+        capped = 0
+        for seed in range(20):
+            cost, a, b1 = self._problem(seed)
+            b2 = b1 + 0.5 * _test_weights(np.random.default_rng(seed + 200), cost.shape[1], False)
+            b2 /= b2.sum()
+            tree = transport(cost, a, b1)[4]
+            warm_starts.clear()
+            transport(cost, a, b2, basis=tree)
+            answered, pivots = warm_starts[0] if warm_starts else (False, 0)
+            if not (answered and pivots):
+                continue  # no dual pivot to cap
+            capped += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(ot, "MAX_DUAL_PIVOTS_PER_NODE", 0)
+                warm_starts.clear()
+                _assert_same_result(transport(cost, a, b2, basis=tree), transport(cost, a, b2))
+            assert warm_starts == [(False, 0)]
+        assert capped >= 15
 
 
 def _random_small_problem(rng):
