@@ -44,7 +44,6 @@ from .errors import (
     TooLarge,
 )
 from .measures import (
-    Bundle,
     DiscreteMeasure,
     FiberedMeasure,
     GroundCost,

@@ -82,6 +82,11 @@ def _disint_config(args: argparse.Namespace) -> DisintConfig:
     return DisintConfig(args.p, args.p if args.q is None else args.q)
 
 
+def _positive_base(instance: Instance) -> list[str]:
+    """The base points of positive weight, the only ones that carry fibers."""
+    return [b for b, s in zip(instance.base_ids, instance.sigma) if s > 0.0]
+
+
 def _pick_names(instance: Instance, args: argparse.Namespace) -> list[str]:
     names = args.names if args.names else sorted(instance.measures)
     if len(names) < 2:
@@ -101,7 +106,7 @@ def _problem_from_instance(
     instance: Instance, args: argparse.Namespace, names: list[str], config: DisintConfig
 ):
     inputs = [instance.measure(nm) for nm in names]
-    return make_problem(inputs, _lambdas_for(args, len(inputs)), config, instance.costs())
+    return make_problem(inputs, _lambdas_for(args, len(inputs)), config, instance.costs)
 
 
 def _solve(args: argparse.Namespace):
@@ -139,14 +144,13 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
         if not args.input:
             raise ParseError("ot needs --input or a pair of CSV files")
         instance = load_instance(args.input)
-        fiber = args.fiber or (
-            instance.base_ids[0] if len(instance.base_ids) == 1 else None
-        )
+        fibers = _positive_base(instance)
+        fiber = args.fiber or (fibers[0] if len(fibers) == 1 else None)
         if fiber is None:
             raise ParseError("--fiber is required on a multi-fiber instance")
         mu = instance.measure(args.mu).fiber(fiber)
         nu = instance.measure(args.nu).fiber(fiber)
-        cost = instance.bundle.cost(fiber)
+        cost = instance.costs[fiber]
         source = {"input": args.input, "fiber": fiber}
     res = solve_ot(mu, nu, cost, args.p)
     tmap = coupling_is_deterministic(res.coupling, tol=MAP_TOL)
@@ -168,8 +172,8 @@ def _cmd_dist(args: argparse.Namespace) -> tuple[dict, int]:
     m = instance.measure(args.mu)
     n = instance.measure(args.nu)
     config = _disint_config(args)
-    profile = fiber_distance_profile(m, n, config.p, instance.costs())
-    value = scrmk(m, n, config, instance.costs())
+    profile = fiber_distance_profile(m, n, config.p, instance.costs)
+    value = scrmk(m, n, config, instance.costs)
     results = {
         "distance": value,
         "profile": {b: d for b, d in profile},
@@ -180,7 +184,7 @@ def _cmd_dist(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_bary(args: argparse.Namespace) -> tuple[dict, int]:
     instance = load_instance(args.input)
-    if len(instance.base_ids) != 1:
+    if len(_positive_base(instance)) != 1:
         raise ParseError("bary expects a one-point base; use disint-bary instead")
     names = _pick_names(instance, args)
     problem = _problem_from_instance(instance, args, names, DisintConfig(args.p, args.p))

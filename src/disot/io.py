@@ -7,10 +7,11 @@ Instance schema (per-fiber form)::
                      "measures": {name: [{"point": idx, "w": float}]}}}}
 
 The shared-fiber form hoists "points"/"cost" to the top level and may add
-"relabelings": {base_id: [permutation]}.  "points" is descriptive: it is
-accepted and never read, since the solvers see only "cost".  All floats are
-emitted with 12 significant digits so identical inputs produce byte-identical
-files.
+"relabelings": {base_id: [permutation]}, each a permutation of the shared
+points that preserves the cost exactly.  Relabelings are checked on parsing
+and then dropped, as "points" is, since the solvers see only "cost".  A base
+point of weight 0 may omit its fiber entry.  All floats are emitted with 12
+significant digits so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError
-from .measures import Bundle, DiscreteMeasure, FiberedMeasure, GroundCost
+from .errors import InvalidGroundCost, ParseError
+from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 
 
 def format_float(x: float) -> str:
@@ -102,11 +103,15 @@ def parse_extended_float(x) -> float:
 
 @dataclass(frozen=True)
 class Instance:
-    """Parsed instance file: a bundle, base weights, and named fibered measures."""
+    """Parsed instance file: base weights, a ground cost per base point, and named measures.
+
+    In the shared-fiber form every base point maps to one GroundCost object.
+    A base point of weight 0 whose fiber entry is omitted has no cost.
+    """
 
     base_ids: tuple[str, ...]
     sigma: np.ndarray
-    bundle: Bundle
+    costs: dict[str, GroundCost]
     measures: dict[str, FiberedMeasure]
 
     def measure(self, name: str) -> FiberedMeasure:
@@ -116,9 +121,6 @@ class Instance:
             raise ParseError(
                 f"measure {name!r} not in instance (has: {sorted(self.measures)})"
             ) from None
-
-    def costs(self) -> dict[str, GroundCost]:
-        return {b: self.bundle.cost(b) for b in self.base_ids}
 
 
 def _parse_atoms(raw, where: str) -> DiscreteMeasure:
@@ -137,13 +139,16 @@ def parse_instance(doc: Mapping) -> Instance:
     base_ids = [b for b, _ in base]
     sigma = np.array([s for _, s in base])
     fibers_doc = doc.get("fibers", {})
-    shared = "cost" in doc
-    if shared:
+    if "cost" in doc:
         cost = GroundCost(np.array(doc["cost"], dtype=np.float64))
-        relab = {
-            str(k): [int(i) for i in v] for k, v in doc.get("relabelings", {}).items()
-        } or None
-        bundle = Bundle(base_ids, cost, relab)
+        # a relabeling is checked and then dropped: no solver reads it
+        for bid, perm in doc.get("relabelings", {}).items():
+            g = np.array([int(i) for i in perm], dtype=np.int64)
+            if sorted(g.tolist()) != list(range(cost.n)):
+                raise InvalidGroundCost(f"relabeling at {bid!r} is not a permutation")
+            if not np.array_equal(cost.d[np.ix_(g, g)], cost.d):
+                raise InvalidGroundCost(f"relabeling at {bid!r} does not preserve the cost")
+        costs = dict.fromkeys(base_ids, cost)
     else:
         costs = {}
         for b in base_ids:
@@ -157,7 +162,6 @@ def parse_instance(doc: Mapping) -> Instance:
                 costs[b] = GroundCost(np.array(fd["cost"], dtype=np.float64))
             except KeyError:
                 raise ParseError(f"fiber {b!r} lacks a cost matrix") from None
-        bundle = Bundle(base_ids, costs)
     # collect measure names across fibers
     names: list[str] = []
     for b in base_ids:
@@ -174,7 +178,7 @@ def parse_instance(doc: Mapping) -> Instance:
                 raise ParseError(f"measure {name!r} missing at base point {b!r}")
             fibs[b] = _parse_atoms(md[name], f"{name}@{b}")
         measures[name] = FiberedMeasure(base_ids, sigma, fibs)
-    return Instance(base_ids=tuple(base_ids), sigma=sigma, bundle=bundle, measures=measures)
+    return Instance(base_ids=tuple(base_ids), sigma=sigma, costs=costs, measures=measures)
 
 
 def load_instance(path: str) -> Instance:

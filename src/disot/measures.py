@@ -2,8 +2,10 @@
 
 A measure lives on a finite point set indexed 0..n-1 whose pairwise distances
 are recorded in a :class:`GroundCost`.  A fibered measure couples a base
-weighting ``sigma`` with one conditional measure per base point.  All types are
-immutable after construction and safe to share across concurrent solver runs.
+weighting ``sigma`` with one conditional measure per base point.  The metric
+fiber bundle under it is no type of its own: the solvers take a plain dict
+from base point to :class:`GroundCost`.  All types are immutable after
+construction and safe to share across concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -219,58 +221,6 @@ def validate_ground_cost(d: Sequence[Sequence[float]] | np.ndarray) -> Validatio
                 )
             )
     return ValidationReport(tuple(out))
-
-
-class Bundle:
-    """Finite base points, each carrying a fiber point set with a ground cost.
-
-    When every fiber shares one point set and cost (``shared_fiber``), optional
-    per-base relabelings may be given.  A relabeling is a permutation g of the
-    shared point set and must preserve the cost exactly: d[g(i), g(j)] == d[i, j].
-    """
-
-    __slots__ = ("base_ids", "_costs", "shared_fiber", "relabelings")
-
-    def __init__(
-        self,
-        base_ids: Sequence[str],
-        costs: GroundCost | Mapping[str, GroundCost],
-        relabelings: Mapping[str, Sequence[int]] | None = None,
-    ):
-        bids = tuple(str(b) for b in base_ids)
-        shared = isinstance(costs, GroundCost)
-        if not shared and relabelings:
-            raise InvalidGroundCost("relabelings require a shared fiber")
-        perms: dict[str, np.ndarray] = {}
-        if relabelings:
-            d = costs.d  # type: ignore[union-attr]
-            for bid, perm in relabelings.items():
-                g = np.asarray(perm, dtype=np.int64)
-                if sorted(g.tolist()) != list(range(d.shape[0])):
-                    raise InvalidGroundCost(f"relabeling at {bid!r} is not a permutation")
-                if not np.array_equal(d[np.ix_(g, g)], d):
-                    raise InvalidGroundCost(f"relabeling at {bid!r} does not preserve the cost")
-                g.setflags(write=False)
-                perms[str(bid)] = g
-        object.__setattr__(self, "base_ids", bids)
-        object.__setattr__(self, "_costs", costs)
-        object.__setattr__(self, "shared_fiber", shared)
-        object.__setattr__(self, "relabelings", perms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Bundle is immutable")
-
-    def cost(self, base_id: str) -> GroundCost:
-        if self.shared_fiber:
-            return self._costs  # type: ignore[return-value]
-        try:
-            return self._costs[base_id]  # type: ignore[index]
-        except KeyError:
-            raise BaseMismatch(f"no fiber cost for base point {base_id!r}") from None
-
-    def relabel(self, base_id: str, index: int) -> int:
-        g = self.relabelings.get(base_id)
-        return int(g[index]) if g is not None else index
 
 
 class FiberedMeasure:

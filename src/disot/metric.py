@@ -15,10 +15,10 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import BaseMismatch, FiberMismatch
-from .measures import Bundle, FiberedMeasure, GroundCost
+from .measures import FiberedMeasure, GroundCost
 from .ot import solve_ot
 
-CostTable = Union[Bundle, Mapping[str, GroundCost], GroundCost]
+CostTable = Union[Mapping[str, GroundCost], GroundCost]
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,6 @@ class DisintConfig:
 def cost_at(costs: CostTable, base_id: str) -> GroundCost:
     if isinstance(costs, GroundCost):
         return costs
-    if isinstance(costs, Bundle):
-        return costs.cost(base_id)
     try:
         return costs[base_id]
     except KeyError:
@@ -97,8 +95,6 @@ def lq_norm(values: np.ndarray, sigma: np.ndarray, q: float) -> float:
     """L^q norm of a nonnegative profile against base weights; max for q = inf."""
     if math.isinf(q):
         return float(np.max(values)) if values.size else 0.0
-    if q == 1.0:
-        return math.fsum(sigma * values)
     return math.fsum(sigma * values**q) ** (1.0 / q)
 
 

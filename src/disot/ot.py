@@ -90,7 +90,7 @@ class OTResult:
     @property
     def mk(self) -> float:
         """The distance itself, value_p ** (1/p)."""
-        return self.value_p ** (1.0 / self.p) if self.p != 1.0 else self.value_p
+        return self.value_p ** (1.0 / self.p)
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):
@@ -391,7 +391,7 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None):
     m, n = cost.shape
     gamma, tree = _northwest_corner(a, b)
     adj, parent, depth, pot = _tree(tree, cost, m, n)
-    tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
+    tol = OPT_TOL * float(np.abs(cost).max(initial=0.0))
     max_pivots = MAX_PIVOTS_PER_NODE * (m + n) + MAX_PIVOTS_BASE
     degenerate_run = 0
     bland_after = BLAND_AFTER_PER_NODE * (m + n) + BLAND_AFTER_BASE

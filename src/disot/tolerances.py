@@ -31,11 +31,12 @@ def gap_allowance(tol: float, value: float) -> float:
 # --- transport ----------------------------------------------------------------
 
 OPT_TOL = 1e-11
-"""Optimality tolerance on network-simplex reduced costs, scaled by max(1, largest |cost|).
+"""Optimality tolerance on network-simplex reduced costs, relative to the largest |cost|.
 
-``transport`` stops once no reduced cost is below -OPT_TOL * max(1, largest
-|cost|), so below a cost scale of 1 the tolerance stays absolute (the strict
-xfail ``test_costs_below_pivot_tolerance``).
+``transport`` stops once no reduced cost is below -OPT_TOL * largest |cost|,
+with no floor, so scaling a cost by a power of two scales the tolerance with
+it and the pivots stay the same at every scale.  An all-zero cost has
+tolerance 0, and every plan is optimal for it.
 """
 
 MAX_PIVOTS_PER_NODE = 200

@@ -139,7 +139,7 @@ def reference_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     m, n = cost.shape
     gamma, basis = _northwest_corner(a, b)
     basis_rows, basis_cols = _basis_sets(basis, m, n)
-    tol = OPT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
+    tol = OPT_TOL * float(np.abs(cost).max(initial=0.0))
     max_pivots = 200 * (m + n) + 2000
     degenerate_run = 0
     bland_after = 10 * (m + n) + 50

@@ -82,7 +82,7 @@ class TestIO:
         fiber = inst.measure("mu").fiber("w")
         assert fiber.point_ids.tolist() == [0]
         assert fiber.weights.tolist() == [1.0]
-        assert inst.bundle.cost("w").d[0, 1] == 2.0
+        assert inst.costs["w"].d[0, 1] == 2.0
 
     def test_shared_fiber_schema_with_relabeling(self, tmp_path):
         doc = {
@@ -96,8 +96,9 @@ class TestIO:
             },
         }
         inst = parse_instance(doc)
-        assert inst.bundle.shared_fiber
-        assert inst.bundle.relabel("b", 0) == 1
+        # one cost object for every base point; the relabeling is checked, not kept
+        assert inst.costs["a"] is inst.costs["b"]
+        assert inst.costs["a"].d.tolist() == doc["cost"]
         fiber = inst.measure("m").fiber("b")
         assert fiber.point_ids.tolist() == [1]
         assert fiber.weights.tolist() == [1.0]
@@ -210,7 +211,7 @@ class TestGenerate:
             for b in inst.base_ids:
                 fibers = [m.fiber(b) for m in inst.measures.values()]
                 for mu, nu in itertools.combinations(fibers, 2):
-                    assert brute_force_ot(mu, nu, inst.bundle.cost(b), 2.0) >= 0.0
+                    assert brute_force_ot(mu, nu, inst.costs[b], 2.0) >= 0.0
             with pytest.raises(TooLarge):
                 generate_instance(
                     seed=0, n_atoms=ORACLE_GENERAL_BOUND + 1, kind=kind, oracle_checkable=True
@@ -324,6 +325,70 @@ class TestCLI:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @staticmethod
+    def _reports_on(tmp_path, monkeypatch, capsys, docs, argv):
+        # each doc is saved as inst.json in a directory of its own, so that
+        # the reports, which name their input, can be compared byte for byte
+        outs = []
+        for i, doc in enumerate(docs):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            save_document("inst.json", doc)
+            code = main([argv[0], "--input", "inst.json", *argv[1:]])
+            outs.append((code, capsys.readouterr().out))
+        return outs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--m", "m1", "--n", "m2", "--p", "2", "--q", "inf"],
+            ["disint-bary", "--p", "2", "--q", "4"],
+            ["certify", "--p", "2", "--q", "2"],
+            ["probe-uniqueness", "--p", "2", "--q", "2", "--trials", "2"],
+        ],
+    )
+    def test_zero_weight_base_point_may_omit_its_fiber(self, tmp_path, monkeypatch, capsys, argv):
+        listed = generate_instance(seed=9, n_fibers=3, n_atoms=4, kind="square")
+        listed["base"][1]["sigma"] = 0.0
+        omitted = json.loads(dump_text(listed))
+        del omitted["fibers"]["w2"]
+        (code, want), (got_code, got) = self._reports_on(
+            tmp_path, monkeypatch, capsys, [listed, omitted], argv
+        )
+        assert code == got_code == 0
+        assert got == want
+
+    @pytest.mark.parametrize("argv", [["ot", "--mu", "m1", "--nu", "m2"], ["bary", "--p", "1"]])
+    def test_zero_weight_base_point_is_not_a_fiber(self, tmp_path, monkeypatch, capsys, argv):
+        # one base point of positive weight: ot needs no --fiber, bary runs
+        one = generate_instance(seed=9, n_fibers=1, n_atoms=4)
+        with_zero = json.loads(dump_text(one))
+        with_zero["base"].insert(0, {"id": "w0", "sigma": 0.0})
+        (code, want), (got_code, got) = self._reports_on(
+            tmp_path, monkeypatch, capsys, [one, with_zero], argv
+        )
+        assert code == got_code == 0
+        assert got == want
+
+    def test_bad_relabelings_exit_2(self, tmp_path, capsys):
+        doc = {
+            "base": [{"id": "a", "sigma": 0.5}, {"id": "b", "sigma": 0.5}],
+            "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+            "fibers": {
+                b: {"measures": {"m": [{"point": 0, "w": 1.0}], "n": [{"point": 2, "w": 1.0}]}}
+                for b in ("a", "b")
+            },
+        }
+        for perm, message in (
+            ([0, 2, 2], "relabeling at 'b' is not a permutation"),
+            ([1, 0, 2], "relabeling at 'b' does not preserve the cost"),
+        ):
+            path = self._write(tmp_path, {**doc, "relabelings": {"b": perm}})
+            assert main(["dist", "--input", path]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        path = self._write(tmp_path, {**doc, "relabelings": {"b": [2, 1, 0]}})
+        assert main(["dist", "--input", path]) == 0
 
     def test_example_intervals(self, capsys):
         code = main(["example", "2.2", "--n", "20"])
@@ -593,7 +658,9 @@ class TestCLI:
 
     def test_certify_square_q_inf_report_is_pinned(self, tmp_path, monkeypatch, capsys):
         # q = inf solves the minimax LP for zeta; the betas at that zeta come
-        # from one transport problem per fiber
+        # from one transport problem per fiber.  Re-recorded when the pivot
+        # tolerance became relative to the largest cost with no floor of 1,
+        # which moved one fiber's xi and shrank `gap` (primal unchanged)
         monkeypatch.chdir(tmp_path)
         doc = generate_instance(seed=1, n_fibers=2, n_atoms=5, kind="square")
         save_document("inst.json", doc)
@@ -788,7 +855,7 @@ class TestStartup:
 # Every public name of ``import disot`` apart from its submodules; a name added
 # to or dropped from the package namespace has to be added or dropped here too.
 PUBLIC_NAMES = {
-    "AllZeroMass", "BarycenterProblem", "BarycenterResult", "BaseMismatch", "Bundle",
+    "AllZeroMass", "BarycenterProblem", "BarycenterResult", "BaseMismatch",
     "Coupling", "DegenerateInput", "DiscreteMeasure", "DisintConfig", "DisotError",
     "DualCertificate", "EmptySupport", "FiberMismatch", "FiberedMeasure", "GapReport",
     "GroundCost", "IndexOutOfRange", "InvalidGroundCost", "LPInfeasible", "NegativeWeight",

@@ -256,7 +256,7 @@ def square_instance():
 def square_problem(q):
     inst = parse_instance(square_instance())
     inputs = [inst.measure(name) for name in sorted(inst.measures)]
-    return make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, q), inst.costs())
+    return make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, q), inst.costs)
 
 
 class TestSolveCertificate:

@@ -12,8 +12,8 @@ from disot.errors import (
     InvalidGroundCost,
     NegativeWeight,
 )
+from disot.io import parse_instance
 from disot.measures import (
-    Bundle,
     DiscreteMeasure,
     FiberedMeasure,
     GroundCost,
@@ -171,9 +171,18 @@ class TestDisintegrate:
 
 class TestReferenceDelta:
     def test_relabeling_must_preserve_cost(self):
-        from disot.errors import InvalidGroundCost
-
+        # relabelings of a shared fiber are checked where the instance is parsed
         pts = np.array([0.0, 1.0, 3.0])
-        cost = GroundCost(np.abs(pts[:, None] - pts[None, :]))
-        with pytest.raises(InvalidGroundCost):
-            Bundle(["w"], cost, relabelings={"w": [1, 0, 2]})
+        doc = {
+            "base": [{"id": "w", "sigma": 1.0}],
+            "cost": np.abs(pts[:, None] - pts[None, :]).tolist(),
+            "fibers": {"w": {"measures": {"m": [{"point": 0, "w": 1.0}]}}},
+        }
+        for perm, match in (
+            ([1, 0, 2], "relabeling at 'w' does not preserve the cost"),
+            ([0, 0, 2], "relabeling at 'w' is not a permutation"),
+            ([0, 1], "relabeling at 'w' is not a permutation"),
+        ):
+            with pytest.raises(InvalidGroundCost, match=match):
+                parse_instance({**doc, "relabelings": {"w": perm}})
+        assert parse_instance({**doc, "relabelings": {"w": [0, 1, 2]}}).costs["w"].n == 3

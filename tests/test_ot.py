@@ -411,7 +411,7 @@ class TestRowMinimumStart:
         inst = parse_instance(generate_instance(seed=1, n_fibers=1, n_atoms=24, kind="square"))
         base = inst.base_ids[0]
         mu, nu = inst.measure("m1").fiber(base), inst.measure("m2").fiber(base)
-        cost = inst.bundle.cost(base).powered_submatrix(mu.point_ids, nu.point_ids, 2.0)
+        cost = inst.costs[base].powered_submatrix(mu.point_ids, nu.point_ids, 2.0)
         assert cost.shape == (24, 24)
         calls = []
         hang = ot._hang
@@ -549,7 +549,7 @@ class TestWarmStart:
         a, b1 = _warm_weights(rng, m, "plain"), _warm_weights(rng, n, "plain")
         b2 = _warm_weights(rng, n, weights)
         tree = transport(cost, a, b1)[4]
-        tol = OPT_TOL * max(1.0, float(cost.max()))
+        tol = OPT_TOL * float(cost.max())
         # transport returns an optimal north-west corner without reading the
         # tree, so the dual pivots are also checked on their own
         results = [transport(cost, a, b2, basis=tree)]
@@ -610,7 +610,7 @@ class TestWarmStartFallsBack:
         other = _test_cost(np.random.default_rng(seed + 100), m, n, "euclid")
         tree = transport(other, a, b)[4]
         _, _, _, pot = ot._tree(tree, cost, m, n)
-        tol = OPT_TOL * max(1.0, float(cost.max()))
+        tol = OPT_TOL * float(cost.max())
         assert ot._price(pot, cost, np.empty_like(cost), tol, False)[1] is not None
         warm_starts.clear()
         _assert_same_result(transport(cost, a, b, basis=tree), transport(cost, a, b))
@@ -753,8 +753,8 @@ def _check_against_oracle(mu, nu, cost):
 _TINY = st.sampled_from([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200])
 _WEIGHTS = st.lists(st.one_of(_TINY, st.floats(1e-6, 1.0)), min_size=1, max_size=4)
 _SUPPORT = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
-# nonzero costs from 1e-3 up: a cost scale far below 1 meets the pivot
-# tolerance floor that test_costs_below_pivot_tolerance pins
+# nonzero costs from 1e-3 up; test_costs_below_pivot_tolerance takes a cost
+# scale far below 1
 _ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 
 
@@ -800,11 +800,6 @@ class TestAdversarialInputs:
         nu = DiscreteMeasure(ids_b, rng.dirichlet(np.ones(len(ids_b))))
         _check_against_oracle(mu, nu, cost)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="transport's pivot tolerance is OPT_TOL * max(1, largest cost), "
-        "so it does not shrink with a cost scale below 1",
-    )
     def test_costs_below_pivot_tolerance(self):
         # one cost of 2e-68 and every other off-diagonal cost 0: a zero-cost
         # plan exists, but a reduced cost of -2e-68 passes for optimal
@@ -812,6 +807,43 @@ class TestAdversarialInputs:
         mu = DiscreteMeasure([0, 1], [0.471405, 0.528595])
         nu = DiscreteMeasure([0, 1, 2], [0.231625, 0.498131, 0.270244])
         _check_against_oracle(mu, nu, cost)
+
+
+class TestScaleEquivariance:
+    """A cost scaled by 2**k: the same plan, and potentials and values scaled by 2**k exactly."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.sampled_from(["euclid", "tied", "zero_off_diagonal"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(-900, 900),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling(self, m, n, kind, zeros_a, zeros_b, k, seed):
+        # scaling by a power of two is exact in every float operation the
+        # pivots make, so a pivot tolerance relative to the largest cost
+        # takes the same pivots at every scale
+        rng = np.random.default_rng(seed)
+        if kind == "zero_off_diagonal":
+            cost = _warm_cost(rng, kind).d
+            m = n = 4
+        else:
+            cost = _test_cost(rng, m, n, kind)
+        a, b = _test_weights(rng, m, zeros_a), _test_weights(rng, n, zeros_b)
+        value, gamma, u, v, basis = transport(cost, a, b)
+        exact = ot.exact_basis_value(cost, a, b, basis)
+        for j in (k, 1, -1, 40, -40, 300, -300, 900, -900):
+            s = 2.0**j
+            got_value, got_gamma, got_u, got_v, got_basis = transport(cost * s, a, b)
+            assert got_basis == basis
+            assert got_gamma.tobytes() == gamma.tobytes()
+            assert got_u.tobytes() == (u * s).tobytes()
+            assert got_v.tobytes() == (v * s).tobytes()
+            assert got_value == value * s
+            assert ot.exact_basis_value(cost * s, a, b, got_basis) == exact * s
 
 
 class TestTransportLinprog:
