@@ -5,11 +5,13 @@ inputs, which is convex in the target fiber weights.  Every route asks one
 question per fiber, the joint transportation LP at input weights tau, and
 :func:`fiber_barycenter_lp` alone answers it: with two inputs by one exact
 transport problem between them, with three or more by the multi-marginal
-north-west corner where its own certificate proves it optimal, and by HiGHS
-elsewhere.  q = p decouples into one such LP per fiber; at q = inf the
-objective is piecewise linear, and one exact minimax LP covers all fibers.
-p < q < inf is solved by projected subgradient descent on the weight
-simplices.  Every solve also returns the dual certificate of its minimizer:
+north-west corner where its own certificate proves it optimal, and
+elsewhere by HiGHS on a restricted LP: the corner's cells and each atom's
+cheapest support point, grown by pricing until no coupling column prices
+below the transport pivot rule.  q = p decouples into one such LP per
+fiber; at q = inf the objective is piecewise linear, and one exact minimax
+LP covers all fibers.  p < q < inf is solved by projected subgradient
+descent on the weight simplices.  Every solve also returns the dual certificate of its minimizer:
 each route chooses its zeta, the fiber LPs at that zeta give the betas, and
 :func:`disot.duality.extract_certificate` builds the pair.
 """
@@ -33,6 +35,7 @@ from .tolerances import (
     LAMBDA_TOL,
     MAX_ITER,
     NW_SLACK_ULPS,
+    OPT_TOL,
     PROBE_DIST_TOL,
     PROBE_EXACT_VALUE_TOL,
     PROBE_VALUE_TOL,
@@ -164,9 +167,20 @@ class BarycenterResult:
     certificate: DualCertificate
 
 
-def _result(problem: BarycenterProblem, minimizer, value, log, **status) -> BarycenterResult:
-    """Result at ``minimizer`` with the distance from every input to it."""
-    dists = np.array([scrmk(mk, minimizer, problem.config, problem.costs) for mk in problem.inputs])
+def _result(problem: BarycenterProblem, minimizer, value, log, profile=None, **status) -> BarycenterResult:
+    """Result at ``minimizer`` with the distance from every input to it.
+
+    ``profile``, each input's fiber distance profile to the minimizer where
+    the caller has it, gives the distances as :func:`disot.metric.scrmk`
+    would, without solving its transports again.
+    """
+    if profile is None:
+        dists = np.array([scrmk(mk, minimizer, problem.config, problem.costs) for mk in problem.inputs])
+    else:
+        dists = np.array([
+            lq_norm(np.array([d for _, d in pk]), mk.sigma, problem.config.q)
+            for mk, pk in zip(problem.inputs, profile)
+        ])
     return BarycenterResult(
         minimizer=minimizer, value=value, per_k_distances=dists, solver_log=log, **status
     )
@@ -218,13 +232,17 @@ def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     C(i, j) = min_s c_1[i, s] + c_2[j, s] (Agueh & Carlier 2011).  The value
     is its optimal basis's exact value, w its plan pushed through the first
     minimizing s, and its potentials (u, v) give beta_1(s) = min_i c_1[i, s]
-    - u_i and beta_2(s) = min_j c_2[j, s] - v_j.  More inputs take the
-    multi-marginal north-west corner (:func:`_northwest_lp`) where its own
-    certificate proves it optimal, and HiGHS (:func:`_joint_lp`) elsewhere.
+    - u_i and beta_2(s) = min_j c_2[j, s] - v_j.  More inputs walk the
+    multi-marginal north-west corner once (:func:`_northwest_walk`).  Its plan
+    is the answer where its own certificate proves it optimal
+    (:func:`_northwest_lp`); elsewhere its cells seed the restricted LP that
+    HiGHS solves with pricing (:func:`_joint_lp`).
     """
     if problem.K > 2:
-        found = _northwest_lp(problem, b, tau)
-        return _joint_lp(problem, b, tau) if found is None else found
+        c = [t * blk for t, blk in zip(tau, problem.blocks[b])]
+        walk = _northwest_walk(problem, b, c)
+        found = _northwest_lp(c, walk)
+        return _joint_lp(problem, b, tau, walk) if found is None else found
     c1, c2 = (t * c for t, c in zip(tau, problem.blocks[b]))
     a1, a2 = (mk.fiber(b).weights for mk in problem.inputs)
     pair = _pair_cost(c1, c2)
@@ -238,16 +256,44 @@ def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     return value, w, betas
 
 
-def _northwest_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
-    """:func:`fiber_barycenter_lp` by the multi-marginal north-west corner, or None.
+def _northwest_walk(problem: BarycenterProblem, b: str, c: Sequence[np.ndarray]):
+    """The multi-marginal north-west corner of fiber b at costs c: (steps, mass).
+
+    The walk visits K-tuples of input atoms in point-id order: each step moves
+    the least residual mass to the tuple's first minimizing s, then advances
+    the first exhausted input; ties insert tuples of zero mass.  Each step is
+    (k, idx, s, t): the input k that advanced into the tuple idx (None at the
+    first), s, and the mass t it moves, an integer at the common mass
+    ``mass`` of the inputs' weights (:func:`disot.ot._common_mass`).  Its
+    plan, t / mass on the cell (k, idx[k], s) of every input k, is feasible
+    for the fiber LP.
+    """
+    K = len(c)
+    left, mass = _common_mass(*(mk.fiber(b).weights for mk in problem.inputs))
+    last = [len(r) - 1 for r in left]
+    idx = [0] * K
+    steps = []
+    k = None
+    while True:
+        s = int(sum(ck[i] for ck, i in zip(c, idx)).argmin())
+        t = min(r[i] for r, i in zip(left, idx))
+        steps.append((k, tuple(idx), s, t))
+        for r, i in zip(left, idx):
+            r[i] -= t
+        k = next((k for k in range(K) if left[k][idx[k]] == 0 and idx[k] < last[k]), None)
+        if k is None:
+            return steps, mass
+        idx[k] += 1
+
+
+def _northwest_lp(c: Sequence[np.ndarray], walk):
+    """:func:`fiber_barycenter_lp` by the north-west corner ``walk`` at costs c, or None.
 
     The fiber LP equals the multi-marginal transport over K-tuples of input
     atoms at cost C(i_1..i_K) = min_s sum_k c_k[i_k, s].  Where every c_k is
     Monge in point order, as |x - s|^p is on the line, C is submodular and the
     comonotone north-west corner plan is optimal (Carlier 2003; Bein, Brucker,
-    Park & Pathak 1995).  The walk visits tuples in point-id order: each step
-    moves the least residual mass to the tuple's first minimizing s, then
-    advances the first exhausted input; ties insert tuples of zero mass.
+    Park & Pathak 1995).
 
     The path potentials phi_k, with sum_k phi_k(i_k) = C on every visited
     tuple, give beta_k(s) = min_i c_k[i, s] - phi_k(i).  They prove the plan
@@ -257,29 +303,14 @@ def _northwest_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     integers make the value and the potentials exact before their one
     rounding, as in :func:`disot.ot.exact_basis_value`.
     """
-    c = [t * blk for t, blk in zip(tau, problem.blocks[b])]
+    steps, mass = walk
     K = len(c)
-    left, mass = _common_mass(*(mk.fiber(b).weights for mk in problem.inputs))
-    last = [len(r) - 1 for r in left]
-    idx = [0] * K
-    steps = []  # per visited tuple: the input that advanced into it, s, mass, its K costs
-    k = None
-    while True:
-        s = int(sum(ck[i] for ck, i in zip(c, idx)).argmin())
-        t = min(r[i] for r, i in zip(left, idx))
-        steps.append((k, s, t, [ck.item(i, s) for ck, i in zip(c, idx)]))
-        for r, i in zip(left, idx):
-            r[i] -= t
-        k = next((k for k in range(K) if left[k][idx[k]] == 0 and idx[k] < last[k]), None)
-        if k is None:
-            break
-        idx[k] += 1
-    ints, cs = _dyadic_ints([x for *_, costs in steps for x in costs])
+    ints, cs = _dyadic_ints([ck.item(i, s) for _, idx, s, _ in steps for ck, i in zip(c, idx)])
     tuple_cost = [sum(ints[j * K : (j + 1) * K]) for j in range(len(steps))]
     # each input advances one atom at a time, so its potentials grow by appends
     phi = [[tuple_cost[0]]] + [[0] for _ in range(K - 1)]
     w = [0] * c[0].shape[1]
-    for j, (k, s, t, _) in enumerate(steps):
+    for j, (k, _, s, t) in enumerate(steps):
         if k is not None:
             phi[k].append(phi[k][-1] + tuple_cost[j] - tuple_cost[j - 1])
         w[s] += t
@@ -287,31 +318,62 @@ def _northwest_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     scale = K * max(float(ck.max(initial=0.0)) for ck in c)
     if float(sum(betas).min()) < -NW_SLACK_ULPS * math.ulp(scale):
         return None
-    total = sum(t * ct for (_, _, t, _), ct in zip(steps, tuple_cost))
+    total = sum(t * ct for (*_, t), ct in zip(steps, tuple_cost))
     # int / int is correctly rounded; nonnegative costs make the optimum nonnegative
     return max(0.0, total / (mass * cs)), np.array([x / mass for x in w]), betas
 
 
-def _joint_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
-    """:func:`fiber_barycenter_lp` by HiGHS, for any number of inputs.
+def _joint_lp(problem: BarycenterProblem, b: str, tau: np.ndarray, walk=None):
+    """:func:`fiber_barycenter_lp` by HiGHS on a restricted LP with pricing.
 
-    Variables are one coupling per input plus w; the rows are every input's
-    row marginals, then per input the column links of its coupling to w.
-    The betas are HiGHS's duals of those links.
+    The full LP has one coupling per input plus w as variables; its rows are
+    every input's row marginals, then per input the column links of its
+    coupling to w.  HiGHS first gets only some coupling columns: the cells of
+    the north-west corner ``walk`` (walked here when None is given), whose
+    plan makes the restricted LP feasible, and each input atom's cheapest
+    support point, beside every w column.  HiGHS's duals of the rows, alpha_k
+    and beta_k, then price every coupling column at c_k[i, s] - alpha_k(i) -
+    beta_k(s), and each column outside the LP priced below -OPT_TOL * largest
+    |c_k|, the pivot rule of :func:`disot.ot.transport`, joins it for the next
+    solve.  Columns only join, so the loop ends, at the latest with the full
+    LP.  The columns keep the full LP's order, and the betas are HiGHS's duals
+    of the links at the last solve.
     """
     K = problem.K
+    c = [t * blk for t, blk in zip(tau, problem.blocks[b])]
+    if walk is None:
+        walk = _northwest_walk(problem, b, c)
     s = problem.support[b].size
     fibers = [mk.fiber(b) for mk in problem.inputs]
     sizes = np.array([len(f) for f in fibers])
     n_marg = int(sizes.sum())
     n_gamma = n_marg * s
+    # column first[k] + i * s + j is input k's cell (i, j); its two rows are
+    # rows[col] (marginal) and rows[n_gamma + col] (link)
     rows, cols, data = coupling_rows(sizes, np.full(K, s), np.full(K, n_gamma))
-    cvec = np.concatenate([t * cp.ravel() for t, cp in zip(tau, problem.blocks[b])] + [np.zeros(s)])
+    first = s * (np.cumsum(sizes) - sizes)
+    cvec = np.concatenate([ck.ravel() for ck in c] + [np.zeros(s)])
     beq = np.concatenate([f.weights for f in fibers] + [np.zeros(K * s)])
-    res = highs(cvec, (rows, cols, data, beq))
-    w = np.maximum(res.x[n_gamma:], 0.0)
-    betas = np.split(res.eqlin.marginals[n_marg:], K)
-    value = math.fsum((cvec[:n_gamma] * res.x[:n_gamma]).tolist())
+    tol = OPT_TOL * max(float(np.abs(ck).max(initial=0.0)) for ck in c)
+    active = np.arange(n_gamma + s) >= n_gamma
+    tuples = np.array([idx for _, idx, _, _ in walk[0]])
+    targets = np.array([j for _, _, j, _ in walk[0]])
+    active[first + tuples * s + targets[:, None]] = True
+    for ck, f0 in zip(c, first):
+        active[f0 + np.arange(ck.shape[0]) * s + ck.argmin(axis=1)] = True
+    while True:
+        keep = active[cols]
+        renumber = np.cumsum(active) - 1
+        res = highs(cvec[active], (rows[keep], renumber[cols[keep]], data[keep], beq))
+        y = res.eqlin.marginals
+        reduced = cvec[:n_gamma] - y[rows[:n_gamma]] - y[rows[n_gamma : 2 * n_gamma]]
+        joins = ~active[:n_gamma] & (reduced < -tol)
+        if not joins.any():
+            break
+        active[:n_gamma] |= joins
+    w = np.maximum(res.x[-s:], 0.0)
+    betas = np.split(y[n_marg:], K)
+    value = math.fsum((cvec[active][:-s] * res.x[:-s]).tolist())
     return value, w, betas
 
 
@@ -467,16 +529,16 @@ def disint_barycenter(
     return _subgradient_barycenter(problem, start, max_iter, tol)
 
 
-def _certificate_at(problem: BarycenterProblem, minimizer: FiberedMeasure) -> DualCertificate:
-    """Certificate at a p < q < inf minimizer.
+def _certificate_at(problem: BarycenterProblem, minimizer: FiberedMeasure):
+    """Certificate at a p < q < inf minimizer, and each input's fiber distance profile to it.
 
-    zeta is Hoelder-aligned with the fiber distance profile to it; the betas
-    come from the fiber LPs at that zeta.
+    zeta is Hoelder-aligned with the profile; the betas come from the fiber
+    LPs at that zeta.
     """
     p, q = problem.config.p, problem.config.q
     prof = [fiber_distance_profile(mk, minimizer, p, problem.costs) for mk in problem.inputs]
     zeta = _unit_zeta(problem, np.array([[d for _, d in pk] for pk in prof]) ** (q - p))
-    return extract_certificate(problem, zeta, fiber_lps(problem, zeta)[2])
+    return extract_certificate(problem, zeta, fiber_lps(problem, zeta)[2]), prof
 
 
 def _subgradient_barycenter(problem, start, max_iter, tol):
@@ -499,7 +561,8 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
 
     best_val = math.inf
     best_w = None
-    cert_w = cert = None  # the weights of the last check and their certificate
+    # the weights of the last check, their certificate and distance profile
+    cert_w = cert = prof = None
     dual_bound = -math.inf
     certified = False
     gap = math.inf
@@ -549,7 +612,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
         if it == 1 or it % CERT_EVERY == 0 or obj <= dual_bound:
             if best_w is not cert_w:
                 cert_w = best_w
-                cert = _certificate_at(problem, _assemble(problem, best_w))
+                cert, prof = _certificate_at(problem, _assemble(problem, best_w))
                 dual_bound = max(dual_bound, eval_dual(cert, problem))
             gap = best_val - dual_bound
             trace.append((it, best_val, dual_bound))
@@ -571,9 +634,9 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     }
     minimizer = _assemble(problem, best_w)
     if best_w is not cert_w:
-        cert = _certificate_at(problem, minimizer)
+        cert, prof = _certificate_at(problem, minimizer)
     return _result(
-        problem, minimizer, best_val, log,
+        problem, minimizer, best_val, log, prof,
         certified=certified, gap=gap, dual_bound=dual_bound, certificate=cert,
     )
 

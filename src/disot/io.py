@@ -8,10 +8,12 @@ Instance schema (per-fiber form)::
 
 The shared-fiber form hoists "points"/"cost" to the top level and may add
 "relabelings": {base_id: [permutation]}, each a permutation of the shared
-points that preserves the cost exactly.  Relabelings are checked on parsing
-and then dropped, as "points" is, since the solvers see only "cost".  A base
-point of weight 0 may omit its fiber entry.  All floats are emitted with 12
-significant digits so identical inputs produce byte-identical files.
+points that preserves the cost exactly, keyed by a base point.  Relabelings
+are checked on parsing and then dropped, as "points" is, since the solvers
+see only "cost"; the per-fiber form has no shared points to relabel, and
+rejects them.  A base point of weight 0 may omit its fiber entry.  All
+floats are emitted with 12 significant digits so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -143,6 +145,8 @@ def parse_instance(doc: Mapping) -> Instance:
         cost = GroundCost(np.array(doc["cost"], dtype=np.float64))
         # a relabeling is checked and then dropped: no solver reads it
         for bid, perm in doc.get("relabelings", {}).items():
+            if bid not in base_ids:
+                raise ParseError(f"relabeling at {bid!r} names no base point")
             g = np.array([int(i) for i in perm], dtype=np.int64)
             if sorted(g.tolist()) != list(range(cost.n)):
                 raise InvalidGroundCost(f"relabeling at {bid!r} is not a permutation")
@@ -150,6 +154,8 @@ def parse_instance(doc: Mapping) -> Instance:
                 raise InvalidGroundCost(f"relabeling at {bid!r} does not preserve the cost")
         costs = dict.fromkeys(base_ids, cost)
     else:
+        if doc.get("relabelings"):
+            raise ParseError("relabelings need the shared-fiber form, with one top-level 'cost'")
         costs = {}
         for b in base_ids:
             if sigma[base_ids.index(b)] <= 0.0 and b not in fibers_doc:

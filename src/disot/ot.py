@@ -26,13 +26,14 @@ start, with the same result bit for bit.
 transportation polytope vertices in exact rational arithmetic.
 
 :func:`highs` is the package's one entry to scipy's HiGHS solver: the
-transport fallback, the joint barycenter LP of three or more inputs where
-the north-west corner fails its certificate, and the q = inf minimax LP all
-go through it, with their rows laid out by :func:`coupling_rows`.  It
-imports scipy on its first call, so a command that never solves an LP
-(``generate``, ``dist``, ``ot``, a two-input barycenter at q < inf, and one
-with more inputs whose fiber LPs the north-west corner answers, each short
-of the pivot limit) starts without loading scipy.
+transport fallback, the restricted joint barycenter LP of three or more
+inputs where the north-west corner fails its certificate (one solve per
+pricing round), and the q = inf minimax LP all go through it, with their
+rows laid out by :func:`coupling_rows`.  It imports scipy on its first
+call, so a command that never solves an LP (``generate``, ``dist``, ``ot``,
+a two-input barycenter at q < inf, and one with more inputs whose fiber LPs
+the north-west corner answers, each short of the pivot limit) starts
+without loading scipy.
 """
 
 from __future__ import annotations

@@ -311,7 +311,7 @@ class TestDisintBarycenter:
         assert res.gap == 0.0 and res.value == 0.0 and res.dual_bound == 0.0
         assert res.solver_log["iterations"] == 1
         # no check ran before the stop, so the solve extracted one certificate
-        assert_same_certificate(res.certificate, _certificate_at(prob, res.minimizer))
+        assert_same_certificate(res.certificate, _certificate_at(prob, res.minimizer)[0])
 
     def test_sandwich_bounds(self, rng):
         # dual certificate value <= value <= objective of any candidate
@@ -476,7 +476,9 @@ class TestPairBetas:
         pair = [Fraction(x) for x in (c1 + c2[0]).min(axis=1)]
         exact = sum(x * y for x, y in zip(a, pair)) / sum(a)
         assert value == float(exact) == pytest.approx(0.0896278600988, rel=1e-12)
-        assert _joint_lp(prob, b, tau)[0] > value
+        # HiGHS stopped 6e-8 relative above it on the full joint LP; on the
+        # restricted LP it reaches the optimum
+        assert _joint_lp(prob, b, tau)[0] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_disint_bary_reports_the_exact_optimum(self):
         # ``generate --seed 1 --fibers 4 --atoms 80 --measures 2 --kind
@@ -504,7 +506,7 @@ class TestPairBetas:
         costs = {b: metric_cost(rng, 5, kind) for b in ms[0].base_ids}
         prob = make_problem(ms, [0.3, 0.7], DisintConfig(1.0, 3.0), costs)
         res = disint_barycenter(prob)
-        cert = _certificate_at(prob, res.minimizer)
+        cert, _ = _certificate_at(prob, res.minimizer)
         highs_betas = {
             b: _joint_lp(prob, b, prob.lambdas * cert.zeta[:, i])[2]
             for i, b in enumerate(prob.base_ids)
@@ -517,9 +519,14 @@ class TestPairBetas:
 def line_instance(K, p, tied, subset, tiny, seed):
     """A one-fiber K-input problem on four sorted points of the line, with random tau."""
     rng = np.random.default_rng(seed)
-    n = 4
     # a grid of quarters makes coordinates tie
-    pts = np.sort(rng.integers(0, 4, n) / 4.0 if tied else rng.random(n))
+    pts = np.sort(rng.integers(0, 4, 4) / 4.0 if tied else rng.random(4))
+    return _fiber_instance(rng, K, line_cost(pts), p, subset, tiny)
+
+
+def _fiber_instance(rng, K, cost, p, subset, tiny):
+    """K inputs of one to three atoms on cost's points, a support subset or all, and random tau."""
+    n = cost.n
     mus = []
     for _ in range(K):
         m = int(rng.integers(1, 4))
@@ -530,7 +537,7 @@ def line_instance(K, p, tied, subset, tiny, seed):
     support = np.flatnonzero(rng.random(n) < 0.5) if subset else None
     if support is not None and support.size == 0:
         support = None
-    prob = classical_problem(mus, line_cost(pts), rng.dirichlet(np.ones(K)), p, support=support)
+    prob = classical_problem(mus, cost, rng.dirichlet(np.ones(K)), p, support=support)
     return prob, prob.lambdas * rng.uniform(0.1, 2.0, size=K)
 
 
@@ -631,6 +638,93 @@ class TestOracleOnSquareCosts:
             for s, b in zip(prob.sigma, prob.base_ids)
         )
         assert res.value == pytest.approx(float(want), rel=1e-9, abs=0.0)
+
+
+def priced_instance(K, kind, p, subset, tiny, seed):
+    """A one-fiber K-input problem on four points of the line or the square, with random tau."""
+    rng = np.random.default_rng(seed)
+    return _fiber_instance(rng, K, metric_cost(rng, 4, kind), p, subset, tiny)
+
+
+class TestPricedJointLP:
+    """HiGHS's restricted fiber LP, grown by pricing until no column prices below the pivot rule."""
+
+    @given(
+        st.sampled_from([3, 4]),
+        st.sampled_from(["interval", "square"]),
+        st.sampled_from([1.0, 2.0]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # HiGHS stops with a w column priced at -5.4e-8, inside its own tolerance
+    @example(3, "interval", 2.0, False, False, 2997)
+    @settings(max_examples=60, deadline=None)
+    def test_priced_lp_is_the_fiber_lp(self, K, kind, p, subset, tiny, seed):
+        prob, tau = priced_instance(K, kind, p, subset, tiny, seed)
+        b = prob.base_ids[0]
+        solved = []
+
+        def spy(c, eq, ub=None):
+            res = ot.highs(c, eq, ub)
+            solved.append((eq, res))
+            return res
+
+        with mock.patch.object(barycenter, "highs", spy):
+            value, w, betas = _joint_lp(prob, b, tau)
+        fibers = [mk.fiber(b) for mk in prob.inputs]
+        c = [t * blk for t, blk in zip(tau, prob.blocks[b])]
+        n = c[0].shape[1]
+        sizes = [len(f) for f in fibers]
+        first = np.cumsum(sizes) - sizes
+        # the last solve's duals: the alphas, and the link duals, which are
+        # the betas
+        (rows, cols, data, _), res = solved[-1]
+        y = res.eqlin.marginals
+        alphas = np.split(y[: sum(sizes)], first[1:])
+        for beta, link in zip(betas, np.split(y[sum(sizes):], K)):
+            assert beta.tobytes() == link.tobytes()
+        reduced = [ck - ak[:, None] - bk[None, :] for ck, ak, bk in zip(c, alphas, betas)]
+        # pricing leaves no coupling column outside the last LP below the
+        # pivot rule
+        tol = OPT_TOL * max(float(np.abs(ck).max()) for ck in c)
+        outside = [np.ones(ck.shape, dtype=bool) for ck in c]
+        marginal, link = {}, {}
+        for r, j, x in zip(rows.tolist(), cols.tolist(), data.tolist()):
+            if r < sum(sizes):
+                marginal[j] = r
+            elif x > 0:
+                link[j] = r - sum(sizes)
+        for j, r in marginal.items():
+            k = link[j] // n
+            outside[k][r - first[k], link[j] % n] = False
+        for rk, out in zip(reduced, outside):
+            assert rk[out].min(initial=0.0) >= -tol
+        # HiGHS stops once its own columns, w's among them, price above its
+        # absolute dual tolerance of 1e-7 (the full LP does too); they meet
+        # the pivot rule but for that
+        slack = max(0.0, -min(float(rk.min()) for rk in reduced), -float(sum(betas).min()))
+        assert slack <= 1e-7
+        fiber_lp = float(tuple_lp_value(c, [f.weights for f in fibers]))
+        # HiGHS may also drop or misplace the 1e-300 masses of the inputs
+        # and of w (the full LP does too); moving them anywhere costs at
+        # most their mass times the largest cost, up to the rounding of that
+        # bound
+        w_tiny = float(w[w < 1e-200].sum())
+        tiny_cost = (1.0 + 1e-9) * math.fsum(
+            float(ck.max()) * (float(f.weights[f.weights < 1e-200].sum()) + w_tiny)
+            for ck, f in zip(c, fibers)
+        )
+        # by weak duality the optimum lies at most slack below the dual
+        # value on each input's mass and on w's
+        assert value == pytest.approx(fiber_lp, rel=1e-9, abs=tiny_cost + (K + 1) * slack)
+        # the returned w is a minimizer: the transports from the inputs to it
+        # cost the returned value
+        target = DiscreteMeasure(prob.support[b], w)
+        at_w = math.fsum(
+            t * solve_ot(f, target, prob.costs[b], p).value_p for t, f in zip(tau, fibers)
+        )
+        assert at_w == pytest.approx(value, rel=1e-9, abs=tiny_cost + (K + 1) * slack)
 
 
 def grid_search_oracle(prob, steps=32):

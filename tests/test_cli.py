@@ -390,6 +390,27 @@ class TestCLI:
         path = self._write(tmp_path, {**doc, "relabelings": {"b": [2, 1, 0]}})
         assert main(["dist", "--input", path]) == 0
 
+    def test_relabeling_of_an_unknown_base_point_exits_2(self, tmp_path, capsys):
+        doc = generate_instance(seed=3, n_fibers=2, n_atoms=3, kind="interval")
+        shared = {"base": doc["base"], "cost": doc["fibers"]["w1"]["cost"],
+                  "fibers": {b: {"measures": f["measures"]} for b, f in doc["fibers"].items()}}
+        n = len(shared["cost"])
+        path = self._write(tmp_path, {**shared, "relabelings": {"w9": list(range(n))}})
+        assert main(["dist", "--input", path, "--m", "m1", "--n", "m2"]) == 2
+        assert capsys.readouterr().err == "error: relabeling at 'w9' names no base point\n"
+        with pytest.raises(ParseError):
+            load_instance(path)
+
+    def test_relabelings_in_the_per_fiber_form_exit_2(self, tmp_path, capsys):
+        doc = generate_instance(seed=3, n_fibers=1, n_atoms=3, kind="interval")
+        path = self._write(tmp_path, {**doc, "relabelings": {"w1": [0, 0, 7]}})
+        assert main(["dist", "--input", path, "--m", "m1", "--n", "m2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: relabelings need the shared-fiber form, with one top-level 'cost'\n"
+        )
+        with pytest.raises(ParseError):
+            load_instance(path)
+
     def test_example_intervals(self, capsys):
         code = main(["example", "2.2", "--n", "20"])
         out = json.loads(capsys.readouterr().out)
@@ -1043,3 +1064,5 @@ class TestThreeInputsOnTheLine:
         assert highs_calls == []
         self._run(capsys, ["certify", "--input", path, "--p", "1", "--q", "1"])
         assert [c.caller for c in highs_calls] == ["_joint_lp"] * 4
+        # one restricted LP per fiber, where the full one has 19,280 columns
+        assert all(len(c.c) < 2500 for c in highs_calls)
