@@ -48,26 +48,29 @@ from .tolerances import (
 class BarycenterProblem:
     """K >= 2 input measures, simplex weights, exponents, and candidate supports.
 
-    ``support`` maps each base point to the candidate point ids the barycenter
-    may charge; it defaults to every point of that fiber's cost matrix.
-    ``costs`` accepts any cost table and is stored as a dict from each base
-    point to its ground cost.  ``blocks[b][k]`` is the cost block
-    d(f_k^b, support_b)**p from the k-th input's atoms at base point b to its
-    candidate support, built once here for every solve on the problem.
+    The constructor converts every argument once: ``inputs`` to a tuple,
+    ``lambdas`` to a float array, ``costs`` (any cost table) to a dict from
+    each base point to its ground cost, and ``support``, a map from each base
+    point to the candidate point ids the barycenter may charge, to sorted
+    unique int arrays.  ``support`` defaults to every point of each fiber's
+    cost matrix.  ``blocks[b][k]`` is the cost block d(f_k^b, support_b)**p
+    from the k-th input's atoms at base point b to its candidate support,
+    built once here for every solve on the problem.
     """
 
     inputs: tuple[FiberedMeasure, ...]
     lambdas: np.ndarray
     config: DisintConfig
     costs: Mapping[str, GroundCost]
-    support: Mapping[str, np.ndarray]
+    support: Mapping[str, np.ndarray] | None = None
     blocks: Mapping[str, tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.inputs) < 2:
+        inputs = tuple(self.inputs)
+        if len(inputs) < 2:
             raise ValueError("a barycenter problem needs at least two inputs")
         lam = np.asarray(self.lambdas, dtype=np.float64)
-        if lam.size != len(self.inputs):
+        if lam.size != len(inputs):
             raise ValueError("one lambda per input required")
         if not np.all(np.isfinite(lam)):
             raise ValueError("lambdas must be finite")
@@ -75,13 +78,12 @@ class BarycenterProblem:
             raise ValueError("lambdas must be strictly positive")
         if abs(math.fsum(lam) - 1.0) > LAMBDA_TOL:
             raise ValueError("lambdas must sum to 1")
-        object.__setattr__(self, "lambdas", lam)
-        base = self.inputs[0]
-        for other in self.inputs[1:]:
+        base = inputs[0]
+        for other in inputs[1:]:
             if not base.same_base(other):
                 raise BaseMismatch("inputs must share base points and base weights")
         costs = {b: cost_at(self.costs, b) for b in base.base_ids}
-        for k, mk in enumerate(self.inputs):
+        for k, mk in enumerate(inputs):
             for b, f in mk.fibers.items():
                 # atoms are sorted by point id, so the last is the largest
                 if f.point_ids.size and int(f.point_ids[-1]) >= costs[b].n:
@@ -91,7 +93,8 @@ class BarycenterProblem:
                     )
         sup, blocks = {}, {}
         for b in base.base_ids:
-            ids = np.asarray(self.support[b], dtype=np.int64)
+            ids = np.arange(costs[b].n) if self.support is None else self.support[b]
+            ids = np.asarray(ids, dtype=np.int64)
             if ids.size == 0:
                 raise EmptySupport(f"no candidate support at base point {b!r}")
             if ids.min() < 0 or ids.max() >= costs[b].n:
@@ -99,11 +102,11 @@ class BarycenterProblem:
             sup[b] = np.unique(ids)
             blocks[b] = tuple(
                 costs[b].powered_submatrix(mk.fiber(b).point_ids, sup[b], self.config.p)
-                for mk in self.inputs
+                for mk in inputs
             )
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "blocks", blocks)
+        for name, value in (("inputs", inputs), ("lambdas", lam), ("costs", costs),
+                            ("support", sup), ("blocks", blocks)):
+            object.__setattr__(self, name, value)
 
     @property
     def K(self) -> int:
@@ -125,15 +128,8 @@ def make_problem(
     costs: CostTable,
     support: Mapping[str, Sequence[int]] | None = None,
 ) -> BarycenterProblem:
-    if support is None:
-        support = {b: np.arange(cost_at(costs, b).n) for b in inputs[0].base_ids}
-    return BarycenterProblem(
-        inputs=tuple(inputs),
-        lambdas=np.asarray(lambdas, dtype=np.float64),
-        config=config,
-        costs=costs,
-        support={b: np.asarray(s, dtype=np.int64) for b, s in support.items()},
-    )
+    """:class:`BarycenterProblem` by position; None takes every point as support."""
+    return BarycenterProblem(inputs, lambdas, config, costs, support)
 
 
 _ONE_POINT_BASE = "base"
@@ -147,12 +143,9 @@ def classical_problem(
     support: Sequence[int] | None = None,
 ) -> BarycenterProblem:
     """Wrap plain discrete measures as a one-point-base fibered problem."""
-    fibered = [
-        FiberedMeasure([_ONE_POINT_BASE], [1.0], {_ONE_POINT_BASE: mu}) for mu in mus
-    ]
-    cfg = DisintConfig(p, p)
-    sup = None if support is None else {_ONE_POINT_BASE: np.asarray(support, dtype=np.int64)}
-    return make_problem(fibered, lambdas, cfg, cost, sup)
+    fibered = [FiberedMeasure([_ONE_POINT_BASE], [1.0], {_ONE_POINT_BASE: mu}) for mu in mus]
+    sup = None if support is None else {_ONE_POINT_BASE: support}
+    return make_problem(fibered, lambdas, DisintConfig(p, p), cost, sup)
 
 
 @dataclass(frozen=True)
@@ -222,11 +215,13 @@ def _pair_cost(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     """Fiber b's joint transportation LP at input weights tau: (value, w, betas).
 
-    The LP couples each input's fiber to shared weights w on the support at
-    cost sum_k <gamma_k, c_k>, with c_k = tau_k * ``problem.blocks[b][k]``.
-    beta_k, an optimal dual of the k-th input's column links to w, satisfies
-    alpha_k(i) + beta_k(s) <= c_k[i, s] with alpha_k optimal duals of its row
-    marginals, and sum_k beta_k >= 0 up to the solver's tolerance.
+    The LP couples each input's fiber, of weights a_k, to shared weights w on
+    the support at cost sum_k <gamma_k, c_k>, with c_k = tau_k *
+    ``problem.blocks[b][k]``.  c and a are built here, once, and every solver
+    below reads only them.  beta_k, an optimal dual of the k-th input's column
+    links to w, satisfies alpha_k(i) + beta_k(s) <= c_k[i, s] with alpha_k
+    optimal duals of its row marginals, and sum_k beta_k >= 0 up to the
+    solver's tolerance.
 
     Two inputs make one transport problem between them on the pair cost
     C(i, j) = min_s c_1[i, s] + c_2[j, s] (Agueh & Carlier 2011).  The value
@@ -238,13 +233,14 @@ def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     (:func:`_northwest_lp`); elsewhere its cells seed the restricted LP that
     HiGHS solves with pricing (:func:`_joint_lp`).
     """
+    c = [t * blk for t, blk in zip(tau, problem.blocks[b])]
+    a = [mk.fiber(b).weights for mk in problem.inputs]
     if problem.K > 2:
-        c = [t * blk for t, blk in zip(tau, problem.blocks[b])]
-        walk = _northwest_walk(problem, b, c)
+        walk = _northwest_walk(c, a)
         found = _northwest_lp(c, walk)
-        return _joint_lp(problem, b, tau, walk) if found is None else found
-    c1, c2 = (t * c for t, c in zip(tau, problem.blocks[b]))
-    a1, a2 = (mk.fiber(b).weights for mk in problem.inputs)
+        return _joint_lp(c, a, walk) if found is None else found
+    c1, c2 = c
+    a1, a2 = a
     pair = _pair_cost(c1, c2)
     _, gamma, u, v, basis = transport(pair, a1, a2)
     # nonnegative costs make the optimum nonnegative; see solve_ot
@@ -256,20 +252,20 @@ def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
     return value, w, betas
 
 
-def _northwest_walk(problem: BarycenterProblem, b: str, c: Sequence[np.ndarray]):
-    """The multi-marginal north-west corner of fiber b at costs c: (steps, mass).
+def _northwest_walk(c: Sequence[np.ndarray], a: Sequence[np.ndarray]):
+    """The multi-marginal north-west corner of weights a at costs c: (steps, mass).
 
     The walk visits K-tuples of input atoms in point-id order: each step moves
     the least residual mass to the tuple's first minimizing s, then advances
     the first exhausted input; ties insert tuples of zero mass.  Each step is
     (k, idx, s, t): the input k that advanced into the tuple idx (None at the
     first), s, and the mass t it moves, an integer at the common mass
-    ``mass`` of the inputs' weights (:func:`disot.ot._common_mass`).  Its
+    ``mass`` of the weights a (:func:`disot.ot._common_mass`).  Its
     plan, t / mass on the cell (k, idx[k], s) of every input k, is feasible
     for the fiber LP.
     """
     K = len(c)
-    left, mass = _common_mass(*(mk.fiber(b).weights for mk in problem.inputs))
+    left, mass = _common_mass(*a)
     last = [len(r) - 1 for r in left]
     idx = [0] * K
     steps = []
@@ -323,13 +319,13 @@ def _northwest_lp(c: Sequence[np.ndarray], walk):
     return max(0.0, total / (mass * cs)), np.array([x / mass for x in w]), betas
 
 
-def _joint_lp(problem: BarycenterProblem, b: str, tau: np.ndarray, walk=None):
-    """:func:`fiber_barycenter_lp` by HiGHS on a restricted LP with pricing.
+def _joint_lp(c: Sequence[np.ndarray], a: Sequence[np.ndarray], walk):
+    """:func:`fiber_barycenter_lp` at costs c and weights a by HiGHS on a restricted LP.
 
     The full LP has one coupling per input plus w as variables; its rows are
     every input's row marginals, then per input the column links of its
     coupling to w.  HiGHS first gets only some coupling columns: the cells of
-    the north-west corner ``walk`` (walked here when None is given), whose
+    the north-west corner ``walk`` (:func:`_northwest_walk` at c and a), whose
     plan makes the restricted LP feasible, and each input atom's cheapest
     support point, beside every w column.  HiGHS's duals of the rows, alpha_k
     and beta_k, then price every coupling column at c_k[i, s] - alpha_k(i) -
@@ -339,13 +335,9 @@ def _joint_lp(problem: BarycenterProblem, b: str, tau: np.ndarray, walk=None):
     LP.  The columns keep the full LP's order, and the betas are HiGHS's duals
     of the links at the last solve.
     """
-    K = problem.K
-    c = [t * blk for t, blk in zip(tau, problem.blocks[b])]
-    if walk is None:
-        walk = _northwest_walk(problem, b, c)
-    s = problem.support[b].size
-    fibers = [mk.fiber(b) for mk in problem.inputs]
-    sizes = np.array([len(f) for f in fibers])
+    K = len(c)
+    s = c[0].shape[1]
+    sizes = np.array([ck.shape[0] for ck in c])
     n_marg = int(sizes.sum())
     n_gamma = n_marg * s
     # column first[k] + i * s + j is input k's cell (i, j); its two rows are
@@ -353,7 +345,7 @@ def _joint_lp(problem: BarycenterProblem, b: str, tau: np.ndarray, walk=None):
     rows, cols, data = coupling_rows(sizes, np.full(K, s), np.full(K, n_gamma))
     first = s * (np.cumsum(sizes) - sizes)
     cvec = np.concatenate([ck.ravel() for ck in c] + [np.zeros(s)])
-    beq = np.concatenate([f.weights for f in fibers] + [np.zeros(K * s)])
+    beq = np.concatenate([*a, np.zeros(K * s)])
     tol = OPT_TOL * max(float(np.abs(ck).max(initial=0.0)) for ck in c)
     active = np.arange(n_gamma + s) >= n_gamma
     tuples = np.array([idx for _, idx, _, _ in walk[0]])
@@ -522,7 +514,8 @@ def disint_barycenter(
 
     ``certificate`` is the dual certificate at the minimizer, from the LP
     duals or from the last check (extracted anew if the minimizer moved since);
-    ``dual_bound`` stays the best bound over the checks.
+    ``dual_bound`` stays the best bound over the checks, and ``gap`` is
+    ``value - dual_bound`` at return.
     """
     if _lp_route(problem):
         return _lp_barycenter(problem)
@@ -559,19 +552,16 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     else:
         w = {b: project_simplex(np.asarray(start[b], dtype=np.float64)) for b in base_ids}
 
-    best_val = math.inf
-    best_w = None
+    best_val, best_w = math.inf, None
     # the weights of the last check, their certificate and distance profile
     cert_w = cert = prof = None
     dual_bound = -math.inf
     certified = False
-    gap = math.inf
     trace = []
     # each (fiber, input) transport keeps its cost while w moves, so its last
     # optimal tree stays dual feasible and warm-starts the next solve
     trees = {}
 
-    it = 0
     for it in range(1, max_iter + 1):
         # per-(k, fiber) p-th power costs (K x fibers) and column duals at w
         fmat = np.empty((K, len(base_ids)))
@@ -603,7 +593,6 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
             # zero subgradient of a convex objective: the iterate is optimal
             best_val, best_w = obj, {b: w[b].copy() for b in base_ids}
             certified = True
-            gap = 0.0
             dual_bound = max(dual_bound, obj)
             break
 
@@ -614,9 +603,8 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
                 cert_w = best_w
                 cert, prof = _certificate_at(problem, _assemble(problem, best_w))
                 dual_bound = max(dual_bound, eval_dual(cert, problem))
-            gap = best_val - dual_bound
             trace.append((it, best_val, dual_bound))
-            if gap <= gap_allowance(tol, best_val):
+            if best_val - dual_bound <= gap_allowance(tol, best_val):
                 certified = True
                 break
 
@@ -637,7 +625,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
         cert, prof = _certificate_at(problem, minimizer)
     return _result(
         problem, minimizer, best_val, log, prof,
-        certified=certified, gap=gap, dual_bound=dual_bound, certificate=cert,
+        certified=certified, gap=best_val - dual_bound, dual_bound=dual_bound, certificate=cert,
     )
 
 
@@ -654,12 +642,16 @@ class ProbeReport:
 def _resolve(
     problem: BarycenterProblem, rng, radius: float, mode: str, max_iter: int, tol: float
 ):
-    """One randomized re-solve: objective tilt, random start, or support subset.
+    """One randomized re-solve: objective tilt, support subset, or random start.
 
-    The tilt serves the LP routes (q = p, q = inf) and the random start the
-    subgradient route (p < q < inf); ``max_iter`` and ``tol`` bound the
-    subgradient solves.
+    Each mode only builds the perturbed problem (tilted costs, a random
+    support subset, or a random start), which is then re-solved one way.
+    The LP routes (q = p, q = inf), which the tilt serves, solve only the LP
+    weights: a full solve's certificate and distances would be discarded.
+    The subgradient route (p < q < inf), which the random start serves,
+    solves within ``max_iter`` and ``tol``.
     """
+    start = None
     if mode == "tilt":
         tilted = {}
         for b in problem.base_ids:
@@ -670,25 +662,16 @@ def _resolve(
             tilt = (tilt + tilt.T) / 2.0
             np.fill_diagonal(tilt, 1.0)
             tilted[b] = GroundCost(d * tilt)
-        weights = _lp_weights(replace(problem, costs=tilted))[0]
-        return _assemble(problem, weights)
-    if mode == "support":
-        sub_support = {}
-        for b in problem.base_ids:
-            keep = rng.random(problem.support[b].size) < 0.5
-            sub_support[b] = problem.support[b][keep]
-            if sub_support[b].size == 0:
-                sub_support[b] = problem.support[b]
-        sub = replace(problem, support=sub_support)
-        if _lp_route(sub):
-            # the LP weights alone: the certificate and distances of a full
-            # solve would be discarded
-            return _assemble(sub, _lp_weights(sub)[0])
-        return disint_barycenter(sub, max_iter=max_iter, tol=tol).minimizer
-    # random feasible start for the subgradient path
-    start = {
-        b: rng.dirichlet(np.ones(problem.support[b].size)) for b in problem.base_ids
-    }
+        problem = replace(problem, costs=tilted)
+    elif mode == "support":
+        # an empty draw keeps the whole support of its fiber
+        keep = {b: rng.random(problem.support[b].size) < 0.5 for b in problem.base_ids}
+        sub = {b: problem.support[b][k] if k.any() else problem.support[b] for b, k in keep.items()}
+        problem = replace(problem, support=sub)
+    else:
+        start = {b: rng.dirichlet(np.ones(problem.support[b].size)) for b in problem.base_ids}
+    if _lp_route(problem):
+        return _assemble(problem, _lp_weights(problem)[0])
     return disint_barycenter(problem, start=start, max_iter=max_iter, tol=tol).minimizer
 
 
@@ -717,7 +700,7 @@ def uniqueness_probe(
     p < q < inf) and from random support subsets, and also tries each input
     measure as a candidate.  Minimizers within PROBE_EXACT_VALUE_TOL (LP
     routes) or PROBE_VALUE_TOL (p < q < inf) of the best value, relative to
-    1 + |value|, are collected and their maximum pairwise distance reported;
+    1 + |value| (:func:`disot.tolerances.gap_allowance`), are collected and their maximum pairwise distance reported;
     a distance above PROBE_DIST_TOL at equal value is a nonuniqueness witness
     (all three in :mod:`disot.tolerances`).  ``max_iter`` and ``tol`` are
     passed to every subgradient re-solve, as to :func:`disint_barycenter`.
@@ -725,8 +708,7 @@ def uniqueness_probe(
     check_probe_settings(trials, radius)
     rng = np.random.default_rng(seed)
     exact = _lp_route(problem)
-    rel = PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL
-    value_tol = rel * (1.0 + abs(result.value))
+    value_tol = gap_allowance(PROBE_EXACT_VALUE_TOL if exact else PROBE_VALUE_TOL, result.value)
 
     candidates: list[FiberedMeasure] = [result.minimizer]
     for mk in problem.inputs:

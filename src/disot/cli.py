@@ -492,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # inside the try: --q and --lambda raise ParseError while they are parsed
     try:
-        return run(args)
+        return run(build_parser().parse_args(argv))
     except (DisotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

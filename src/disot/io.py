@@ -93,14 +93,24 @@ def dump_text(obj) -> str:
     return dumps(obj) + "\n"
 
 
-def parse_extended_float(x) -> float:
-    """Accept plain floats plus the strings "inf", "-inf", "nan"."""
-    if isinstance(x, str):
+def parse_extended_float(x, where: str) -> float:
+    """A number (not a boolean) or one of the strings "inf", "-inf", "nan", as a float.
+
+    A boolean or any other string raises ParseError naming ``where``.
+    """
+    if not isinstance(x, bool):
         try:
             return float(x)
         except ValueError:
-            raise ParseError(f"not a number: {x!r}") from None
-    return float(x)
+            pass
+    raise ParseError(f"{where}: not a number: {x!r}")
+
+
+def _json_int(x, where: str) -> int:
+    """A point id or relabeling entry: a JSON integer, not a float or a boolean."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ParseError(f"{where}: not an integer: {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -127,7 +137,7 @@ class Instance:
 
 def _parse_atoms(raw, where: str) -> DiscreteMeasure:
     try:
-        pairs = [(int(a["point"]), parse_extended_float(a["w"])) for a in raw]
+        pairs = [(_json_int(a["point"], where), parse_extended_float(a["w"], where)) for a in raw]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad atom list at {where}: {exc}") from None
     return DiscreteMeasure([i for i, _ in pairs], [w for _, w in pairs])
@@ -135,7 +145,8 @@ def _parse_atoms(raw, where: str) -> DiscreteMeasure:
 
 def parse_instance(doc: Mapping) -> Instance:
     try:
-        base = [(str(e["id"]), parse_extended_float(e["sigma"])) for e in doc["base"]]
+        base = [(str(e["id"]), parse_extended_float(e["sigma"], f"base point {e['id']!r}"))
+                for e in doc["base"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad or missing 'base' section: {exc}") from None
     base_ids = [b for b, _ in base]
@@ -147,7 +158,7 @@ def parse_instance(doc: Mapping) -> Instance:
         for bid, perm in doc.get("relabelings", {}).items():
             if bid not in base_ids:
                 raise ParseError(f"relabeling at {bid!r} names no base point")
-            g = np.array([int(i) for i in perm], dtype=np.int64)
+            g = np.array([_json_int(i, f"relabeling at {bid!r}") for i in perm], dtype=np.int64)
             if sorted(g.tolist()) != list(range(cost.n)):
                 raise InvalidGroundCost(f"relabeling at {bid!r} is not a permutation")
             if not np.array_equal(cost.d[np.ix_(g, g)], cost.d):
@@ -182,7 +193,7 @@ def parse_instance(doc: Mapping) -> Instance:
             md = fibers_doc.get(b, {}).get("measures", {})
             if name not in md:
                 raise ParseError(f"measure {name!r} missing at base point {b!r}")
-            fibs[b] = _parse_atoms(md[name], f"{name}@{b}")
+            fibs[b] = _parse_atoms(md[name], f"measure {name!r} at base point {b!r}")
         measures[name] = FiberedMeasure(base_ids, sigma, fibs)
     return Instance(base_ids=tuple(base_ids), sigma=sigma, costs=costs, measures=measures)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from disot import ot
+from disot import barycenter, ot
 from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost
 
 
@@ -59,6 +59,13 @@ def random_fibered_instance(
                 per_input[k][b] = random_measure(rng, n_atoms)
     measures = [FiberedMeasure(base_ids, sigma, per_input[k]) for k in range(n_inputs)]
     return measures, costs
+
+
+def joint_lp(prob, b, tau):
+    """``barycenter._joint_lp`` on fiber b at tau, seeded by the north-west walk as the oracle seeds it."""
+    c = [t * blk for t, blk in zip(tau, prob.blocks[b])]
+    a = [mk.fiber(b).weights for mk in prob.inputs]
+    return barycenter._joint_lp(c, a, barycenter._northwest_walk(c, a))
 
 
 def assert_same_certificate(a, b):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from disot import barycenter, ot
 from disot.barycenter import (
     _certificate_at,
-    _joint_lp,
     classical_barycenter,
     classical_problem,
     disint_barycenter,
@@ -38,7 +37,7 @@ from disot.metric import DisintConfig
 from disot.ot import _vertex_min_exact, solve_ot, transport
 from disot.tolerances import NW_SLACK_ULPS, OPT_TOL
 
-from conftest import assert_same_certificate, metric_cost, random_fibered_instance
+from conftest import assert_same_certificate, joint_lp, metric_cost, random_fibered_instance
 from reference_multimarginal import tuple_lp_value
 
 
@@ -89,6 +88,12 @@ class TestObjective:
         prob = classical_problem([dirac(0), dirac(1)], cost, [0.5, 0.5], p=2.0, support=[0, 1])
         with pytest.raises(SupportViolation):
             objective(prob, single_base(dirac(2)))
+
+    def test_base_mismatch(self):
+        prob = classical_problem([dirac(0), dirac(1)], line_cost([0.0, 1.0]), [0.5, 0.5], p=2.0)
+        elsewhere = FiberedMeasure(["elsewhere"], [1.0], {"elsewhere": dirac(0)})
+        with pytest.raises(BaseMismatch, match="candidate does not share the problem's base weights"):
+            objective(prob, elsewhere)
 
 
 class TestClassicalBarycenter:
@@ -295,6 +300,16 @@ class TestDisintBarycenter:
         assert not res.certified
         assert res.solver_log["max_iter_exceeded"]
 
+    def test_gap_is_taken_at_the_returned_value(self):
+        # the best value falls after the check at iteration 50, so a gap kept
+        # from that check would be stale when the cap stops the solve
+        inst = parse_instance(generate_instance(seed=0, n_fibers=3, n_atoms=6, n_measures=2, kind="interval"))
+        inputs = [inst.measure("m1"), inst.measure("m2")]
+        prob = make_problem(inputs, [0.5, 0.5], DisintConfig(1.0, 3.0), inst.costs)
+        res = disint_barycenter(prob, max_iter=60)
+        assert not res.certified
+        assert res.gap == res.value - res.dual_bound
+
     @pytest.mark.parametrize("case", ["identical_uniform_inputs", "zero_cost"])
     def test_zero_subgradient_stops_certified(self, case):
         # every fiber cost is 0 at the uniform start, so the subgradient is 0
@@ -452,7 +467,7 @@ class TestPairBetas:
         assert dual == pytest.approx(primal, rel=1e-9)
         # weak duality against HiGHS's optimum of the joint LP; HiGHS can stop
         # up to ~1e-7 relative above the optimum, so equality is not asserted
-        highs_value = _joint_lp(prob, b, tau)[0]
+        highs_value = joint_lp(prob, b, tau)[0]
         assert dual <= highs_value + 1e-9 * abs(highs_value) + 1e-12
         if m1 <= 4 and m2 <= 4:
             # the exact oracle on the pair cost
@@ -478,7 +493,7 @@ class TestPairBetas:
         assert value == float(exact) == pytest.approx(0.0896278600988, rel=1e-12)
         # HiGHS stopped 6e-8 relative above it on the full joint LP; on the
         # restricted LP it reaches the optimum
-        assert _joint_lp(prob, b, tau)[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert joint_lp(prob, b, tau)[0] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_disint_bary_reports_the_exact_optimum(self):
         # ``generate --seed 1 --fibers 4 --atoms 80 --measures 2 --kind
@@ -508,7 +523,7 @@ class TestPairBetas:
         res = disint_barycenter(prob)
         cert, _ = _certificate_at(prob, res.minimizer)
         highs_betas = {
-            b: _joint_lp(prob, b, prob.lambdas * cert.zeta[:, i])[2]
+            b: joint_lp(prob, b, prob.lambdas * cert.zeta[:, i])[2]
             for i, b in enumerate(prob.base_ids)
         }
         lp_cert = extract_certificate(prob, cert.zeta, highs_betas)
@@ -560,14 +575,14 @@ class TestNorthWestCorner:
             value, w, betas = fiber_barycenter_lp(prob, b, tau)
         if spy.called:
             # the certificate failed: the answer is HiGHS's
-            want = _joint_lp(prob, b, tau)
+            want = joint_lp(prob, b, tau)
             assert value == want[0] and w.tobytes() == want[1].tobytes()
             return
         fibers = [mk.fiber(b) for mk in prob.inputs]
         c = [t * blk for t, blk in zip(tau, prob.blocks[b])]
         exact = tuple_lp_value(c, [f.weights for f in fibers])
         assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
-        highs_value = _joint_lp(prob, b, tau)[0]
+        highs_value = joint_lp(prob, b, tau)[0]
         assert value <= highs_value + 1e-9 * abs(highs_value) + 1e-12
         # the returned w is a minimizer: the transports from the inputs to it
         # cost the returned value
@@ -597,7 +612,7 @@ class TestNorthWestCorner:
             if not highs_calls:
                 continue
             declined += 1
-            want_value, want_w, want_betas = _joint_lp(prob, "w1", prob.lambdas)
+            want_value, want_w, want_betas = joint_lp(prob, "w1", prob.lambdas)
             assert value == want_value and w.tobytes() == want_w.tobytes()
             assert all(x.tobytes() == y.tobytes() for x, y in zip(betas, want_betas))
         assert declined > 10
@@ -671,7 +686,7 @@ class TestPricedJointLP:
             return res
 
         with mock.patch.object(barycenter, "highs", spy):
-            value, w, betas = _joint_lp(prob, b, tau)
+            value, w, betas = joint_lp(prob, b, tau)
         fibers = [mk.fiber(b) for mk in prob.inputs]
         c = [t * blk for t, blk in zip(tau, prob.blocks[b])]
         n = c[0].shape[1]
@@ -869,6 +884,23 @@ class TestUniquenessProbe:
         for b in prob.base_ids:
             assert got.fiber(b).point_ids.tolist() == full.minimizer.fiber(b).point_ids.tolist()
             assert got.fiber(b).weights.tobytes() == full.minimizer.fiber(b).weights.tobytes()
+
+    @pytest.mark.parametrize("q, values, distance", [
+        (2.0, ["0x1.eb96c52cce8e4p-8"] * 3, "0x0.0p+0"),
+        (math.inf, ["0x1.0e5aee0e09db3p-7"] * 3, "0x1.5b37aaa728f7bp-4"),
+        (4.0, ["0x1.0c9e50de08a8cp-7", "0x1.0db40418f023fp-7", "0x1.0a3766da6ab9ep-7",
+               "0x1.18c2d75ecde81p-7"], "0x1.6d87ebc0d7113p-4"),
+    ])
+    def test_probe_output_is_pinned(self, q, values, distance):
+        # tilt and support trials at q = 2 and q = inf, random-start and
+        # support trials at q = 4: each re-solve mode keeps its output bit for bit
+        inst = parse_instance(generate_instance(seed=1, n_fibers=2, n_atoms=6, n_measures=2, kind="interval"))
+        inputs = [inst.measure(name) for name in sorted(inst.measures)]
+        prob = make_problem(inputs, [0.4, 0.6], DisintConfig(2.0, q), inst.costs)
+        res = disint_barycenter(prob, max_iter=30)
+        probe = uniqueness_probe(prob, res, trials=4, radius=0.1, seed=5, max_iter=30)
+        assert [v.hex() for v in probe.values] == values
+        assert probe.max_pairwise_distance.hex() == distance
 
     def test_shared_fiber_q_inf_witness_is_exact(self, monkeypatch):
         def no_subgradient(*args, **kwargs):

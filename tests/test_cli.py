@@ -199,6 +199,16 @@ class TestGenerate:
         b = dump_text(generate_instance(seed=1))
         assert a != b
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "circle"}, "kind must be 'interval' or 'square'"),
+        ({"n_fibers": 0}, "sizes must be positive"),
+        ({"n_atoms": 0}, "sizes must be positive"),
+        ({"n_measures": 0}, "sizes must be positive"),
+    ])
+    def test_kind_and_sizes_are_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            generate_instance(seed=0, **kwargs)
+
     def test_oracle_bound_enforced(self):
         for kind in ("interval", "square"):
             # at the bound every pair of measures on every fiber is within
@@ -389,6 +399,35 @@ class TestCLI:
             assert capsys.readouterr().err == f"error: {message}\n"
         path = self._write(tmp_path, {**doc, "relabelings": {"b": [2, 1, 0]}})
         assert main(["dist", "--input", path]) == 0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("point", 0.9, "measure 'm' at base point 'a': not an integer: 0.9"),
+        ("point", True, "measure 'm' at base point 'a': not an integer: True"),
+        ("point", "2", "measure 'm' at base point 'a': not an integer: '2'"),
+        ("w", True, "measure 'm' at base point 'a': not a number: True"),
+        ("sigma", True, "base point 'a': not a number: True"),
+        ("relabeling", [1.7, 0.2, 2.0], "relabeling at 'b': not an integer: 1.7"),
+    ])
+    def test_values_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, field, value, message):
+        # json.dumps keeps 2.0 a float; the instance writer would print it as 2
+        doc = {
+            "base": [{"id": "a", "sigma": 0.5}, {"id": "b", "sigma": 0.5}],
+            "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+            "fibers": {
+                b: {"measures": {"m": [{"point": 0, "w": 1.0}], "n": [{"point": 2, "w": 1.0}]}}
+                for b in ("a", "b")
+            },
+        }
+        if field == "sigma":
+            doc["base"][0]["sigma"] = value
+        elif field == "relabeling":
+            doc["relabelings"] = {"b": value}
+        else:
+            doc["fibers"]["a"]["measures"]["m"][0][field] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dist", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_relabeling_of_an_unknown_base_point_exits_2(self, tmp_path, capsys):
         doc = generate_instance(seed=3, n_fibers=2, n_atoms=3, kind="interval")
@@ -785,6 +824,76 @@ loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 with open(sys.argv[1], "w") as fh:
     json.dump({"status": status, "scipy": loaded}, fh)
 """
+
+
+def _two_fibers():
+    return json.loads(dump_text(generate_instance(seed=0, n_fibers=2, n_atoms=3, n_measures=2)))
+
+
+def _drop(doc, *keys):
+    """doc with the entry at the key path removed."""
+    *path, last = keys
+    inner = doc
+    for k in path:
+        inner = inner[k]
+    del inner[last]
+    return doc
+
+
+# (instance document, or None to write none; CSV files by name; argv after
+# the command, with {inst} and {dir} filled in; the error message)
+ERROR_PATHS = {
+    "bad --q": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--q", "abc"],
+                "bad value for --q: 'abc'"),
+    "bad --lambda": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--lambda", "0.5,x"],
+                     "bad value for --lambda: '0.5,x'"),
+    "--lambda length": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--lambda", "0.2,0.3,0.5"],
+                        "--lambda needs 2 entries, got 3"),
+    "one name": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--names", "m1"],
+                 "need at least 2 measure names, got ['m1']"),
+    "--mu-csv alone": (None, {"mu.csv": "0.0,1.0\n"}, ["ot", "--mu-csv", "{dir}/mu.csv"],
+                       "--mu-csv and --nu-csv must be given together"),
+    "ot without --fiber": (_two_fibers(), {}, ["ot", "--input", "{inst}", "--mu", "m1", "--nu", "m2"],
+                           "--fiber is required on a multi-fiber instance"),
+    "unknown measure": (_two_fibers(), {}, ["dist", "--input", "{inst}", "--m", "m1", "--n", "m9"],
+                        "measure 'm9' not in instance (has: ['m1', 'm2'])"),
+    "no base": (_drop(_two_fibers(), "base"), {}, ["dist", "--input", "{inst}"],
+                "bad or missing 'base' section: 'base'"),
+    "malformed base": ({**_two_fibers(), "base": [{"id": "w1"}]}, {}, ["dist", "--input", "{inst}"],
+                       "bad or missing 'base' section: 'sigma'"),
+    "no fiber entry": (_drop(_two_fibers(), "fibers", "w2"), {}, ["dist", "--input", "{inst}"],
+                       "no fiber entry for base point 'w2'"),
+    "no cost matrix": (_drop(_two_fibers(), "fibers", "w1", "cost"), {}, ["dist", "--input", "{inst}"],
+                       "fiber 'w1' lacks a cost matrix"),
+    "measure missing at a base point": (
+        _drop(_two_fibers(), "fibers", "w2", "measures", "m2"), {},
+        ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
+        "measure 'm2' missing at base point 'w2'"),
+    "non-number string": (
+        {"base": [{"id": "w", "sigma": "heavy"}], "fibers": {}}, {}, ["dist", "--input", "{inst}"],
+        "base point 'w': not a number: 'heavy'"),
+    "bad CSV row": (None, {"mu.csv": "x,w\n0.0,1.0\n0.5\n", "nu.csv": "1.0,1.0\n"},
+                    ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+                    "{dir}/mu.csv:3: expected 'coordinate,weight'"),
+    "missing CSV": (None, {"nu.csv": "1.0,1.0\n"},
+                    ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+                    "cannot read {dir}/mu.csv: [Errno 2] No such file or directory: '{dir}/mu.csv'"),
+    "CSV without atoms": (None, {"mu.csv": "x,w\n\n", "nu.csv": "1.0,1.0\n"},
+                          ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+                          "{dir}/mu.csv holds no atoms"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_paths_exit_2(tmp_path, capsys, case):
+    doc, csvs, argv, message = ERROR_PATHS[case]
+    if doc is not None:
+        (tmp_path / "inst.json").write_text(json.dumps(doc))
+    for name, text in csvs.items():
+        (tmp_path / name).write_text(text)
+    fill = {"inst": str(tmp_path / "inst.json"), "dir": str(tmp_path)}
+    assert main([a.format(**fill) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**fill)}\n")
 
 
 class TestStartup:

@@ -12,7 +12,6 @@ import disot
 from disot import ot
 from disot.barycenter import (
     _certificate_at,
-    _joint_lp,
     classical_barycenter,
     disint_barycenter,
     fiber_lps,
@@ -35,7 +34,7 @@ from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
 from disot.metric import DisintConfig
 from disot.ot import c_transform
 
-from conftest import assert_same_certificate, random_fibered_instance
+from conftest import assert_same_certificate, joint_lp, random_fibered_instance
 
 
 def random_feasible_certificate(prob, rng, scale=1.0):
@@ -107,6 +106,18 @@ class TestValidate:
         short = {b: v[:-1] for b, v in cert.xi[0].items()}
         with pytest.raises(ShapeMismatch):
             validate_certificate(DualCertificate(prob.base_ids, cert.zeta, (short, cert.xi[1])), prob)
+
+    def test_base_points_or_input_count_mismatch(self, rng):
+        ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
+        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        cert = random_feasible_certificate(prob, rng)
+        renamed = DualCertificate(("x", "y"), cert.zeta, cert.xi)
+        with pytest.raises(ShapeMismatch, match="base points do not match"):
+            eval_dual(renamed, prob)
+        zeta = np.vstack([cert.zeta, cert.zeta[:1]])
+        one_more = DualCertificate(prob.base_ids, zeta, cert.xi + cert.xi[:1])
+        with pytest.raises(ShapeMismatch, match="wrong number of inputs or base points"):
+            eval_dual(one_more, prob)
 
 
 class TestEvalDual:
@@ -446,7 +457,7 @@ class TestLPLayout:
         return make_problem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {"w": cost})
 
     def test_joint_lp(self, problem, highs_calls):
-        _joint_lp(problem, "w", problem.lambdas)
+        joint_lp(problem, "w", problem.lambdas)
         assert highs_calls
         # each solve takes some of the full LP's coupling columns, in its
         # order, and every w column, with the full LP's rows
@@ -487,7 +498,7 @@ class TestLPLayout:
 
         monkeypatch.setattr(ot, "MAX_PIVOTS_PER_NODE", 0)
         monkeypatch.setattr(ot, "MAX_PIVOTS_BASE", 0)
-        _joint_lp(problem, "w", problem.lambdas)
+        joint_lp(problem, "w", problem.lambdas)
         minimax_barycenter_lp(problem)
         a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
         ot.transport(np.array([[0.0, 1.0], [1.0, 0.0]]), a, b)

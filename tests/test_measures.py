@@ -79,6 +79,40 @@ NON_FINITE_WEIGHTS = pytest.mark.parametrize(
 )
 
 
+class TestConstructorErrors:
+    @pytest.mark.parametrize("ids, w", [([0, 1], [1.0]), ([[0]], [[1.0]])])
+    def test_discrete_measure_needs_equal_1d_arrays(self, ids, w):
+        with pytest.raises(ValueError, match="1-d and equally long"):
+            DiscreteMeasure(ids, w)
+
+    @pytest.mark.parametrize("d, message", [
+        ([[0.0, 1.0]], "cost matrix must be square"),
+        ([[1.0, 1.0], [1.0, 0.0]], "cost matrix has nonzero diagonal"),
+        ([[0.0, 1.0], [2.0, 0.0]], "cost matrix is not symmetric"),
+    ])
+    def test_ground_cost(self, d, message):
+        with pytest.raises(InvalidGroundCost, match=message):
+            GroundCost(d)
+
+    def test_fibered_measure_needs_one_weight_per_base_point(self):
+        with pytest.raises(BaseMismatch, match="base_ids and sigma lengths differ"):
+            FiberedMeasure(["a", "b"], [1.0], {"a": dirac(0), "b": dirac(0)})
+
+    def test_fibered_measure_needs_a_fiber_at_every_positive_weight(self):
+        with pytest.raises(BaseMismatch, match="'b' has positive mass but no fiber measure"):
+            FiberedMeasure(["a", "b"], [0.5, 0.5], {"a": dirac(0)})
+
+    @pytest.mark.parametrize("make, attr", [
+        (lambda: dirac(0), "weights"),
+        (lambda: GroundCost([[0.0]]), "d"),
+        (lambda: FiberedMeasure(["a"], [1.0], {"a": dirac(0)}), "sigma"),
+    ])
+    def test_immutable(self, make, attr):
+        obj = make()
+        with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+            setattr(obj, attr, None)
+
+
 class TestNonFiniteInputs:
     """Non-finite weights and costs are refused when they are constructed."""
 

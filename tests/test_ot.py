@@ -862,6 +862,14 @@ class TestTransportLinprog:
 
 
 class TestCTransform:
+    @pytest.mark.parametrize("xi, message", [
+        ([0.0, math.nan, 0.0], "potential has non-finite entries"),
+        ([0.0, 0.0], "potential length does not match the transform domain"),
+    ])
+    def test_bad_potential(self, rng, xi, message):
+        with pytest.raises(ValueError, match=message):
+            c_transform(np.array(xi), 0.5, 2.0, metric_cost(rng, 3))
+
     def test_zero_potential(self, rng):
         cost = metric_cost(rng, 5)
         out = c_transform(np.zeros(5), 0.7, 2.0, cost)
