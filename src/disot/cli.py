@@ -13,6 +13,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .barycenter import (
     check_probe_settings,
@@ -35,7 +37,7 @@ from .io import (
     save_document,
 )
 from .measures import DiscreteMeasure, FiberedMeasure
-from .metric import DisintConfig, fiber_distance_profile, scrmk
+from .metric import DisintConfig, fiber_distance_profile, lq_norm, scrmk
 from .ot import coupling_is_deterministic, solve_ot
 from .tolerances import (
     CERT_TOL,
@@ -78,8 +80,8 @@ def _measure_payload(m: FiberedMeasure) -> dict:
     }
 
 
-def _disint_config(args: argparse.Namespace) -> DisintConfig:
-    return DisintConfig(args.p, args.p if args.q is None else args.q)
+def _disint_config(p: float, q: float | None) -> DisintConfig:
+    return DisintConfig(p, p if q is None else q)
 
 
 def _positive_base(instance: Instance) -> list[str]:
@@ -87,35 +89,38 @@ def _positive_base(instance: Instance) -> list[str]:
     return [b for b, s in zip(instance.base_ids, instance.sigma) if s > 0.0]
 
 
-def _pick_names(instance: Instance, args: argparse.Namespace) -> list[str]:
+def _problem(instance: Instance, args: argparse.Namespace, q: float | None):
+    """(names, problem): the barycenter problem on the measures that --names picks.
+
+    The names are --names, or every measure of the instance in sorted order;
+    at least two are needed.  The exponents are --p and ``q`` (--p when None),
+    and the weights are --lambda, one per name, or equal weights.  Errors
+    come in that order: too few names, bad exponents, an unknown name, a
+    --lambda of the wrong length.
+    """
     names = args.names if args.names else sorted(instance.measures)
     if len(names) < 2:
         raise ParseError(f"need at least 2 measure names, got {names}")
-    return names
-
-
-def _lambdas_for(args: argparse.Namespace, k: int) -> list[float]:
-    if args.lambdas is None:
-        return [1.0 / k] * k
-    if len(args.lambdas) != k:
-        raise ParseError(f"--lambda needs {k} entries, got {len(args.lambdas)}")
-    return args.lambdas
-
-
-def _problem_from_instance(
-    instance: Instance, args: argparse.Namespace, names: list[str], config: DisintConfig
-):
+    config = _disint_config(args.p, q)
     inputs = [instance.measure(nm) for nm in names]
-    return make_problem(inputs, _lambdas_for(args, len(inputs)), config, instance.costs)
+    k = len(inputs)
+    lambdas = [1.0 / k] * k if args.lambdas is None else args.lambdas
+    if len(lambdas) != k:
+        raise ParseError(f"--lambda needs {k} entries, got {len(lambdas)}")
+    return names, make_problem(inputs, lambdas, config, instance.costs)
 
 
 def _solve(args: argparse.Namespace):
-    """Load the instance, build the barycenter problem and solve it."""
+    """Load the instance, build the barycenter problem and solve it.
+
+    Returns (problem, result, config echo).  The echo holds p, q, input and
+    names, in that order; each command adds the flags it reads beyond these.
+    """
     instance = load_instance(args.input)
-    names = _pick_names(instance, args)
-    problem = _problem_from_instance(instance, args, names, _disint_config(args))
+    names, problem = _problem(instance, args, args.q)
     result = disint_barycenter(problem, max_iter=args.max_iter, tol=args.tol)
-    return names, problem, result
+    config = problem.config
+    return problem, result, {"p": config.p, "q": config.q, "input": args.input, "names": names}
 
 
 def _result_payload(result) -> dict:
@@ -171,12 +176,12 @@ def _cmd_dist(args: argparse.Namespace) -> tuple[dict, int]:
     instance = load_instance(args.input)
     m = instance.measure(args.mu)
     n = instance.measure(args.nu)
-    config = _disint_config(args)
+    config = _disint_config(args.p, args.q)
     profile = fiber_distance_profile(m, n, config.p, instance.costs)
-    value = scrmk(m, n, config, instance.costs)
+    # the norm scrmk takes of this same profile
     results = {
-        "distance": value,
-        "profile": {b: d for b, d in profile},
+        "distance": lq_norm(np.array([d for _, d in profile]), m.sigma, config.q),
+        "profile": dict(profile),
     }
     conf = {"p": config.p, "q": config.q, "input": args.input, "m": args.mu, "n": args.nu}
     return {"command": "dist", "config": conf, "results": results}, EXIT_OK
@@ -186,34 +191,21 @@ def _cmd_bary(args: argparse.Namespace) -> tuple[dict, int]:
     instance = load_instance(args.input)
     if len(_positive_base(instance)) != 1:
         raise ParseError("bary expects a one-point base; use disint-bary instead")
-    names = _pick_names(instance, args)
-    problem = _problem_from_instance(instance, args, names, DisintConfig(args.p, args.p))
+    names, problem = _problem(instance, args, None)
     result = classical_barycenter(problem)
     conf = {"p": args.p, "input": args.input, "names": names, "lambda": problem.lambdas}
     return {"command": "bary", "config": conf, "results": _result_payload(result)}, EXIT_OK
 
 
 def _cmd_disint_bary(args: argparse.Namespace) -> tuple[dict, int]:
-    names, problem, result = _solve(args)
-    config = problem.config
-    conf = {
-        "p": config.p,
-        "q": config.q,
-        "input": args.input,
-        "names": names,
-        "lambda": problem.lambdas,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-    }
+    problem, result, conf = _solve(args)
+    conf.update({"lambda": problem.lambdas, "tol": args.tol, "max_iter": args.max_iter})
     status = EXIT_OK if result.certified else EXIT_NOT_CERTIFIED
-    return (
-        {"command": "disint-bary", "config": conf, "results": _result_payload(result)},
-        status,
-    )
+    return {"command": "disint-bary", "config": conf, "results": _result_payload(result)}, status
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
-    names, problem, result = _solve(args)
+    problem, result, conf = _solve(args)
     # at q = p the LP optimum is exact and the gap check keeps its exact default
     exact = problem.config.q == problem.config.p
     report = duality_gap(problem, result, result.certificate, tol=None if exact else args.tol)
@@ -226,20 +218,14 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
         "certificate": result.certificate.to_dict(),
         "solver": _result_payload(result),
     }
-    conf = {
-        "p": problem.config.p,
-        "q": problem.config.q,
-        "input": args.input,
-        "names": names,
-        "lambda": problem.lambdas,
-    }
+    conf["lambda"] = problem.lambdas
     status = EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
     return {"command": "certify", "config": conf, "results": results}, status
 
 
 def _cmd_probe(args: argparse.Namespace) -> tuple[dict, int]:
     check_probe_settings(args.trials, args.radius)
-    names, problem, result = _solve(args)
+    problem, result, conf = _solve(args)
     probe = uniqueness_probe(
         problem,
         result,
@@ -255,15 +241,7 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[dict, int]:
         "witness": probe.witness,
         "n_minimizers_collected": probe.n_candidates,
     }
-    conf = {
-        "p": problem.config.p,
-        "q": problem.config.q,
-        "input": args.input,
-        "names": names,
-        "trials": args.trials,
-        "radius": args.radius,
-        "seed": args.seed,
-    }
+    conf.update({"trials": args.trials, "radius": args.radius, "seed": args.seed})
     return {"command": "probe-uniqueness", "config": conf, "results": results}, EXIT_OK
 
 
@@ -276,12 +254,8 @@ def _cmd_example(args: argparse.Namespace) -> tuple[dict, int]:
     return _example_shared_fiber()
 
 
-def _or_default(value, default):
-    return default if value is None else value
-
-
 def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
-    n = _or_default(args.n, INTERVAL_ATOMS)
+    n = INTERVAL_ATOMS if args.n is None else args.n
     inst = interval_pair(n)
     problem = inst.problem()
     result = classical_barycenter(problem)
@@ -293,7 +267,7 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
     cert = inst.explicit_certificate(problem)
     gap = duality_gap(problem, result, cert)
     d01 = solve_ot(inst.nu0, inst.nu1, inst.cost, 1.0).value_p
-    seed = _or_default(args.seed, 0)
+    seed = 0 if args.seed is None else args.seed
     probe = uniqueness_probe(problem, result, trials=4, radius=EXAMPLE_PROBE_RADIUS, seed=seed)
     results = {
         "lp_value": result.value,
@@ -310,7 +284,7 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
         "nonuniqueness_witness": probe.witness,
         "witness_max_distance": probe.max_pairwise_distance,
     }
-    conf = {"example": "2.2", "n": n, "p": 1.0, "lambda": [0.5, 0.5]}
+    conf = {"example": "2.2", "n": n, "p": problem.config.p, "lambda": problem.lambdas}
     status = EXIT_OK if gap.certified else EXIT_NOT_CERTIFIED
     return {"command": "example", "config": conf, "results": results}, status
 
@@ -340,7 +314,8 @@ def _example_shared_fiber() -> tuple[dict, int]:
             abs(obj_a - obj_b) <= EQUAL_VALUE_TOL and dist_ab > DISTINCT_DISTANCE
         ),
     }
-    conf = {"example": "2.1", "p": 2.0, "q": math.inf, "lambda": [0.5, 0.5]}
+    config = problem.config
+    conf = {"example": "2.1", "p": config.p, "q": config.q, "lambda": problem.lambdas}
     status = EXIT_OK if result.certified else EXIT_NOT_CERTIFIED
     return {"command": "example", "config": conf, "results": results}, status
 
@@ -354,22 +329,12 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[dict, int]:
         kind=args.kind,
         oracle_checkable=args.oracle_checkable,
     )
-    if args.output:
-        save_document(args.output, doc)
-        summary = {
-            "command": "generate",
-            "config": {
-                "seed": args.seed,
-                "fibers": args.fibers,
-                "atoms": args.atoms,
-                "measures": args.measures,
-                "kind": args.kind,
-                "oracle_checkable": args.oracle_checkable,
-            },
-            "results": {"written": args.output},
-        }
-        return summary, EXIT_OK
-    return doc, EXIT_OK
+    if not args.output:
+        return doc, EXIT_OK
+    save_document(args.output, doc)
+    flags = ("seed", "fibers", "atoms", "measures", "kind", "oracle_checkable")
+    conf = {flag: getattr(args, flag) for flag in flags}
+    return {"command": "generate", "config": conf, "results": {"written": args.output}}, EXIT_OK
 
 
 _HANDLERS = {
@@ -396,12 +361,16 @@ def run(args: argparse.Namespace) -> int:
     return status
 
 
+def _add_output(sp: argparse.ArgumentParser, text: str = "write the report here instead of stdout"):
+    sp.add_argument("--output", help=text)
+    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+
+
 def _add_common(sp: argparse.ArgumentParser, input_required: bool = True, q_flag: bool = True):
     sp.add_argument(
         "--input", required=input_required, help="instance file (JSON, measures schema)"
     )
-    sp.add_argument("--output", help="write the report here instead of stdout")
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    _add_output(sp)
     sp.add_argument("--p", type=float, default=2.0, help="fiber cost exponent, >= 1")
     if q_flag:
         sp.add_argument("--q", type=_parse_q, default=None, help="base exponent; accepts inf")
@@ -452,20 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, q_flag=False)
     _add_weights(sp)
 
-    sp = sub.add_parser("disint-bary", help="disintegrated barycenter on fixed supports")
-    _add_common(sp)
-    _add_weights(sp)
-    _add_solver(sp)
-
-    sp = sub.add_parser("certify", help="solve, extract a dual certificate, report the gap")
-    _add_common(sp)
-    _add_weights(sp)
-    _add_solver(sp)
-
-    sp = sub.add_parser("probe-uniqueness", help="randomized search for distinct minimizers")
-    _add_common(sp)
-    _add_weights(sp)
-    _add_solver(sp)
+    for name, text in (
+        ("disint-bary", "disintegrated barycenter on fixed supports"),
+        ("certify", "solve, extract a dual certificate, report the gap"),
+        ("probe-uniqueness", "randomized search for distinct minimizers"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        _add_common(sp)
+        _add_weights(sp)
+        _add_solver(sp)
+    sp = sub.choices["probe-uniqueness"]
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--radius", type=float, default=PROBE_RADIUS, help="perturbation size")
@@ -476,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flag the chosen example ignores is refused instead of dropped
     sp.add_argument("--n", type=int, help=f"atoms per interval (2.2; default {INTERVAL_ATOMS})")
     sp.add_argument("--seed", type=int, help="seed of the uniqueness probe (2.2; default 0)")
-    sp.add_argument("--output", help="write the report here instead of stdout")
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    _add_output(sp)
 
     sp = sub.add_parser("generate", help="write a deterministic pseudo-random instance")
     sp.add_argument("--seed", type=int, default=0)
@@ -486,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measures", type=int, default=2)
     sp.add_argument("--kind", choices=("interval", "square"), default="interval")
     sp.add_argument("--oracle-checkable", dest="oracle_checkable", action="store_true")
-    sp.add_argument("--output", help="instance file to write (stdout when omitted)")
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    _add_output(sp, "instance file to write (stdout when omitted)")
     return ap
 
 

@@ -93,17 +93,29 @@ def dump_text(obj) -> str:
     return dumps(obj) + "\n"
 
 
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
 def parse_extended_float(x, where: str) -> float:
     """A number (not a boolean) or one of the strings "inf", "-inf", "nan", as a float.
 
-    A boolean or any other string raises ParseError naming ``where``.
+    A boolean or any other string, "0.25" and "Infinity" included, raises
+    ParseError naming ``where``.
     """
-    if not isinstance(x, bool):
-        try:
-            return float(x)
-        except ValueError:
-            pass
+    if isinstance(x, str):
+        if x in _NON_FINITE:
+            return _NON_FINITE[x]
+    elif not isinstance(x, bool):
+        return float(x)
     raise ParseError(f"{where}: not a number: {x!r}")
+
+
+def _json_node(x, kind: type, where: str):
+    """``x`` when it is a JSON object (kind Mapping) or array (kind list), else ParseError."""
+    if not isinstance(x, kind):
+        name = "object" if kind is Mapping else "array"
+        raise ParseError(f"{where} is not a JSON {name}: {x!r}")
+    return x
 
 
 def _json_int(x, where: str) -> int:
@@ -151,14 +163,20 @@ def parse_instance(doc: Mapping) -> Instance:
         raise ParseError(f"bad or missing 'base' section: {exc}") from None
     base_ids = [b for b, _ in base]
     sigma = np.array([s for _, s in base])
-    fibers_doc = doc.get("fibers", {})
+    fibers_doc = _json_node(doc.get("fibers", {}), Mapping, "'fibers'")
+    fibers = {b: _json_node(fibers_doc[b], Mapping, f"fiber {b!r}")
+              for b in base_ids if b in fibers_doc}
+    measures_at = {b: _json_node(f.get("measures", {}), Mapping, f"'measures' of fiber {b!r}")
+                   for b, f in fibers.items()}
     if "cost" in doc:
         cost = GroundCost(np.array(doc["cost"], dtype=np.float64))
         # a relabeling is checked and then dropped: no solver reads it
-        for bid, perm in doc.get("relabelings", {}).items():
+        for bid, perm in _json_node(doc.get("relabelings", {}), Mapping, "'relabelings'").items():
             if bid not in base_ids:
                 raise ParseError(f"relabeling at {bid!r} names no base point")
-            g = np.array([_json_int(i, f"relabeling at {bid!r}") for i in perm], dtype=np.int64)
+            where = f"relabeling at {bid!r}"
+            perm = _json_node(perm, list, where)
+            g = np.array([_json_int(i, where) for i in perm], dtype=np.int64)
             if sorted(g.tolist()) != list(range(cost.n)):
                 raise InvalidGroundCost(f"relabeling at {bid!r} is not a permutation")
             if not np.array_equal(cost.d[np.ix_(g, g)], cost.d):
@@ -169,10 +187,10 @@ def parse_instance(doc: Mapping) -> Instance:
             raise ParseError("relabelings need the shared-fiber form, with one top-level 'cost'")
         costs = {}
         for b in base_ids:
-            if sigma[base_ids.index(b)] <= 0.0 and b not in fibers_doc:
+            if sigma[base_ids.index(b)] <= 0.0 and b not in fibers:
                 continue
             try:
-                fd = fibers_doc[b]
+                fd = fibers[b]
             except KeyError:
                 raise ParseError(f"no fiber entry for base point {b!r}") from None
             try:
@@ -182,7 +200,7 @@ def parse_instance(doc: Mapping) -> Instance:
     # collect measure names across fibers
     names: list[str] = []
     for b in base_ids:
-        for name in fibers_doc.get(b, {}).get("measures", {}):
+        for name in measures_at.get(b, {}):
             if name not in names:
                 names.append(name)
     measures = {}
@@ -190,7 +208,7 @@ def parse_instance(doc: Mapping) -> Instance:
     for name in names:
         fibs = {}
         for b in positive:
-            md = fibers_doc.get(b, {}).get("measures", {})
+            md = measures_at.get(b, {})
             if name not in md:
                 raise ParseError(f"measure {name!r} missing at base point {b!r}")
             fibs[b] = _parse_atoms(md[name], f"measure {name!r} at base point {b!r}")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disot
-from disot import barycenter, cli
+from disot import barycenter, cli, metric
 from disot.cli import build_parser, main
 from disot.errors import ParseError, TooLarge
 from disot.instances import generate_instance
@@ -71,6 +71,29 @@ SQUARE40_SHA256 = "8124e3d87550345eea07a0b81d3d60c00169562a7bb4f1cfd353c86d0c6e3
 SQUARE40_OT_SHA256 = "7653865f14539405dd3d701fcd40330ecaa530ca1ac53284ec2445ef63ba11bf"
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# (argv, exit status, sha256 of stdout) of reports on small generated
+# instances: inst.json has 3 interval fibers, one.json 1 (seed 2, 4 atoms)
+REPORT_PINS = {
+    "dist": (["dist", "--input", "inst.json", "--m", "m1", "--n", "m2", "--q", "3"], 0,
+             "44a54b5a288aac8d7ee55703bbba6baedd24fc7ce960399ce8d62aeaed50b687"),
+    "dist csv": (["dist", "--input", "inst.json", "--m", "m1", "--n", "m2", "--q", "inf",
+                  "--format", "csv"], 0,
+                 "e7597b8b3af0b4bf6d743a899af717bd6e19a2761c37e81145925b422cf46411"),
+    "bary": (["bary", "--input", "one.json", "--p", "1"], 0,
+             "3b1c82d229bb39ac195116582948cfc7069bc528772f632407d679706533622e"),
+    "certify q=p": (["certify", "--input", "inst.json", "--p", "2", "--lambda", "0.3,0.7"], 0,
+                    "661ed5276625df616950f4f83f7f40bdbdd8f024de81e4ea3708a749386ca4af"),
+    "probe-uniqueness": (["probe-uniqueness", "--input", "inst.json", "--p", "2", "--q", "2",
+                          "--trials", "3", "--seed", "4"], 0,
+                         "cb0662f17bd01b727675711b07561cb7e952cd557d915637b46feab6a8f89c67"),
+    "example 2.1": (["example", "2.1"], 0,
+                    "a9291cfd6bb2837111d1b5f01af62576e9587abde1b0169cc9c6dd04db4a0777"),
+    "example 2.2 --n 7": (["example", "2.2", "--n", "7"], 0,
+                          "d3f33e08335089b89f57591b6b5042b4d136da961279da48ff91a39668b18269"),
+    "generate --output": (["generate", "--seed", "4", "--output", "gen.json"], 0,
+                          "a7ecdede56dcf5b0978c5809ac4ef69640137db8393af16be4dced9f30ce4ebd"),
+}
 
 
 class TestIO:
@@ -405,6 +428,10 @@ class TestCLI:
         ("point", True, "measure 'm' at base point 'a': not an integer: True"),
         ("point", "2", "measure 'm' at base point 'a': not an integer: '2'"),
         ("w", True, "measure 'm' at base point 'a': not a number: True"),
+        ("w", "0.25", "measure 'm' at base point 'a': not a number: '0.25'"),
+        ("w", "1_0", "measure 'm' at base point 'a': not a number: '1_0'"),
+        ("w", "Infinity", "measure 'm' at base point 'a': not a number: 'Infinity'"),
+        ("sigma", " 3e-1 ", "base point 'a': not a number: ' 3e-1 '"),
         ("sigma", True, "base point 'a': not a number: True"),
         ("relabeling", [1.7, 0.2, 2.0], "relabeling at 'b': not an integer: 1.7"),
     ])
@@ -729,6 +756,24 @@ class TestCLI:
         assert code == 0
         assert out == (GOLDEN_DIR / "certify_square_qinf.json").read_bytes()
 
+    @pytest.mark.parametrize("label", sorted(REPORT_PINS))
+    def test_report_is_pinned(self, tmp_path, monkeypatch, capsys, label):
+        argv, status, digest = REPORT_PINS[label]
+        monkeypatch.chdir(tmp_path)
+        save_document("inst.json", generate_instance(seed=2, n_fibers=3, n_atoms=4))
+        save_document("one.json", generate_instance(seed=2, n_fibers=1, n_atoms=4))
+        assert main(argv) == status
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_dist_solves_each_fiber_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = metric.solve_ot
+        monkeypatch.setattr(metric, "solve_ot", lambda *a: calls.append(a) or solve(*a))
+        path = self._write(tmp_path, generate_instance(seed=2, n_fibers=3, n_atoms=4))
+        assert main(["dist", "--input", path, "--m", "m1", "--n", "m2"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 3
+
     def test_probe_settings_bound_every_restart(self, tmp_path, monkeypatch, capsys):
         doc = generate_instance(seed=5, n_fibers=3, n_atoms=8, kind="square")
         path = self._write(tmp_path, doc)
@@ -830,13 +875,28 @@ def _two_fibers():
     return json.loads(dump_text(generate_instance(seed=0, n_fibers=2, n_atoms=3, n_measures=2)))
 
 
+def _shared_fiber():
+    """_two_fibers() in the shared-fiber form, with w1's cost at the top level."""
+    doc = _two_fibers()
+    return {"base": doc["base"], "cost": doc["fibers"]["w1"]["cost"],
+            "fibers": {b: {"measures": f["measures"]} for b, f in doc["fibers"].items()}}
+
+
+def _parent(doc, keys):
+    for k in keys:
+        doc = doc[k]
+    return doc
+
+
 def _drop(doc, *keys):
     """doc with the entry at the key path removed."""
-    *path, last = keys
-    inner = doc
-    for k in path:
-        inner = inner[k]
-    del inner[last]
+    del _parent(doc, keys[:-1])[keys[-1]]
+    return doc
+
+
+def _set(doc, value, *keys):
+    """doc with the entry at the key path set to value."""
+    _parent(doc, keys[:-1])[keys[-1]] = value
     return doc
 
 
@@ -869,6 +929,19 @@ ERROR_PATHS = {
         _drop(_two_fibers(), "fibers", "w2", "measures", "m2"), {},
         ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
         "measure 'm2' missing at base point 'w2'"),
+    "fibers not an object": (_set(_two_fibers(), [], "fibers"), {}, ["dist", "--input", "{inst}"],
+                             "'fibers' is not a JSON object: []"),
+    "fiber not an object": (_set(_two_fibers(), [1, 2], "fibers", "w1"), {},
+                            ["dist", "--input", "{inst}"], "fiber 'w1' is not a JSON object: [1, 2]"),
+    "measures not an object": (_set(_two_fibers(), "m1", "fibers", "w1", "measures"), {},
+                               ["dist", "--input", "{inst}"],
+                               "'measures' of fiber 'w1' is not a JSON object: 'm1'"),
+    "relabelings not an object": (_set(_shared_fiber(), [1, 0], "relabelings"), {},
+                                  ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
+                                  "'relabelings' is not a JSON object: [1, 0]"),
+    "relabeling not an array": (_set(_shared_fiber(), {"w1": 5}, "relabelings"), {},
+                                ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
+                                "relabeling at 'w1' is not a JSON array: 5"),
     "non-number string": (
         {"base": [{"id": "w", "sigma": "heavy"}], "fibers": {}}, {}, ["dist", "--input", "{inst}"],
         "base point 'w': not a number: 'heavy'"),
