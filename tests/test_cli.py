@@ -428,12 +428,12 @@ class TestCLI:
         ("point", True, "measure 'm' at base point 'a': not an integer: True"),
         ("point", "2", "measure 'm' at base point 'a': not an integer: '2'"),
         ("w", True, "measure 'm' at base point 'a': not a number: True"),
+        ("sigma", True, "base point 'a': not a number: True"),
+        ("relabeling", [1.7, 0.2, 2.0], "relabeling at 'b': not an integer: 1.7"),
         ("w", "0.25", "measure 'm' at base point 'a': not a number: '0.25'"),
         ("w", "1_0", "measure 'm' at base point 'a': not a number: '1_0'"),
         ("w", "Infinity", "measure 'm' at base point 'a': not a number: 'Infinity'"),
         ("sigma", " 3e-1 ", "base point 'a': not a number: ' 3e-1 '"),
-        ("sigma", True, "base point 'a': not a number: True"),
-        ("relabeling", [1.7, 0.2, 2.0], "relabeling at 'b': not an integer: 1.7"),
     ])
     def test_values_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, field, value, message):
         # json.dumps keeps 2.0 a float; the instance writer would print it as 2
