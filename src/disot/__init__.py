@@ -7,6 +7,14 @@ and dual certificates that verify barycenter optimality.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# disot makes no threaded BLAS call, yet an idle OpenBLAS pool burns CPU:
+# start numpy's and scipy's with one thread unless the user chose a count
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .barycenter import (
     BarycenterProblem,
     BarycenterResult,

@@ -99,14 +99,17 @@ _NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 def parse_extended_float(x, where: str) -> float:
     """A number (not a boolean) or one of the strings "inf", "-inf", "nan", as a float.
 
-    A boolean or any other string, "0.25" and "Infinity" included, raises
-    ParseError naming ``where``.
+    A boolean or any other string, "0.25" and "Infinity" included, and an
+    integer past the float range raise ParseError naming ``where``.
     """
     if isinstance(x, str):
         if x in _NON_FINITE:
             return _NON_FINITE[x]
     elif not isinstance(x, bool):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise ParseError(f"{where}: integer too large for a float") from None
     raise ParseError(f"{where}: not a number: {x!r}")
 
 
@@ -118,11 +121,24 @@ def _json_node(x, kind: type, where: str):
     return x
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _json_int(x, where: str) -> int:
-    """A point id or relabeling entry: a JSON integer, not a float or a boolean."""
+    """A point id or relabeling entry: a JSON integer in the int64 range, not a float or a boolean."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ParseError(f"{where}: not an integer: {x!r}")
+    if not _INT64.min <= x <= _INT64.max:
+        raise ParseError(f"{where}: integer out of the int64 range: {x!r}")
     return int(x)
+
+
+def _cost(raw, where: str) -> GroundCost:
+    try:
+        d = np.array(raw, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        raise ParseError(f"{where} is not a matrix of numbers") from None
+    return GroundCost(d)
 
 
 @dataclass(frozen=True)
@@ -169,7 +185,7 @@ def parse_instance(doc: Mapping) -> Instance:
     measures_at = {b: _json_node(f.get("measures", {}), Mapping, f"'measures' of fiber {b!r}")
                    for b, f in fibers.items()}
     if "cost" in doc:
-        cost = GroundCost(np.array(doc["cost"], dtype=np.float64))
+        cost = _cost(doc["cost"], "the top-level 'cost'")
         # a relabeling is checked and then dropped: no solver reads it
         for bid, perm in _json_node(doc.get("relabelings", {}), Mapping, "'relabelings'").items():
             if bid not in base_ids:
@@ -194,7 +210,7 @@ def parse_instance(doc: Mapping) -> Instance:
             except KeyError:
                 raise ParseError(f"no fiber entry for base point {b!r}") from None
             try:
-                costs[b] = GroundCost(np.array(fd["cost"], dtype=np.float64))
+                costs[b] = _cost(fd["cost"], f"the cost of fiber {b!r}")
             except KeyError:
                 raise ParseError(f"fiber {b!r} lacks a cost matrix") from None
     # collect measure names across fibers

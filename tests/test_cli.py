@@ -945,6 +945,19 @@ ERROR_PATHS = {
     "non-number string": (
         {"base": [{"id": "w", "sigma": "heavy"}], "fibers": {}}, {}, ["dist", "--input", "{inst}"],
         "base point 'w': not a number: 'heavy'"),
+    "weight past the float range": (_set(_two_fibers(), 10**400, "base", 0, "sigma"), {},
+                                    ["dist", "--input", "{inst}"],
+                                    "base point 'w1': integer too large for a float"),
+    "point id past int64": (
+        _set(_two_fibers(), 10**30, "fibers", "w1", "measures", "m1", 0, "point"), {},
+        ["dist", "--input", "{inst}"],
+        "measure 'm1' at base point 'w1': integer out of the int64 range: " + str(10**30)),
+    "cost not numbers": (_set(_two_fibers(), "abc", "fibers", "w1", "cost"), {},
+                         ["dist", "--input", "{inst}"],
+                         "the cost of fiber 'w1' is not a matrix of numbers"),
+    "ragged shared cost": (_set(_shared_fiber(), [[0.0, 1.0], [1.0]], "cost"), {},
+                           ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
+                           "the top-level 'cost' is not a matrix of numbers"),
     "bad CSV row": (None, {"mu.csv": "x,w\n0.0,1.0\n0.5\n", "nu.csv": "1.0,1.0\n"},
                     ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
                     "{dir}/mu.csv:3: expected 'coordinate,weight'"),
@@ -1053,6 +1066,43 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path,
                               env=self._env(), check=True, capture_output=True, timeout=120)
         assert proc.stdout.strip() == b"False"
+
+
+# In a fresh interpreter: ``import disot`` (after numpy with "numpy-first"),
+# then print OPENBLAS_NUM_THREADS; with "solve", also solve ``example 2.1``
+# by HiGHS and print the process's thread count.
+THREADS_CHILD = """
+import contextlib, io, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import disot
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+if sys.argv[1] == "solve":
+    import scipy.optimize
+    from disot.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["example", "2.1"]) == 0
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("Threads:")).split()[1])
+"""
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs /proc/self/status")
+def test_one_thread_per_process(tmp_path):
+    env = TestStartup._env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+
+    def run(mode, **extra):
+        proc = subprocess.run([sys.executable, "-c", THREADS_CHILD, mode], cwd=tmp_path,
+                              env={**env, **extra}, check=True, capture_output=True, timeout=120)
+        return proc.stdout.decode().split()
+
+    # numpy's and scipy's OpenBLAS pools start no worker thread
+    assert run("solve") == ["1", "1"]
+    # a count the user chose is kept
+    assert run("plain", OPENBLAS_NUM_THREADS="2") == ["2"]
+    # once numpy is loaded its pool is sized, so disot sets nothing
+    assert run("numpy-first") == ["None"]
 
 
 # Every public name of ``import disot`` apart from its submodules; a name added
