@@ -22,7 +22,6 @@ from .barycenter import (
     classical_barycenter,
     classical_problem,
     disint_barycenter,
-    make_problem,
     objective,
     project_simplex,
     uniqueness_probe,

@@ -27,8 +27,8 @@ import numpy as np
 from .duality import DualCertificate, eval_dual, extract_certificate
 from .errors import BaseMismatch, EmptySupport, SupportOutOfRange, SupportViolation
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
-from .metric import CostTable, DisintConfig, cost_at, fiber_distance_profile, lq_norm, scrmk
-from .ot import _common_mass, _dyadic_ints, coupling_rows, exact_basis_value, highs, transport
+from .metric import DisintConfig, cost_at, fiber_distance_profile, lq_norm, scrmk
+from .ot import _common_mass, _dyadic_ints, coupling_rows, exact_transport, highs, transport
 from .tolerances import (
     CERT_EVERY,
     CERT_TOL,
@@ -121,17 +121,6 @@ class BarycenterProblem:
         return self.inputs[0].sigma
 
 
-def make_problem(
-    inputs: Sequence[FiberedMeasure],
-    lambdas: Sequence[float],
-    config: DisintConfig,
-    costs: CostTable,
-    support: Mapping[str, Sequence[int]] | None = None,
-) -> BarycenterProblem:
-    """:class:`BarycenterProblem` by position; None takes every point as support."""
-    return BarycenterProblem(inputs, lambdas, config, costs, support)
-
-
 _ONE_POINT_BASE = "base"
 
 
@@ -145,7 +134,7 @@ def classical_problem(
     """Wrap plain discrete measures as a one-point-base fibered problem."""
     fibered = [FiberedMeasure([_ONE_POINT_BASE], [1.0], {_ONE_POINT_BASE: mu}) for mu in mus]
     sup = None if support is None else {_ONE_POINT_BASE: support}
-    return make_problem(fibered, lambdas, DisintConfig(p, p), cost, sup)
+    return BarycenterProblem(fibered, lambdas, DisintConfig(p, p), cost, sup)
 
 
 @dataclass(frozen=True)
@@ -240,11 +229,7 @@ def fiber_barycenter_lp(problem: BarycenterProblem, b: str, tau: np.ndarray):
         found = _northwest_lp(c, walk)
         return _joint_lp(c, a, walk) if found is None else found
     c1, c2 = c
-    a1, a2 = a
-    pair = _pair_cost(c1, c2)
-    _, gamma, u, v, basis = transport(pair, a1, a2)
-    # nonnegative costs make the optimum nonnegative; see solve_ot
-    value = max(0.0, exact_basis_value(pair, a1, a2, basis))
+    value, gamma, u, v = exact_transport(_pair_cost(c1, c2), *a)
     rows, cols = np.nonzero(gamma)
     w = np.zeros(c1.shape[1])
     np.add.at(w, (c1[rows] + c2[cols]).argmin(axis=1), gamma[rows, cols])

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import __version__
 from .barycenter import (
+    BarycenterProblem,
     check_probe_settings,
     classical_barycenter,
     disint_barycenter,
-    make_problem,
     objective,
     uniqueness_probe,
 )
@@ -107,7 +107,7 @@ def _problem(instance: Instance, args: argparse.Namespace, q: float | None):
     lambdas = [1.0 / k] * k if args.lambdas is None else args.lambdas
     if len(lambdas) != k:
         raise ParseError(f"--lambda needs {k} entries, got {len(lambdas)}")
-    return names, make_problem(inputs, lambdas, config, instance.costs)
+    return names, BarycenterProblem(inputs, lambdas, config, instance.costs)
 
 
 def _solve(args: argparse.Namespace):
@@ -259,9 +259,7 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
     inst = interval_pair(n)
     problem = inst.problem()
     result = classical_barycenter(problem)
-    base = problem.base_ids[0]
-    nu0_f = FiberedMeasure([base], [1.0], {base: inst.nu0})
-    nu1_f = FiberedMeasure([base], [1.0], {base: inst.nu1})
+    nu0_f, nu1_f = problem.inputs
     obj0 = objective(problem, nu0_f)
     obj1 = objective(problem, nu1_f)
     cert = inst.explicit_certificate(problem)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterProblem, classical_problem, make_problem
+from .barycenter import BarycenterProblem, classical_problem
 from .duality import DualCertificate
 from .errors import TooLarge
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
@@ -89,12 +89,8 @@ class SharedFiberInstance:
     candidate_modified: FiberedMeasure
 
     def problem(self, p: float = 2.0) -> BarycenterProblem:
-        return make_problem(
-            list(self.inputs),
-            [0.5, 0.5],
-            DisintConfig(p, np.inf),
-            {"w1": self.cost, "w2": self.cost},
-        )
+        costs = {"w1": self.cost, "w2": self.cost}
+        return BarycenterProblem(self.inputs, [0.5, 0.5], DisintConfig(p, np.inf), costs)
 
 
 def shared_fiber_nonuniqueness() -> SharedFiberInstance:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -134,11 +135,21 @@ def _json_int(x, where: str) -> int:
 
 
 def _cost(raw, where: str) -> GroundCost:
+    """The GroundCost of a JSON matrix, whose entries must be numbers.
+
+    numpy's conversion reads a numeric string or a boolean as a number, so
+    once the matrix is accepted one pass over its entry types refuses them,
+    naming the first such entry in :func:`parse_extended_float`'s words.
+    """
     try:
         d = np.array(raw, dtype=np.float64)
     except (ValueError, TypeError, OverflowError):
         raise ParseError(f"{where} is not a matrix of numbers") from None
-    return GroundCost(d)
+    cost = GroundCost(d)
+    if not set(map(type, itertools.chain.from_iterable(raw))).isdisjoint((str, bool)):
+        bad = next(x for x in itertools.chain.from_iterable(raw) if isinstance(x, (str, bool)))
+        raise ParseError(f"{where}: not a number: {bad!r}")
+    return cost
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,39 @@
 """Exact discrete optimal transport: value, coupling, dual potentials, c-transforms.
 
 The workhorse is a primal network simplex on the bipartite transportation
-graph (:func:`transport`).  It returns a vertex coupling together with exact
-dual potentials normalized so the first row potential is zero.  It starts
-from the north-west corner tree and returns it as it is when it is optimal,
-as on sorted 1-d costs; otherwise it starts over from the row-minimum tree,
-where each row in turn fills its cheapest open column, which on 2-d costs
-leaves a third to a half of the pivots.  The basis is a spanning tree
-rooted at the first row and kept in parent and depth arrays: each pivot
-finds its cycle by walking up the tree from both ends of the entering cell,
-and recomputes only the potentials of the subtree that the leaving cell
-cuts off, once it is hung back from the entering cell.  A run of degenerate
-pivots switches pricing to Bland's rule, and a problem that reaches the
-pivot limit (both in :mod:`disot.tolerances`) is re-solved by a dense LP.
+graph (:func:`transport`).  Its basis is a spanning tree over nodes 0..m-1
+(rows) and m..m+n-1 (columns), rooted at row 0 and kept as adjacency lists
+with parent and depth arrays.  It starts from the north-west corner tree
+and returns it as it is when it is optimal, as on sorted 1-d costs;
+otherwise it starts over from the row-minimum tree, where each row in turn
+fills its cheapest open column, which on 2-d costs leaves a third to a half
+of the pivots.  The entering cell is the first minimum of the full
+reduced-cost matrix, or the first improving cell in row-major order
+(Bland's rule) once a run of degenerate pivots reaches its threshold.  Its
+cycle is found by walking up the tree from both of its ends, deeper end
+first, until the walks meet, and the leaving cell is the smallest (i, j)
+among the cells that lose theta.  Cutting the leaving cell splits off a
+subtree, which is hung back from the entering cell, and only the potentials
+in that subtree are recomputed (:func:`_pivot`).  A problem that reaches the
+pivot limit is re-solved by a dense LP.  The thresholds and limits are in
+:mod:`disot.tolerances`.
 
 A caller that solves one cost for many marginals, as the subgradient
 barycenter loop does, can pass the optimal tree of its last call in place of
 the row-minimum start.  That tree is still dual feasible, so a dual network
-simplex repairs it: the tree's flows are recomputed from the new marginals,
-and each dual pivot drops the cell of the most negative flow and enters the
-cheapest cell that feeds the side short of mass, reusing the same cycle walk
-and subtree re-hanging.  Any tree it cannot use goes to the row-minimum
-start, with the same result bit for bit.
+simplex repairs it (:func:`_dual_simplex`): the tree's flows are recomputed
+from the new marginals, deepest node first, and while one is below
+-NEG_FLOW_TOL a dual pivot drops the cell of the most negative flow (the
+smallest cell on ties), which cuts off the subtree below it.  The entering
+cell is the first minimum reduced cost among the cells that cross that cut
+toward the side short of mass, and the pivot reuses the same cycle walk and
+re-hanging.  A basis that is not a spanning tree, a pricing pass that finds
+an entering cell, or a flow still negative after MAX_DUAL_PIVOTS_PER_NODE *
+(m + n) dual pivots sends the call on to the row-minimum start, with the same
+result bit for bit.
+
+:func:`exact_transport` recomputes a transport's value exactly from its
+optimal basis (:func:`exact_basis_value`).
 :func:`brute_force_ot` is an independent oracle that enumerates
 transportation polytope vertices in exact rational arithmetic.
 
@@ -233,13 +245,22 @@ def _cycle(ei, ej, parent, depth, m):
     return path, len(up_x)
 
 
-def _exchange(entering, leaving, top, adj, parent, depth, pot, cost, m):
-    """Swap the leaving cell for the entering cell in the tree.
+def _pivot(gamma, path, entering, leaving, theta, top, adj, parent, depth, pot, cost, m):
+    """Send theta around the entering cell's cycle and swap the leaving cell for it in the tree.
 
-    Cutting the leaving cell splits off the subtree that holds ``top``, one
-    end of the entering cell; it is hung back from the entering cell's other
-    end, and only its potentials are recomputed.
+    ``path`` is the entering cell's tree path (:func:`_cycle`): its even
+    cells lose theta and its odd cells gain it, and the leaving cell, one of
+    them, is set to exactly 0.  Cutting the leaving cell splits off the
+    subtree that holds ``top``, one end of the entering cell; it is hung back
+    from the entering cell's other end, and only its potentials are
+    recomputed.
     """
+    gamma[entering] += theta
+    for cell in path[1::2]:
+        gamma[cell] += theta
+    for cell in path[0::2]:
+        gamma[cell] -= theta
+    gamma[leaving] = 0.0
     ei, ej = entering
     li, lj = leaving[0], m + leaving[1]
     adj[li].remove(lj)
@@ -335,13 +356,8 @@ def _dual_simplex(cost, a, b, basis, tol, reduced):
             return None
         # theta on the entering cell leaves the leaving cell's flow at 0
         path, _ = _cycle(ei, ej, parent, depth, m)
-        gamma[ei, ej] = theta
-        for cell in path[1::2]:
-            gamma[cell] += theta
-        for cell in path[0::2]:
-            gamma[cell] -= theta
-        gamma[li, lj] = 0.0
-        _exchange((ei, ej), (li, lj), ei if inside[ei] else m + ej, adj, parent, depth, pot, cost, m)
+        top = ei if inside[ei] else m + ej
+        _pivot(gamma, path, (ei, ej), (li, lj), theta, top, adj, parent, depth, pot, cost, m)
 
 
 def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None):
@@ -349,42 +365,16 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None):
 
     Zero entries in a or b are allowed (their rows/columns stay basic with
     zero allocation, and their duals remain meaningful subgradients).
-
-    The start is the north-west corner tree.  If its first pricing pass finds
-    an entering cell, the simplex starts over from the row-minimum tree
-    (:func:`_row_minimum`) instead, which on 2-d costs needs a third to a half
-    of the pivots; where the north-west corner is already optimal, as on sorted
-    1-d costs, it is returned as it is.
-
-    ``basis``, the optimal tree of an earlier call on the same cost, takes the
-    row-minimum tree's place (:func:`_dual_simplex`).  With other marginals it
-    stays dual feasible but its flows, recomputed deepest node first, can turn
-    negative.  While one is below -NEG_FLOW_TOL, a dual pivot drops the cell
-    of the most negative flow (the smallest cell on ties), which cuts off the
-    subtree below it; the entering cell is the first minimum reduced cost
-    among the cells that cross that cut toward the side short of mass.  The
-    flows change along the cycle, and the cut subtree is hung back from the
-    entering cell as in a primal pivot.  A basis that is not a spanning tree,
-    a pricing pass that finds an entering cell, or a flow still negative after
-    MAX_DUAL_PIVOTS_PER_NODE * (m + n) dual pivots sends the call on to the
-    row-minimum start, whose result is the same bit for bit as without a
-    basis.  A warm result may keep flows down to -NEG_FLOW_TOL.
-
-    The basis is a spanning tree over nodes 0..m-1 (rows) and m..m+n-1
-    (columns), rooted at row 0 and stored as adjacency lists with ``parent``
-    and ``depth`` arrays.  The entering cell is the first minimum of the full
-    reduced-cost matrix, or the first improving cell in row-major order
-    (Bland's rule) once a run of degenerate pivots reaches its threshold.
-    Its cycle is found by walking up from both of its ends, deeper end first,
-    until the walks meet; the leaving cell is the smallest (i, j) among the
-    cells that lose theta.  Cutting the leaving cell splits off a subtree,
-    which is hung back from the entering cell; only the potentials in that
-    subtree are recomputed, and the rest keep their values.  After the pivot
-    limit the problem goes to the dense LP fallback instead.
+    ``basis``, the optimal tree of an earlier call on the same cost, may
+    warm-start the solve; a tree that cannot serve leaves the result the same
+    bit for bit as without one.  The network simplex is described in the
+    module docstring.
 
     Returns (value, gamma, u, v, basis) where u, v are optimal dual potentials
-    with u[0] = 0 and u[i] + v[j] <= cost[i, j] up to the pivot tolerance, and
-    basis is the optimal spanning tree as a list of cells.
+    with u[0] = 0 and u[i] + v[j] <= cost[i, j] up to the pivot tolerance,
+    OPT_TOL times the largest |cost|, and basis is the optimal spanning tree
+    as a list of cells.  A warm-started result may keep flows down to
+    -NEG_FLOW_TOL.
     """
     cost = np.asarray(cost, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -414,19 +404,12 @@ def transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None):
         ei, ej = entering
         path, row_side = _cycle(ei, ej, parent, depth, m)
         minus = path[0::2]
-        plus = path[1::2]
-        theta = min(gamma[i, j] for i, j in minus)
-        leaving = min((i, j) for i, j in minus if gamma[i, j] == theta)
-        gamma[ei, ej] += theta
-        for i, j in plus:
-            gamma[i, j] += theta
-        for i, j in minus:
-            gamma[i, j] -= theta
-        gamma[leaving] = 0.0
+        theta = min(gamma[cell] for cell in minus)
+        leaving = min(cell for cell in minus if gamma[cell] == theta)
         # the cut subtree holds the end of the entering cell on the leaving
         # cell's side of the cycle
         top = ei if path.index(leaving) < row_side else m + ej
-        _exchange(entering, leaving, top, adj, parent, depth, pot, cost, m)
+        _pivot(gamma, path, entering, leaving, theta, top, adj, parent, depth, pot, cost, m)
         degenerate_run = degenerate_run + 1 if theta == 0.0 else 0
     else:
         return _transport_linprog(cost, a, b)
@@ -530,7 +513,22 @@ def exact_basis_value(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> 
     return total / (mass * cs)
 
 
-def _check_supports(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost):
+def exact_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """:func:`transport` with its value recomputed exactly: (value, gamma, u, v).
+
+    The value is :func:`exact_basis_value` of the optimal basis, so it does
+    not depend on the pivot order.
+    """
+    _, gamma, u, v, basis = transport(cost, a, b)
+    # nonnegative costs make the optimum nonnegative; the exact recompute can
+    # surface ~1e-18 noise from degenerate bases, which would break ** (1/p)
+    return max(0.0, exact_basis_value(cost, a, b, basis)), gamma, u, v
+
+
+def _powered_block(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: float):
+    """d(mu's atoms, nu's atoms)**p, once p and both supports are checked."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     if mu is None or nu is None or len(mu) == 0 or len(nu) == 0:
         raise DegenerateInput("both measures must carry at least one atom")
     for meas, name in ((mu, "mu"), (nu, "nu")):
@@ -538,6 +536,7 @@ def _check_supports(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost):
             raise SupportOutOfRange(
                 f"{name} has atom {int(meas.point_ids[-1])} outside point set of size {cost.n}"
             )
+    return cost.powered_submatrix(mu.point_ids, nu.point_ids, p)
 
 
 def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: float) -> OTResult:
@@ -548,14 +547,8 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p: floa
     with phi zero at mu's first support atom.  The distance itself is
     ``result.mk`` = value_p ** (1/p).
     """
-    if not 1.0 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1")
-    _check_supports(mu, nu, cost)
-    cp = cost.powered_submatrix(mu.point_ids, nu.point_ids, p)
-    _, gamma, u, v, basis = transport(cp, mu.weights, nu.weights)
-    # nonnegative costs make the optimum nonnegative; the exact recompute can
-    # surface ~1e-18 noise from degenerate bases, which would break ** (1/p)
-    value = max(0.0, exact_basis_value(cp, mu.weights, nu.weights, basis))
+    cp = _powered_block(mu, nu, cost, p)
+    value, gamma, u, v = exact_transport(cp, mu.weights, nu.weights)
     coupling = Coupling(gamma, mu.point_ids, nu.point_ids)
     residual = coupling.marginal_residual(mu, nu)
     if residual > MARGINAL_TOL:
@@ -636,11 +629,8 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: GroundCost, p
     ORACLE_UNIFORM_BOUND: minimizes over all permutation couplings.  Anything
     larger raises TooLarge.
     """
-    if not 1.0 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1")
-    _check_supports(mu, nu, cost)
+    cp = _powered_block(mu, nu, cost, p)
     m, n = len(mu), len(nu)
-    cp = cost.powered_submatrix(mu.point_ids, nu.point_ids, p)
 
     uniform_equal = (
         m == n

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from disot.barycenter import (
+    BarycenterProblem,
     classical_barycenter,
     classical_problem,
     disint_barycenter,
-    make_problem,
     objective,
     uniqueness_probe,
 )
@@ -101,7 +101,7 @@ def test_criterion_3_strong_duality_at_q_equals_p():
         fibers = int(rng.integers(2, 5))
         ms, costs = random_fibered_instance(rng, 3, fibers, 6)
         lam = rng.dirichlet(np.ones(3))
-        problem = make_problem(ms, lam, DisintConfig(2.0, 2.0), costs)
+        problem = BarycenterProblem(ms, lam, DisintConfig(2.0, 2.0), costs)
         result = disint_barycenter(problem)
         cert = result.certificate
         assert np.all(cert.zeta == 1.0), "q = p extraction must use unit base weights"
@@ -127,7 +127,7 @@ def test_criterion_4_weak_duality_everywhere():
                 K = int(rng.integers(2, 4))
                 ms, costs = random_fibered_instance(rng, K, 2, 3, full_support=True)
                 lam = rng.dirichlet(np.ones(K))
-                problem = make_problem(ms, lam, DisintConfig(p, q), costs)
+                problem = BarycenterProblem(ms, lam, DisintConfig(p, q), costs)
                 # random feasible certificate: zeta = 1, potentials summing to zero
                 zeta = np.ones((K, len(problem.base_ids)))
                 xi = [dict() for _ in range(K)]
@@ -241,7 +241,7 @@ def test_criterion_7_decoupling():
         ms, costs = random_fibered_instance(rng, K, fibers, 4)
         lam = rng.dirichlet(np.ones(K))
         p = float(rng.choice([1.0, 2.0]))
-        problem = make_problem(ms, lam, DisintConfig(p, p), costs)
+        problem = BarycenterProblem(ms, lam, DisintConfig(p, p), costs)
         joint = disint_barycenter(problem)
         agg = []
         for i, b in enumerate(problem.base_ids):
@@ -326,7 +326,7 @@ def test_criterion_9_subgradient_certification():
         rng = np.random.default_rng(9000 + seed)
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
         lam = rng.dirichlet(np.ones(2))
-        problem = make_problem(ms, lam, DisintConfig(2.0, 4.0), costs)
+        problem = BarycenterProblem(ms, lam, DisintConfig(2.0, 4.0), costs)
         result = disint_barycenter(problem, max_iter=10_000, tol=1e-3)
         assert result.certified, f"instance {seed} failed to certify"
         assert result.solver_log["iterations"] <= 10_000

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from disot import barycenter, ot
 from disot.barycenter import (
+    BarycenterProblem,
     _certificate_at,
     classical_barycenter,
     classical_problem,
     disint_barycenter,
     fiber_barycenter_lp,
-    make_problem,
     objective,
     project_simplex,
     uniqueness_probe,
@@ -64,7 +64,7 @@ def single_base(mu: DiscreteMeasure) -> FiberedMeasure:
 class TestObjective:
     def test_zero_at_common_input(self, rng):
         (m, _), costs = random_fibered_instance(rng, 2, 2, 4)
-        prob = make_problem([m, m], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem([m, m], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         assert objective(prob, m) == 0.0
 
     def test_arithmetic_on_known_distances(self):
@@ -127,13 +127,13 @@ class TestClassicalBarycenter:
     def test_value_is_objective_of_minimizer(self, rng):
         for _ in range(5):
             (a, b, c), costs = random_fibered_instance(rng, 3, 1, 5, full_support=True)
-            prob = make_problem([a, b, c], [0.2, 0.5, 0.3], DisintConfig(2.0, 2.0), costs)
+            prob = BarycenterProblem([a, b, c], [0.2, 0.5, 0.3], DisintConfig(2.0, 2.0), costs)
             res = classical_barycenter(prob)
             assert res.value == pytest.approx(objective(prob, res.minimizer), abs=1e-9)
 
     def test_global_optimality_on_support(self, rng):
         (a, b), costs = random_fibered_instance(rng, 2, 1, 4, full_support=True)
-        prob = make_problem([a, b], [0.4, 0.6], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem([a, b], [0.4, 0.6], DisintConfig(2.0, 2.0), costs)
         res = classical_barycenter(prob)
         base = prob.base_ids[0]
         for _ in range(30):
@@ -148,7 +148,7 @@ class TestClassicalBarycenter:
 
     def test_rejects_multi_fiber(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         with pytest.raises(BaseMismatch):
             classical_barycenter(prob)
 
@@ -204,11 +204,11 @@ class TestProblem:
     def test_typed_errors(self, case, error):
         args = self._case(case)
         with pytest.raises(error):
-            make_problem(config=DisintConfig(1.0, 2.0), **args)
+            BarycenterProblem(config=DisintConfig(1.0, 2.0), **args)
 
     def test_input_atom_outside_cost_names_base_point_and_atom(self):
         with pytest.raises(SupportOutOfRange, match="input 3 has atom 5 at base point 'w2'"):
-            make_problem(config=DisintConfig(2.0, 2.0), **self._case("atom"))
+            BarycenterProblem(config=DisintConfig(2.0, 2.0), **self._case("atom"))
         with pytest.raises(SupportOutOfRange, match="atom 7"):
             classical_problem([dirac(0), dirac(7)], line_cost([0.0, 1.0]), [0.5, 0.5], p=1.0)
 
@@ -217,7 +217,7 @@ class TestProblem:
         args = self._case("valid")
         for table in ({"w1": cost, "w2": cost, "w3": cost}, cost):
             args["costs"] = table
-            prob = make_problem(config=DisintConfig(1.0, 2.0), **args)
+            prob = BarycenterProblem(config=DisintConfig(1.0, 2.0), **args)
             assert type(prob.costs) is dict
             assert list(prob.costs) == ["w1", "w2"]
             assert all(prob.costs[b].d is cost.d for b in prob.costs)
@@ -227,9 +227,9 @@ class TestDisintBarycenter:
     def test_one_point_base_matches_classical(self, rng):
         (a, b), costs = random_fibered_instance(rng, 2, 1, 4, full_support=True)
         for q in (2.0, 4.0, math.inf):
-            prob = make_problem([a, b], [0.5, 0.5], DisintConfig(2.0, q), costs)
+            prob = BarycenterProblem([a, b], [0.5, 0.5], DisintConfig(2.0, q), costs)
             classical = classical_barycenter(
-                make_problem([a, b], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+                BarycenterProblem([a, b], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
             )
             res = disint_barycenter(prob, max_iter=4000)
             # with one base point every q gives the same problem
@@ -237,7 +237,7 @@ class TestDisintBarycenter:
 
     def test_decoupling_at_q_equals_p(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 3, 4)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
         sigma = ms[0].sigma
         agg = []
@@ -254,7 +254,7 @@ class TestDisintBarycenter:
 
     def test_q_between_matches_grid_oracle(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         res = disint_barycenter(prob)
         assert res.certified
         oracle = grid_search_oracle(prob, steps=32)
@@ -266,7 +266,7 @@ class TestDisintBarycenter:
     def test_q_inf_matches_grid_oracle(self, rng):
         for _ in range(3):
             ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-            prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, math.inf), costs)
+            prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, math.inf), costs)
             res = disint_barycenter(prob)
             assert res.solver_log["method"] == "minimax_lp"
             assert res.certified and res.gap == 0.0 and res.dual_bound == res.value
@@ -278,7 +278,7 @@ class TestDisintBarycenter:
 
     def test_q_inf_ignores_subgradient_settings(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 3, 4)
-        prob = make_problem(ms, [0.3, 0.7], DisintConfig(2.0, math.inf), costs)
+        prob = BarycenterProblem(ms, [0.3, 0.7], DisintConfig(2.0, math.inf), costs)
         plain = disint_barycenter(prob)
         start = {b: rng.dirichlet(np.ones(prob.support[b].size)) for b in prob.base_ids}
         tuned = disint_barycenter(prob, start=start, max_iter=1, tol=0.5)
@@ -295,7 +295,7 @@ class TestDisintBarycenter:
     def test_max_iter_flagging(self, rng, monkeypatch):
         monkeypatch.setattr(barycenter, "CERT_EVERY", 10**9)
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         res = disint_barycenter(prob, max_iter=2)
         assert not res.certified
         assert res.solver_log["max_iter_exceeded"]
@@ -305,7 +305,7 @@ class TestDisintBarycenter:
         # from that check would be stale when the cap stops the solve
         inst = parse_instance(generate_instance(seed=0, n_fibers=3, n_atoms=6, n_measures=2, kind="interval"))
         inputs = [inst.measure("m1"), inst.measure("m2")]
-        prob = make_problem(inputs, [0.5, 0.5], DisintConfig(1.0, 3.0), inst.costs)
+        prob = BarycenterProblem(inputs, [0.5, 0.5], DisintConfig(1.0, 3.0), inst.costs)
         res = disint_barycenter(prob, max_iter=60)
         assert not res.certified
         assert res.gap == res.value - res.dual_bound
@@ -320,7 +320,7 @@ class TestDisintBarycenter:
         else:
             inputs = [single_base(dirac(0)), single_base(DiscreteMeasure([1, 2], [0.25, 0.75]))]
             cost = GroundCost(np.zeros((3, 3)))
-        prob = make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, 4.0), cost)
+        prob = BarycenterProblem(inputs, [0.5, 0.5], DisintConfig(2.0, 4.0), cost)
         res = disint_barycenter(prob)
         assert res.certified
         assert res.gap == 0.0 and res.value == 0.0 and res.dual_bound == 0.0
@@ -331,7 +331,7 @@ class TestDisintBarycenter:
     def test_sandwich_bounds(self, rng):
         # dual certificate value <= value <= objective of any candidate
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         res = disint_barycenter(prob)
         assert isinstance(res.dual_bound, float)
         assert res.dual_bound <= res.value + 1e-9
@@ -345,12 +345,12 @@ class TestDisintBarycenter:
     )
     def test_subgradient_settings_are_validated(self, rng, settings):
         ms, costs = random_fibered_instance(rng, 2, 2, 3)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         with pytest.raises(ValueError, match="must be"):
             disint_barycenter(prob, **settings)
         # the LP routes read neither setting
         for q in (2.0, math.inf):
-            lp = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
+            lp = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
             assert disint_barycenter(lp, **settings).certified
 
     @pytest.mark.parametrize("K", [2, 3])
@@ -361,7 +361,7 @@ class TestDisintBarycenter:
         doc = generate_instance(seed=K, n_fibers=3, n_atoms=8, n_measures=K, kind=kind)
         inst = parse_instance(doc)
         inputs = [inst.measure(name) for name in sorted(inst.measures)]
-        prob = make_problem(inputs, np.full(K, 1.0 / K), DisintConfig(2.0, 4.0), inst.costs)
+        prob = BarycenterProblem(inputs, np.full(K, 1.0 / K), DisintConfig(2.0, 4.0), inst.costs)
         trees, answered = [], []
         dual_simplex = ot._dual_simplex
 
@@ -441,7 +441,7 @@ class TestPairBetas:
             solved.append((c, out[1], out[2], out[3]))
             return out
 
-        with mock.patch.object(barycenter, "transport", spy):
+        with mock.patch.object(ot, "transport", spy):
             value, w, beta = fiber_barycenter_lp(prob, b, tau)
         ((pair_cost, gamma, u, v),) = solved
         fibers = [mk.fiber(b) for mk in prob.inputs]
@@ -502,7 +502,7 @@ class TestPairBetas:
         doc = generate_instance(seed=1, n_fibers=4, n_atoms=80, n_measures=2, kind="interval")
         inst = parse_instance(doc)
         inputs = [inst.measure(name) for name in sorted(inst.measures)]
-        prob = make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, 2.0), inst.costs)
+        prob = BarycenterProblem(inputs, [0.5, 0.5], DisintConfig(2.0, 2.0), inst.costs)
         res = disint_barycenter(prob)
         assert res.value == pytest.approx(0.00201855839497, rel=1e-12)
         assert objective(prob, res.minimizer) == pytest.approx(res.value, rel=1e-12)
@@ -519,7 +519,7 @@ class TestPairBetas:
     def test_certificate_bound_is_no_worse_than_joint_lp_betas(self, rng, kind):
         ms, _ = random_fibered_instance(rng, 2, 3, 5)
         costs = {b: metric_cost(rng, 5, kind) for b in ms[0].base_ids}
-        prob = make_problem(ms, [0.3, 0.7], DisintConfig(1.0, 3.0), costs)
+        prob = BarycenterProblem(ms, [0.3, 0.7], DisintConfig(1.0, 3.0), costs)
         res = disint_barycenter(prob)
         cert, _ = _certificate_at(prob, res.minimizer)
         highs_betas = {
@@ -605,7 +605,7 @@ class TestNorthWestCorner:
         declined = 0
         for _ in range(20):
             ms, _ = random_fibered_instance(rng, 3, 1, 5, full_support=True)
-            prob = make_problem(ms, [0.2, 0.3, 0.5], DisintConfig(2.0, 2.0),
+            prob = BarycenterProblem(ms, [0.2, 0.3, 0.5], DisintConfig(2.0, 2.0),
                                 {"w1": metric_cost(rng, 5, "square")})
             highs_calls.clear()
             value, w, betas = fiber_barycenter_lp(prob, "w1", prob.lambdas)
@@ -631,7 +631,7 @@ class TestOracleOnSquareCosts:
         answered = 0
         for K, atoms in [(3, 4)] * 5 + [(4, 3)] * 5:
             ms, _ = random_fibered_instance(rng, K, 1, atoms, full_support=True)
-            prob = make_problem(ms, rng.dirichlet(np.ones(K)), DisintConfig(2.0, 2.0),
+            prob = BarycenterProblem(ms, rng.dirichlet(np.ones(K)), DisintConfig(2.0, 2.0),
                                 {"w1": metric_cost(rng, atoms, "square")})
             tau = prob.lambdas * rng.uniform(0.1, 2.0, size=K)
             highs_calls.clear()
@@ -646,7 +646,7 @@ class TestOracleOnSquareCosts:
     def test_disintegrated_q_equals_p_fiber_by_fiber(self, kind, rng):
         ms, _ = random_fibered_instance(rng, 3, 2, 3, full_support=True)
         costs = {b: metric_cost(rng, 3, kind) for b in ms[0].base_ids}
-        prob = make_problem(ms, [0.2, 0.3, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.2, 0.3, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
         want = sum(
             Fraction(s) * _tuple_lp_fiber(prob, b, prob.lambdas)
@@ -778,7 +778,7 @@ class TestConvexityAndSymmetry:
     def test_midpoint_convexity_in_weights(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 4, full_support=True)
         for q in (2.0, 4.0, math.inf):
-            prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
+            prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
             for _ in range(10):
                 wa = {b: rng.dirichlet(np.ones(4)) for b in prob.base_ids}
                 wb = {b: rng.dirichlet(np.ones(4)) for b in prob.base_ids}
@@ -800,8 +800,8 @@ class TestConvexityAndSymmetry:
         ms, costs = random_fibered_instance(rng, 3, 2, 3)
         cfg = DisintConfig(2.0, 2.0)
         lam = [1 / 3, 1 / 3, 1 / 3]
-        v1 = disint_barycenter(make_problem(ms, lam, cfg, costs)).value
-        v2 = disint_barycenter(make_problem(ms[::-1], lam, cfg, costs)).value
+        v1 = disint_barycenter(BarycenterProblem(ms, lam, cfg, costs)).value
+        v2 = disint_barycenter(BarycenterProblem(ms[::-1], lam, cfg, costs)).value
         assert v1 == pytest.approx(v2, abs=1e-9)
 
 
@@ -832,7 +832,7 @@ class TestProjectSimplex:
 class TestUniquenessProbe:
     def test_identical_inputs_unique(self, rng):
         (m, _), costs = random_fibered_instance(rng, 2, 2, 3)
-        prob = make_problem([m, m], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem([m, m], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
         probe = uniqueness_probe(prob, res, trials=6, radius=1e-9, seed=1)
         assert not probe.witness
@@ -867,12 +867,12 @@ class TestUniquenessProbe:
     @pytest.mark.parametrize("q", [2.0, math.inf])
     def test_lp_support_trials_solve_only_the_weights(self, rng, monkeypatch, q):
         ms, costs = random_fibered_instance(rng, 2, 2, 5)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs)
         # the support subset the trial draws, and the full solve on it
         draws = np.random.default_rng(7)
         keep = {b: draws.random(prob.support[b].size) < 0.5 for b in prob.base_ids}
         sub = {b: prob.support[b][k] if k.any() else prob.support[b] for b, k in keep.items()}
-        full = disint_barycenter(make_problem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs, sub))
+        full = disint_barycenter(BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, q), costs, sub))
 
         def no_full_solve(*args, **kwargs):
             raise AssertionError("a support trial ran a full barycenter solve")
@@ -896,7 +896,7 @@ class TestUniquenessProbe:
         # support trials at q = 4: each re-solve mode keeps its output bit for bit
         inst = parse_instance(generate_instance(seed=1, n_fibers=2, n_atoms=6, n_measures=2, kind="interval"))
         inputs = [inst.measure(name) for name in sorted(inst.measures)]
-        prob = make_problem(inputs, [0.4, 0.6], DisintConfig(2.0, q), inst.costs)
+        prob = BarycenterProblem(inputs, [0.4, 0.6], DisintConfig(2.0, q), inst.costs)
         res = disint_barycenter(prob, max_iter=30)
         probe = uniqueness_probe(prob, res, trials=4, radius=0.1, seed=5, max_iter=30)
         assert [v.hex() for v in probe.values] == values

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -500,6 +501,19 @@ class TestCLI:
         assert res["solver_value"] == pytest.approx(0.25, abs=1e-12)
         assert res["solver_certified"] is True and res["solver_gap"] <= 1e-12
 
+    @pytest.mark.parametrize("alias, name", [("intervals", "2.2"), ("shared-fiber", "2.1")])
+    def test_example_alias_writes_the_same_report(self, capsys, alias, name):
+        runs = [(main(["example", example]), capsys.readouterr()) for example in (alias, name)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].out
+
+    def test_lp_without_an_optimum_exits_2(self, capsys, monkeypatch):
+        # HiGHS's status and message reach the user; no report is written
+        failed = scipy.optimize.OptimizeResult(status=2, message="The problem is infeasible.")
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+        assert main(["example", "2.1"]) == 2
+        assert capsys.readouterr() == ("", "error: LP failed with status 2: The problem is infeasible.\n")
+
     def test_bad_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -958,6 +972,14 @@ ERROR_PATHS = {
     "ragged shared cost": (_set(_shared_fiber(), [[0.0, 1.0], [1.0]], "cost"), {},
                            ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
                            "the top-level 'cost' is not a matrix of numbers"),
+    # numpy alone would read these entries as 0.0 and 1.0
+    "string in a cost": (_set(_two_fibers(), "0", "fibers", "w1", "cost", 0, 0), {},
+                         ["dist", "--input", "{inst}"],
+                         "the cost of fiber 'w1': not a number: '0'"),
+    "boolean in a shared cost": (
+        _set(_shared_fiber(), [[0, True, 1], [True, 0, 1], [1, 1, 0]], "cost"), {},
+        ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
+        "the top-level 'cost': not a number: True"),
     "bad CSV row": (None, {"mu.csv": "x,w\n0.0,1.0\n0.5\n", "nu.csv": "1.0,1.0\n"},
                     ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
                     "{dir}/mu.csv:3: expected 'coordinate,weight'"),
@@ -1116,8 +1138,8 @@ PUBLIC_NAMES = {
     "SupportViolation", "TooLarge", "ValidationReport", "brute_force_ot", "c_transform",
     "classical_barycenter", "classical_problem", "coupling_is_deterministic", "dirac",
     "disint_barycenter", "duality_gap", "eval_dual", "fiber_distance_profile",
-    "make_problem", "objective", "project_simplex", "scrmk", "solve_ot", "transport",
-    "uniqueness_probe", "validate_certificate", "validate_ground_cost",
+    "objective", "project_simplex", "scrmk", "solve_ot", "transport", "uniqueness_probe",
+    "validate_certificate", "validate_ground_cost",
 }
 
 

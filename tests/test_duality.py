@@ -11,11 +11,11 @@ import pytest
 import disot
 from disot import ot
 from disot.barycenter import (
+    BarycenterProblem,
     _certificate_at,
     classical_barycenter,
     disint_barycenter,
     fiber_lps,
-    make_problem,
     minimax_barycenter_lp,
     objective,
 )
@@ -55,7 +55,7 @@ def random_feasible_certificate(prob, rng, scale=1.0):
 class TestValidate:
     def test_plus_minus_pair_is_valid(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 4, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         f = {b: rng.normal(size=prob.support[b].size) for b in prob.base_ids}
         cert = DualCertificate(
             base_ids=prob.base_ids,
@@ -66,7 +66,7 @@ class TestValidate:
 
     def test_sum_violation_located(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         cert = random_feasible_certificate(prob, rng)
         b0 = prob.base_ids[0]
         bad_xi = dict(cert.xi[0])
@@ -83,7 +83,7 @@ class TestValidate:
 
     def test_norm_violation(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         cert = random_feasible_certificate(prob, rng)
         rep = validate_certificate(
             DualCertificate(prob.base_ids, cert.zeta * 1.5, cert.xi), prob
@@ -92,7 +92,7 @@ class TestValidate:
 
     def test_positivity_violation(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         cert = random_feasible_certificate(prob, rng)
         zeta = cert.zeta.copy()
         zeta[0, 0] = 0.0
@@ -101,7 +101,7 @@ class TestValidate:
 
     def test_shape_mismatch(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         cert = random_feasible_certificate(prob, rng)
         short = {b: v[:-1] for b, v in cert.xi[0].items()}
         with pytest.raises(ShapeMismatch):
@@ -109,7 +109,7 @@ class TestValidate:
 
     def test_base_points_or_input_count_mismatch(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         cert = random_feasible_certificate(prob, rng)
         renamed = DualCertificate(("x", "y"), cert.zeta, cert.xi)
         with pytest.raises(ShapeMismatch, match="base points do not match"):
@@ -123,7 +123,7 @@ class TestValidate:
 class TestEvalDual:
     def test_zero_potentials_give_zero(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 4, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         zero = DualCertificate(
             base_ids=prob.base_ids,
             zeta=np.ones((2, 2)),
@@ -152,7 +152,7 @@ class TestEvalDual:
             p = float(rng.choice([1.0, 2.0, 3.0]))
             q = float(rng.choice([p, 2 * p, math.inf]))
             lam = rng.dirichlet(np.ones(K))
-            prob = make_problem(ms, lam, DisintConfig(p, q), costs)
+            prob = BarycenterProblem(ms, lam, DisintConfig(p, q), costs)
             cert = random_feasible_certificate(prob, rng)
             assert validate_certificate(cert, prob).ok
             dual = eval_dual(cert, prob)
@@ -166,7 +166,7 @@ class TestEvalDual:
         # zeta-weighted shifts cancel across k, so feasibility and the dual
         # value are both preserved
         ms, costs = random_fibered_instance(rng, 3, 2, 4, full_support=True)
-        prob = make_problem(ms, [0.3, 0.3, 0.4], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.3, 0.3, 0.4], DisintConfig(2.0, 2.0), costs)
         cert = random_feasible_certificate(prob, rng)
         before = eval_dual(cert, prob)
         shifted = []
@@ -181,7 +181,7 @@ class TestEvalDual:
 
     def test_double_transform_pass_never_decreases_dual(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 4, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         for _ in range(10):
             cert = random_feasible_certificate(prob, rng)
             before = eval_dual(cert, prob)
@@ -201,7 +201,7 @@ class TestEvalDual:
 class TestExtract:
     def test_identical_inputs_zero_gap(self, rng):
         (m, _), costs = random_fibered_instance(rng, 2, 2, 3)
-        prob = make_problem([m, m], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem([m, m], [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
         cert = res.certificate
         report = duality_gap(prob, res, cert)
@@ -214,7 +214,7 @@ class TestExtract:
             K = 3
             ms, costs = random_fibered_instance(rng, K, int(rng.integers(2, 4)), 6)
             lam = rng.dirichlet(np.ones(K))
-            prob = make_problem(ms, lam, DisintConfig(2.0, 2.0), costs)
+            prob = BarycenterProblem(ms, lam, DisintConfig(2.0, 2.0), costs)
             res = disint_barycenter(prob)
             cert = res.certificate
             assert np.all(cert.zeta == 1.0)
@@ -240,7 +240,7 @@ class TestExtract:
         base = ["w1", "w2"]
         m1 = FiberedMeasure(base, [0.5, 0.5], {"w1": dirac(0), "w2": dirac(0)})
         m2 = FiberedMeasure(base, [0.5, 0.5], {"w1": dirac(0), "w2": dirac(4)})
-        prob = make_problem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {b: cost for b in base})
+        prob = BarycenterProblem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {b: cost for b in base})
         res = disint_barycenter(prob)
         cert = res.certificate
         assert validate_certificate(cert, prob).ok
@@ -251,7 +251,7 @@ class TestExtract:
 
     def test_q_between_certificate_is_feasible_and_sandwiched(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 4.0), costs)
         res = disint_barycenter(prob)
         cert = res.certificate
         assert validate_certificate(cert, prob).ok
@@ -267,7 +267,7 @@ def square_instance():
 def square_problem(q):
     inst = parse_instance(square_instance())
     inputs = [inst.measure(name) for name in sorted(inst.measures)]
-    return make_problem(inputs, [0.5, 0.5], DisintConfig(2.0, q), inst.costs)
+    return BarycenterProblem(inputs, [0.5, 0.5], DisintConfig(2.0, q), inst.costs)
 
 
 class TestSolveCertificate:
@@ -329,7 +329,7 @@ class TestSolveCertificate:
 class TestGapReport:
     def test_zero_certificate_gives_primal_gap(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
         zero = DualCertificate(
             base_ids=prob.base_ids,
@@ -344,7 +344,7 @@ class TestGapReport:
 
     def test_invalid_certificate_not_certified(self, rng):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, 2.0), costs)
         res = disint_barycenter(prob)
         cert = res.certificate
         broken = DualCertificate(prob.base_ids, cert.zeta * -1.0, cert.xi)
@@ -355,7 +355,7 @@ class TestGapReport:
     @pytest.mark.parametrize("tol", [math.nan, -1e-3])
     def test_tol_must_be_nonnegative(self, rng, tol):
         ms, costs = random_fibered_instance(rng, 2, 2, 3, full_support=True)
-        prob = make_problem(ms, [0.5, 0.5], DisintConfig(2.0, math.inf), costs)
+        prob = BarycenterProblem(ms, [0.5, 0.5], DisintConfig(2.0, math.inf), costs)
         res = disint_barycenter(prob)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             duality_gap(prob, res, res.certificate, tol=tol)
@@ -454,7 +454,7 @@ class TestLPLayout:
         cost = GroundCost([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         m1 = FiberedMeasure(["w"], [1.0], {"w": DiscreteMeasure([0, 1], [0.25, 0.75])})
         m2 = FiberedMeasure(["w"], [1.0], {"w": DiscreteMeasure([0, 1, 2], [0.5, 0.25, 0.25])})
-        return make_problem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {"w": cost})
+        return BarycenterProblem([m1, m2], [0.5, 0.5], DisintConfig(2.0, math.inf), {"w": cost})
 
     def test_joint_lp(self, problem, highs_calls):
         joint_lp(problem, "w", problem.lambdas)

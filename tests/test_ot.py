@@ -12,6 +12,7 @@ from disot.errors import (
     DegenerateInput,
     DisotError,
     InvalidGroundCost,
+    LPInfeasible,
     SupportOutOfRange,
     TooLarge,
 )
@@ -108,6 +109,20 @@ class TestSolveOT:
         with pytest.raises(InvalidGroundCost, match="overflows"):
             brute_force_ot(dirac(0), nu, cost, 2.0)
         assert solve_ot(dirac(0), nu, cost, 1.0).value_p == 5e199
+
+    def test_plan_off_its_marginals_raises(self, monkeypatch):
+        # a plan that misses its marginals by more than MARGINAL_TOL is
+        # refused rather than reported
+        solve = ot.transport
+
+        def halved(cost, a, b, basis=None):
+            value, gamma, u, v, tree = solve(cost, a, b, basis)
+            return value, gamma / 2.0, u, v, tree
+
+        monkeypatch.setattr(ot, "transport", halved)
+        nu = DiscreteMeasure([0, 1], [0.5, 0.5])
+        with pytest.raises(LPInfeasible, match="coupling marginals off by 0.5"):
+            solve_ot(dirac(0), nu, line_cost([0.0, 1.0]), 1.0)
 
     def test_potentials_contract(self, rng):
         for _ in range(25):
@@ -515,7 +530,7 @@ def _assert_same_result(got, want):
 def warm_starts(monkeypatch):
     """(answered, dual pivots) of every warm start that ``transport`` tries."""
     starts, pivots = [], []
-    dual_simplex, exchange = ot._dual_simplex, ot._exchange
+    dual_simplex, pivot = ot._dual_simplex, ot._pivot
 
     def spy(*args):
         pivots.clear()
@@ -524,7 +539,7 @@ def warm_starts(monkeypatch):
         return out
 
     monkeypatch.setattr(ot, "_dual_simplex", spy)
-    monkeypatch.setattr(ot, "_exchange", lambda *args: (pivots.append(1), exchange(*args)))
+    monkeypatch.setattr(ot, "_pivot", lambda *args: (pivots.append(1), pivot(*args)))
     return starts
 
 
