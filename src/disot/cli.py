@@ -58,12 +58,23 @@ EXIT_NOT_CERTIFIED = 3
 
 
 def _parse_q(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "oo"):
-        return math.inf
     try:
-        return float(text)
+        q = float("inf" if text.lower() == "oo" else text)
     except ValueError:
-        raise ParseError(f"bad value for --q: {text!r}") from None
+        q = math.nan
+    if math.isnan(q):
+        raise ParseError(f"bad value for --q: {text!r}")
+    return q
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParseError(f"--seed must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -153,6 +164,8 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
         fiber = args.fiber or (fibers[0] if len(fibers) == 1 else None)
         if fiber is None:
             raise ParseError("--fiber is required on a multi-fiber instance")
+        if fiber not in instance.base_ids:
+            raise ParseError(f"base point {fiber!r} not in instance (has: {list(instance.base_ids)})")
         mu = instance.measure(args.mu).fiber(fiber)
         nu = instance.measure(args.nu).fiber(fiber)
         cost = instance.costs[fiber]
@@ -429,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_weights(sp)
         _add_solver(sp)
     sp = sub.choices["probe-uniqueness"]
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
+    sp.add_argument("--seed", type=_parse_seed, default=0, help="seed for randomized probes")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--radius", type=float, default=PROBE_RADIUS, help="perturbation size")
 
@@ -438,11 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     # each example reads only its own flags; they default to None so that a
     # flag the chosen example ignores is refused instead of dropped
     sp.add_argument("--n", type=int, help=f"atoms per interval (2.2; default {INTERVAL_ATOMS})")
-    sp.add_argument("--seed", type=int, help="seed of the uniqueness probe (2.2; default 0)")
+    sp.add_argument("--seed", type=_parse_seed, help="seed of the uniqueness probe (2.2; default 0)")
     _add_output(sp)
 
     sp = sub.add_parser("generate", help="write a deterministic pseudo-random instance")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_parse_seed, default=0)
     sp.add_argument("--fibers", type=int, default=2)
     sp.add_argument("--atoms", type=int, default=3)
     sp.add_argument("--measures", type=int, default=2)
@@ -453,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # inside the try: --q and --lambda raise ParseError while they are parsed
+    # inside the try: --q, --lambda and --seed raise ParseError while they are parsed
     try:
         return run(build_parser().parse_args(argv))
     except (DisotError, ValueError, OSError) as exc:

@@ -142,10 +142,9 @@ def _cost(raw, where: str) -> GroundCost:
     naming the first such entry in :func:`parse_extended_float`'s words.
     """
     try:
-        d = np.array(raw, dtype=np.float64)
+        cost = GroundCost(raw)
     except (ValueError, TypeError, OverflowError):
         raise ParseError(f"{where} is not a matrix of numbers") from None
-    cost = GroundCost(d)
     if not set(map(type, itertools.chain.from_iterable(raw))).isdisjoint((str, bool)):
         bad = next(x for x in itertools.chain.from_iterable(raw) if isinstance(x, (str, bool)))
         raise ParseError(f"{where}: not a number: {bad!r}")

@@ -51,18 +51,33 @@ class ValidationReport:
         return max(pool, key=lambda v: v.magnitude) if pool else None
 
 
-def _total_mass(w: np.ndarray, what: str) -> float:
-    """math.fsum of nonnegative weights; a NaN, an inf or an overflowing sum is refused."""
+def _normalized(w: np.ndarray, what: str, empty: str) -> np.ndarray:
+    """Nonnegative weights rescaled by their math.fsum total.
+
+    A NaN, an inf or an overflowing sum raises ValueError, and a total that
+    is not positive raises AllZeroMass with the message ``empty``.
+    """
     try:
         total = math.fsum(w)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
         raise ValueError(f"{what} and their sum must be finite")
-    return total
+    if total <= 0.0:
+        raise AllZeroMass(empty)
+    return w / total
 
 
-class DiscreteMeasure:
+class _Frozen:
+    """Base of the immutable types, whose constructors set each slot once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class DiscreteMeasure(_Frozen):
     """Probability measure with finitely many atoms on an indexed point set.
 
     Construction normalizes: duplicate point ids are merged by summing their
@@ -93,31 +108,17 @@ class DiscreteMeasure:
         if w.size and w.min() < 0.0:
             i = int(w.argmin())
             raise NegativeWeight(f"weight {w[i]} at point {ids[i]}")
-        order = np.argsort(ids, kind="stable")
-        ids, w = ids[order], w[order]
-        # merge duplicates
-        uniq, inverse = np.unique(ids, return_inverse=True)
-        if uniq.size != ids.size:
-            merged = np.zeros(uniq.size)
-            np.add.at(merged, inverse, w)
-            ids, w = uniq, merged
-        # a NaN weight survives this prune, so that the total refuses it
-        keep = w != 0.0
-        ids, w = ids[keep], w[keep]
-        total = _total_mass(w, "weights")
-        if total <= 0.0:
-            raise AllZeroMass("measure has no positive mass")
-        w = w / total
-        # denormal inputs can underflow to zero under the rescale
+        # bincount sums each id's weights in input order
+        ids, inverse = np.unique(ids, return_inverse=True)
+        w = np.bincount(inverse, weights=w, minlength=ids.size)
+        w = _normalized(w, "weights", "measure has no positive mass")
+        # zero atoms, and denormal ones that underflow under the rescale
         keep = w > 0.0
         ids, w = ids[keep], w[keep]
         ids.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "point_ids", ids)
         object.__setattr__(self, "weights", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteMeasure is immutable")
 
     def __len__(self) -> int:
         return self.point_ids.size
@@ -131,7 +132,7 @@ def dirac(point_id: int) -> DiscreteMeasure:
     return DiscreteMeasure([point_id], [1.0])
 
 
-class GroundCost:
+class GroundCost(_Frozen):
     """Finite, symmetric, nonnegative matrix of pairwise distances on a finite point set.
 
     The matrix is stored raw; solvers apply the p-th power at solve time so a
@@ -154,9 +155,6 @@ class GroundCost:
         mat.setflags(write=False)
         object.__setattr__(self, "d", mat)
         object.__setattr__(self, "n", mat.shape[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroundCost is immutable")
 
     def powered(self, p: float) -> np.ndarray:
         """d**p, with p == 1 returned without a pow call.
@@ -223,7 +221,7 @@ def validate_ground_cost(d: Sequence[Sequence[float]] | np.ndarray) -> Validatio
     return ValidationReport(tuple(out))
 
 
-class FiberedMeasure:
+class FiberedMeasure(_Frozen):
     """Base weights ``sigma`` plus one conditional DiscreteMeasure per base point.
 
     Base points with zero sigma carry no fiber measure and are dropped, so the
@@ -243,10 +241,7 @@ class FiberedMeasure:
             raise BaseMismatch(f"base point {dup!r} is listed more than once")
         if s.size and s.min() < 0.0:
             raise NegativeWeight("negative base weight")
-        total = _total_mass(s, "base weights")
-        if total <= 0.0:
-            raise AllZeroMass("base weights have no positive mass")
-        s = s / total
+        s = _normalized(s, "base weights", "base weights have no positive mass")
         keep = s > 0.0
         bids = [b for b, k in zip(bids, keep) if k]
         s = s[keep]
@@ -259,9 +254,6 @@ class FiberedMeasure:
         object.__setattr__(self, "base_ids", tuple(bids))
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "fibers", fib)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberedMeasure is immutable")
 
     def fiber(self, base_id: str) -> DiscreteMeasure:
         try:

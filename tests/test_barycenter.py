@@ -838,6 +838,17 @@ class TestUniquenessProbe:
         assert not probe.witness
         assert probe.max_pairwise_distance <= 1e-6
 
+    def test_input_off_the_support_is_not_a_candidate(self, monkeypatch):
+        # the support holds the first input's point, not the second's
+        prob = classical_problem([dirac(0), dirac(2)], line_cost([0.0, 1.0, 2.0]), [0.5, 0.5],
+                                 p=2.0, support=[0, 1])
+        res = classical_barycenter(prob)
+        seen = []
+        monkeypatch.setattr(barycenter, "objective", lambda problem, c: seen.append(c) or 1.0)
+        probe = uniqueness_probe(prob, res, trials=0, radius=0.0)
+        assert seen == [res.minimizer, prob.inputs[0]]
+        assert probe.n_candidates == 2
+
     def test_interval_pair_nonuniqueness_witness(self):
         inst = interval_pair(20)
         prob = inst.problem()

@@ -919,6 +919,15 @@ def _set(doc, value, *keys):
 ERROR_PATHS = {
     "bad --q": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--q", "abc"],
                 "bad value for --q: 'abc'"),
+    "NaN --q": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--q", "nan"],
+                "bad value for --q: 'nan'"),
+    "negative --seed on generate": (None, {}, ["generate", "--seed", "-1"],
+                                    "--seed must be a nonnegative integer, got '-1'"),
+    "negative --seed on probe-uniqueness": (
+        _two_fibers(), {}, ["probe-uniqueness", "--input", "{inst}", "--seed", "-3"],
+        "--seed must be a nonnegative integer, got '-3'"),
+    "negative --seed on example 2.2": (None, {}, ["example", "2.2", "--seed", "-1"],
+                                       "--seed must be a nonnegative integer, got '-1'"),
     "bad --lambda": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--lambda", "0.5,x"],
                      "bad value for --lambda: '0.5,x'"),
     "--lambda length": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--lambda", "0.2,0.3,0.5"],
@@ -929,6 +938,9 @@ ERROR_PATHS = {
                        "--mu-csv and --nu-csv must be given together"),
     "ot without --fiber": (_two_fibers(), {}, ["ot", "--input", "{inst}", "--mu", "m1", "--nu", "m2"],
                            "--fiber is required on a multi-fiber instance"),
+    "--fiber names no base point": (
+        _two_fibers(), {}, ["ot", "--input", "{inst}", "--mu", "m1", "--nu", "m2", "--fiber", "zz"],
+        "base point 'zz' not in instance (has: ['w1', 'w2'])"),
     "unknown measure": (_two_fibers(), {}, ["dist", "--input", "{inst}", "--m", "m1", "--n", "m9"],
                         "measure 'm9' not in instance (has: ['m1', 'm2'])"),
     "no base": (_drop(_two_fibers(), "base"), {}, ["dist", "--input", "{inst}"],

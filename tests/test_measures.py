@@ -17,9 +17,27 @@ from disot.measures import (
     DiscreteMeasure,
     FiberedMeasure,
     GroundCost,
+    Violation,
     dirac,
     validate_ground_cost,
 )
+
+
+def reference_measure(ids, weights):
+    """(point ids, weights) of DiscreteMeasure's rule in pure Python.
+
+    Each id's weights are summed in input order from 0.0, the total is the
+    math.fsum of those sums, and the rescaled atoms that stay positive are
+    kept in id order; None when the total is not positive.
+    """
+    merged: dict[int, float] = {}
+    for i, w in zip(ids, weights):
+        merged[i] = merged.get(i, 0.0) + w
+    total = math.fsum(merged.values())
+    if total <= 0.0:
+        return None
+    atoms = [(i, merged[i] / total) for i in sorted(merged)]
+    return [i for i, w in atoms if w > 0.0], [w for i, w in atoms if w > 0.0]
 
 
 class TestNormalize:
@@ -70,6 +88,35 @@ class TestNormalize:
         assert abs(m.weights.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(m.point_ids) > 0)
         assert np.all(m.weights > 0.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.one_of(
+                    st.floats(0.0, 1e300),
+                    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1.0]),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_the_reference_bit_for_bit(self, atoms):
+        ids = [i for i, _ in atoms]
+        weights = [w for _, w in atoms]
+        want = reference_measure(ids, weights)
+        if want is None:
+            with pytest.raises(AllZeroMass):
+                DiscreteMeasure(ids, weights)
+            return
+        m = DiscreteMeasure(ids, weights)
+        assert m.point_ids.tolist() == want[0]
+        assert [w.hex() for w in m.weights.tolist()] == [w.hex() for w in want[1]]
+
+    def test_repr(self):
+        m = DiscreteMeasure([2, 0, 2], [1.0, 1.0, 2.0])
+        assert repr(m) == "DiscreteMeasure({0: 0.25, 2: 0.75})"
 
 
 NON_FINITE_WEIGHTS = pytest.mark.parametrize(
@@ -144,6 +191,10 @@ class TestNonFiniteInputs:
 class TestGroundCostValidation:
     def test_two_point_metric(self):
         assert validate_ground_cost([[0, 1], [1, 0]]).ok
+
+    def test_non_square_matrix(self):
+        rep = validate_ground_cost([[0.0, 1.0]])
+        assert rep.violations == (Violation("shape", (1, 2), 0.0, "matrix is not square"),)
 
     def test_symmetry_violation(self):
         rep = validate_ground_cost([[0, 1], [2, 0]])

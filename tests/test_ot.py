@@ -968,6 +968,13 @@ class TestCouplingMap:
         c = Coupling(gamma, np.array([0, 1]), np.array([0, 1]))
         assert coupling_is_deterministic(c, tol=0.05) is None
 
+    def test_zero_row_is_skipped(self):
+        from disot.ot import Coupling
+
+        gamma = np.array([[0.0, 0.0], [0.2, 0.8]])
+        c = Coupling(gamma, np.array([3, 4]), np.array([0, 1]))
+        assert coupling_is_deterministic(c, tol=0.3) == {4: 1}
+
     def test_monotone_map_on_sorted_grids(self):
         # optimal coupling of sorted 1-d grids at p = 2 is the monotone
         # rearrangement, a genuine map
