@@ -421,7 +421,7 @@ def classical_barycenter(problem: BarycenterProblem) -> BarycenterResult:
     Requires a one-point base; the optimum is exact.
     """
     if len(problem.base_ids) != 1:
-        raise BaseMismatch("classical barycenter expects a one-point base")
+        raise BaseMismatch("classical barycenter expects a one-point base; use disint-bary instead")
     return _lp_barycenter(problem)
 
 

@@ -29,14 +29,13 @@ from .errors import DisotError, ParseError
 from .instances import generate_instance, interval_pair, shared_fiber_nonuniqueness
 from .io import (
     Instance,
-    combine_1d_points,
     dump_text,
     load_csv_measure,
     load_instance,
     report_to_csv,
     save_document,
 )
-from .measures import DiscreteMeasure, FiberedMeasure
+from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 from .metric import DisintConfig, fiber_distance_profile, lq_norm, scrmk
 from .ot import coupling_is_deterministic, solve_ot
 from .tolerances import (
@@ -67,14 +66,20 @@ def _parse_q(text: str) -> float:
     return q
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ParseError(f"--seed must be a nonnegative integer, got {text!r}")
-    return seed
+def _integer(flag: str, least: int):
+    """The argparse type of ``flag``: an integer of at least ``least`` (0 or 1), else ParseError."""
+    kind = "nonnegative" if least == 0 else "positive"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise ParseError(f"{flag} must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -93,11 +98,6 @@ def _measure_payload(m: FiberedMeasure) -> dict:
 
 def _disint_config(p: float, q: float | None) -> DisintConfig:
     return DisintConfig(p, p if q is None else q)
-
-
-def _positive_base(instance: Instance) -> list[str]:
-    """The base points of positive weight, the only ones that carry fibers."""
-    return [b for b, s in zip(instance.base_ids, instance.sigma) if s > 0.0]
 
 
 def _problem(instance: Instance, args: argparse.Namespace, q: float | None):
@@ -150,23 +150,26 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
     if args.mu_csv or args.nu_csv:
         if not (args.mu_csv and args.nu_csv):
             raise ParseError("--mu-csv and --nu-csv must be given together")
-        xs, mu_local = load_csv_measure(args.mu_csv)
-        ys, nu_local = load_csv_measure(args.nu_csv)
-        _, cost, (mu_idx, nu_idx) = combine_1d_points([xs, ys])
-        mu = DiscreteMeasure(mu_idx[mu_local.point_ids], mu_local.weights)
-        nu = DiscreteMeasure(nu_idx[nu_local.point_ids], nu_local.weights)
+        xs, mu = load_csv_measure(args.mu_csv)
+        ys, nu = load_csv_measure(args.nu_csv)
+        # one point set, mu's rows then nu's; both measures are rebuilt on it
+        pts = np.concatenate([xs, ys])
+        cost = GroundCost(np.abs(pts[:, None] - pts[None, :]))
+        mu = DiscreteMeasure(mu.point_ids, mu.weights)
+        nu = DiscreteMeasure(nu.point_ids + xs.size, nu.weights)
         source = {"mu_csv": args.mu_csv, "nu_csv": args.nu_csv}
     else:
         if not args.input:
             raise ParseError("ot needs --input or a pair of CSV files")
         instance = load_instance(args.input)
-        fibers = _positive_base(instance)
-        fiber = args.fiber or (fibers[0] if len(fibers) == 1 else None)
+        m = instance.measure(args.mu)
+        # only base points of positive normalized weight carry fibers
+        fiber = args.fiber or (m.base_ids[0] if len(m.base_ids) == 1 else None)
         if fiber is None:
             raise ParseError("--fiber is required on a multi-fiber instance")
         if fiber not in instance.base_ids:
             raise ParseError(f"base point {fiber!r} not in instance (has: {list(instance.base_ids)})")
-        mu = instance.measure(args.mu).fiber(fiber)
+        mu = m.fiber(fiber)
         nu = instance.measure(args.nu).fiber(fiber)
         cost = instance.costs[fiber]
         source = {"input": args.input, "fiber": fiber}
@@ -201,10 +204,7 @@ def _cmd_dist(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_bary(args: argparse.Namespace) -> tuple[dict, int]:
-    instance = load_instance(args.input)
-    if len(_positive_base(instance)) != 1:
-        raise ParseError("bary expects a one-point base; use disint-bary instead")
-    names, problem = _problem(instance, args, None)
+    names, problem = _problem(load_instance(args.input), args, None)
     result = classical_barycenter(problem)
     conf = {"p": args.p, "input": args.input, "names": names, "lambda": problem.lambdas}
     return {"command": "bary", "config": conf, "results": _result_payload(result)}, EXIT_OK
@@ -302,7 +302,7 @@ def _example_intervals(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _example_shared_fiber() -> tuple[dict, int]:
     inst = shared_fiber_nonuniqueness()
-    problem = inst.problem(p=2.0)
+    problem = inst.problem()
     result = disint_barycenter(problem)
     obj_a = objective(problem, inst.candidate_uniform_mid)
     obj_b = objective(problem, inst.candidate_modified)
@@ -413,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "distances, barycenters, dual certificates.",
     )
     ap.add_argument("--version", action="version", version=f"disot {__version__}")
+    seed = _integer("--seed", 0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ot", help="transport distance between two measures on one fiber")
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_weights(sp)
         _add_solver(sp)
     sp = sub.choices["probe-uniqueness"]
-    sp.add_argument("--seed", type=_parse_seed, default=0, help="seed for randomized probes")
+    sp.add_argument("--seed", type=seed, default=0, help="seed for randomized probes")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--radius", type=float, default=PROBE_RADIUS, help="perturbation size")
 
@@ -451,14 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     # each example reads only its own flags; they default to None so that a
     # flag the chosen example ignores is refused instead of dropped
     sp.add_argument("--n", type=int, help=f"atoms per interval (2.2; default {INTERVAL_ATOMS})")
-    sp.add_argument("--seed", type=_parse_seed, help="seed of the uniqueness probe (2.2; default 0)")
+    sp.add_argument("--seed", type=seed, help="seed of the uniqueness probe (2.2; default 0)")
     _add_output(sp)
 
     sp = sub.add_parser("generate", help="write a deterministic pseudo-random instance")
-    sp.add_argument("--seed", type=_parse_seed, default=0)
-    sp.add_argument("--fibers", type=int, default=2)
-    sp.add_argument("--atoms", type=int, default=3)
-    sp.add_argument("--measures", type=int, default=2)
+    sp.add_argument("--seed", type=seed, default=0)
+    sp.add_argument("--fibers", type=_integer("--fibers", 1), default=2)
+    sp.add_argument("--atoms", type=_integer("--atoms", 1), default=3)
+    sp.add_argument("--measures", type=_integer("--measures", 1), default=2)
     sp.add_argument("--kind", choices=("interval", "square"), default="interval")
     sp.add_argument("--oracle-checkable", dest="oracle_checkable", action="store_true")
     _add_output(sp, "instance file to write (stdout when omitted)")
@@ -466,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # inside the try: --q, --lambda and --seed raise ParseError while they are parsed
+    # inside the try: --q, --lambda, --seed and generate's sizes raise ParseError
+    # while they are parsed
     try:
         return run(build_parser().parse_args(argv))
     except (DisotError, ValueError, OSError) as exc:

@@ -60,7 +60,7 @@ class IntervalPair:
         return DualCertificate(base_ids=problem.base_ids, zeta=zeta, xi=xi)
 
 
-def interval_pair(n: int = 50) -> IntervalPair:
+def interval_pair(n: int) -> IntervalPair:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     grid0 = -2.0 + (np.arange(n) + 0.5) / n
@@ -88,9 +88,10 @@ class SharedFiberInstance:
     candidate_uniform_mid: FiberedMeasure
     candidate_modified: FiberedMeasure
 
-    def problem(self, p: float = 2.0) -> BarycenterProblem:
+    def problem(self) -> BarycenterProblem:
+        """The equal-weight problem at p = 2, q = inf."""
         costs = {"w1": self.cost, "w2": self.cost}
-        return BarycenterProblem(self.inputs, [0.5, 0.5], DisintConfig(p, np.inf), costs)
+        return BarycenterProblem(self.inputs, [0.5, 0.5], DisintConfig(2.0, np.inf), costs)
 
 
 def shared_fiber_nonuniqueness() -> SharedFiberInstance:

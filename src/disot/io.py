@@ -24,11 +24,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidGroundCost, ParseError
+from .errors import DisotError, InvalidGroundCost, ParseError
 from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
 
 
@@ -153,14 +153,15 @@ def _cost(raw, where: str) -> GroundCost:
 
 @dataclass(frozen=True)
 class Instance:
-    """Parsed instance file: base weights, a ground cost per base point, and named measures.
+    """Parsed instance file: base points, a ground cost per base point, and named measures.
 
     In the shared-fiber form every base point maps to one GroundCost object.
-    A base point of weight 0 whose fiber entry is omitted has no cost.
+    A base point of weight 0 whose fiber entry is omitted has no cost.  The
+    base weights live in the measures, which keep only the base points of
+    positive normalized weight: those alone carry fibers.
     """
 
     base_ids: tuple[str, ...]
-    sigma: np.ndarray
     costs: dict[str, GroundCost]
     measures: dict[str, FiberedMeasure]
 
@@ -173,12 +174,20 @@ class Instance:
             ) from None
 
 
+def _measure(ids, weights, where: str) -> DiscreteMeasure:
+    """DiscreteMeasure(ids, weights), with ``where`` in front of the message of any error it raises."""
+    try:
+        return DiscreteMeasure(ids, weights)
+    except (DisotError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def _parse_atoms(raw, where: str) -> DiscreteMeasure:
     try:
         pairs = [(_json_int(a["point"], where), parse_extended_float(a["w"], where)) for a in raw]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad atom list at {where}: {exc}") from None
-    return DiscreteMeasure([i for i, _ in pairs], [w for _, w in pairs])
+    return _measure([i for i, _ in pairs], [w for _, w in pairs], where)
 
 
 def parse_instance(doc: Mapping) -> Instance:
@@ -239,7 +248,7 @@ def parse_instance(doc: Mapping) -> Instance:
                 raise ParseError(f"measure {name!r} missing at base point {b!r}")
             fibs[b] = _parse_atoms(md[name], f"measure {name!r} at base point {b!r}")
         measures[name] = FiberedMeasure(base_ids, sigma, fibs)
-    return Instance(base_ids=tuple(base_ids), sigma=sigma, costs=costs, measures=measures)
+    return Instance(base_ids=tuple(base_ids), costs=costs, measures=measures)
 
 
 def load_instance(path: str) -> Instance:
@@ -260,7 +269,7 @@ def load_csv_measure(path: str):
     """1-d point cloud CSV: rows of (coordinate, weight).
 
     Returns (coordinates, DiscreteMeasure over row indices).  A non-numeric
-    first row is treated as a header.
+    first row is treated as a header.  An error in the weights names ``path``.
     """
     rows: list[tuple[float, float]] = []
     try:
@@ -280,24 +289,7 @@ def load_csv_measure(path: str):
     if not rows:
         raise ParseError(f"{path} holds no atoms")
     coords = np.array([x for x, _ in rows])
-    weights = [w for _, w in rows]
-    return coords, DiscreteMeasure(np.arange(len(rows)), weights)
-
-
-def combine_1d_points(coord_lists: Sequence[np.ndarray]):
-    """Union point set of several 1-d clouds with |x - y| ground cost.
-
-    Returns (points, GroundCost, offsets) where offsets[i] maps the i-th
-    cloud's local indices into the union.
-    """
-    offsets = []
-    start = 0
-    for c in coord_lists:
-        offsets.append(np.arange(start, start + c.size))
-        start += c.size
-    pts = np.concatenate(coord_lists) if coord_lists else np.array([])
-    cost = GroundCost(np.abs(pts[:, None] - pts[None, :]))
-    return pts, cost, offsets
+    return coords, _measure(np.arange(len(rows)), [w for _, w in rows], path)
 
 
 def report_to_csv(report: Mapping) -> str:

@@ -77,7 +77,7 @@ def test_criterion_2_shared_fiber_nonuniqueness():
     """q=inf: two constructed candidates tie to 1e-6 and sit > 0.1 apart."""
     t0 = time.perf_counter()
     inst = shared_fiber_nonuniqueness()
-    problem = inst.problem(p=2.0)
+    problem = inst.problem()
     obj_a = objective(problem, inst.candidate_uniform_mid)
     obj_b = objective(problem, inst.candidate_modified)
     dist = scrmk(

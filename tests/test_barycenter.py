@@ -918,7 +918,7 @@ class TestUniquenessProbe:
             raise AssertionError("the q = inf probe ran the subgradient solver")
 
         monkeypatch.setattr(barycenter, "_subgradient_barycenter", no_subgradient)
-        prob = shared_fiber_nonuniqueness().problem(p=2.0)
+        prob = shared_fiber_nonuniqueness().problem()
         res = disint_barycenter(prob)
         probe = uniqueness_probe(prob, res, trials=4, radius=1e-6, seed=0)
         # every kept minimizer attains the optimum 1/4, not a near-optimal value

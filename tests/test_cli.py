@@ -94,7 +94,13 @@ REPORT_PINS = {
                           "d3f33e08335089b89f57591b6b5042b4d136da961279da48ff91a39668b18269"),
     "generate --output": (["generate", "--seed", "4", "--output", "gen.json"], 0,
                           "a7ecdede56dcf5b0978c5809ac4ef69640137db8393af16be4dced9f30ce4ebd"),
+    "ot csv": (["ot", "--mu-csv", "mu.csv", "--nu-csv", "nu.csv", "--p", "2"], 0,
+               "aaec1a53bdbee21fb5c5b35dcaa4abb0d7a29230121e8ebade825f63c7def39c"),
 }
+# the 1-d clouds of the "ot csv" pin: header rows, a zero-weight row, and
+# weights that do not sum to 1
+PIN_CSVS = {"mu.csv": "x,w\n0.0,0.1\n0.4,0\n1.0,0.1\n",
+            "nu.csv": "coordinate,weight\n0.3,2.5\n1.6,0.5\n"}
 
 
 class TestIO:
@@ -401,6 +407,22 @@ class TestCLI:
         with_zero["base"].insert(0, {"id": "w0", "sigma": 0.0})
         (code, want), (got_code, got) = self._reports_on(
             tmp_path, monkeypatch, capsys, [one, with_zero], argv
+        )
+        assert code == got_code == 0
+        assert got == want
+
+    @pytest.mark.parametrize("argv", [["ot", "--mu", "m1", "--nu", "m2"], ["bary", "--p", "1"]])
+    def test_base_weight_that_normalizes_to_zero_is_not_a_fiber(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # 5e-324 / 2 rounds to 0, so the measures keep w2 alone: ot needs no
+        # --fiber and bary sees a one-point base, as on a file without w1
+        two = generate_instance(seed=9, n_fibers=2, n_atoms=4)
+        two["base"][0]["sigma"], two["base"][1]["sigma"] = 5e-324, 2.0
+        one = json.loads(dump_text(two))
+        del one["base"][0], one["fibers"]["w1"]
+        (code, want), (got_code, got) = self._reports_on(
+            tmp_path, monkeypatch, capsys, [one, two], argv
         )
         assert code == got_code == 0
         assert got == want
@@ -776,6 +798,8 @@ class TestCLI:
         monkeypatch.chdir(tmp_path)
         save_document("inst.json", generate_instance(seed=2, n_fibers=3, n_atoms=4))
         save_document("one.json", generate_instance(seed=2, n_fibers=1, n_atoms=4))
+        for name, text in PIN_CSVS.items():
+            Path(name).write_text(text)
         assert main(argv) == status
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -941,6 +965,26 @@ ERROR_PATHS = {
     "--fiber names no base point": (
         _two_fibers(), {}, ["ot", "--input", "{inst}", "--mu", "m1", "--nu", "m2", "--fiber", "zz"],
         "base point 'zz' not in instance (has: ['w1', 'w2'])"),
+    "--atoms not positive": (None, {}, ["generate", "--atoms", "-1"],
+                             "--atoms must be a positive integer, got '-1'"),
+    "--fibers not positive": (None, {}, ["generate", "--fibers", "0"],
+                              "--fibers must be a positive integer, got '0'"),
+    "--measures not positive": (None, {}, ["generate", "--measures", "-2"],
+                                "--measures must be a positive integer, got '-2'"),
+    "bary on two base points": (_two_fibers(), {}, ["bary", "--input", "{inst}"],
+                                "classical barycenter expects a one-point base; use disint-bary instead"),
+    "negative weight in a file": (
+        _set(_two_fibers(), -0.5, "fibers", "w1", "measures", "m1", 0, "w"), {},
+        ["dist", "--input", "{inst}"], "measure 'm1' at base point 'w1': weight -0.5 at point 0"),
+    "all-zero measure in a file": (
+        _set(_two_fibers(), [{"point": 0, "w": 0.0}], "fibers", "w1", "measures", "m1"), {},
+        ["dist", "--input", "{inst}"], "measure 'm1' at base point 'w1': measure has no positive mass"),
+    "negative weight in a CSV": (None, {"mu.csv": "0.0,-1\n", "nu.csv": "1.0,1.0\n"},
+                                 ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+                                 "{dir}/mu.csv: weight -1.0 at point 0"),
+    "NaN weight in a CSV": (None, {"mu.csv": "0.0,nan\n1.0,1.0\n", "nu.csv": "1.0,1.0\n"},
+                            ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+                            "{dir}/mu.csv: weights and their sum must be finite"),
     "unknown measure": (_two_fibers(), {}, ["dist", "--input", "{inst}", "--m", "m1", "--n", "m9"],
                         "measure 'm9' not in instance (has: ['m1', 'm2'])"),
     "no base": (_drop(_two_fibers(), "base"), {}, ["dist", "--input", "{inst}"],
