@@ -150,6 +150,9 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
     if args.mu_csv or args.nu_csv:
         if not (args.mu_csv and args.nu_csv):
             raise ParseError("--mu-csv and --nu-csv must be given together")
+        for flag, value in (("--input", args.input), ("--fiber", args.fiber)):
+            if value is not None:
+                raise ParseError(f"ot with --mu-csv and --nu-csv does not read {flag}")
         xs, mu = load_csv_measure(args.mu_csv)
         ys, nu = load_csv_measure(args.nu_csv)
         # one point set, mu's rows then nu's; both measures are rebuilt on it
@@ -468,10 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # inside the try: --q, --lambda, --seed and generate's sizes raise ParseError
-    # while they are parsed
+    # while they are parsed; a size numpy cannot allocate raises MemoryError
     try:
         return run(build_parser().parse_args(argv))
-    except (DisotError, ValueError, OSError) as exc:
+    except (DisotError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -6,14 +6,10 @@ Instance schema (per-fiber form)::
      "fibers": {id: {"points": [...], "cost": [[...]],
                      "measures": {name: [{"point": idx, "w": float}]}}}}
 
-The shared-fiber form hoists "points"/"cost" to the top level and may add
-"relabelings": {base_id: [permutation]}, each a permutation of the shared
-points that preserves the cost exactly, keyed by a base point.  Relabelings
-are checked on parsing and then dropped, as "points" is, since the solvers
-see only "cost"; the per-fiber form has no shared points to relabel, and
-rejects them.  A base point of weight 0 may omit its fiber entry.  All
-floats are emitted with 12 significant digits so identical inputs produce
-byte-identical files.
+The shared-fiber form hoists "points"/"cost" to the top level; the solvers
+see only "cost".  A base point whose weight normalizes to 0 carries no fiber,
+so it may omit its fiber entry and its measures.  All floats are emitted
+with 12 significant digits so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,8 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DisotError, InvalidGroundCost, ParseError
-from .measures import DiscreteMeasure, FiberedMeasure, GroundCost
+from .errors import DisotError, ParseError
+from .measures import DiscreteMeasure, FiberedMeasure, GroundCost, positive_base
 
 
 def format_float(x: float) -> str:
@@ -114,11 +110,10 @@ def parse_extended_float(x, where: str) -> float:
     raise ParseError(f"{where}: not a number: {x!r}")
 
 
-def _json_node(x, kind: type, where: str):
-    """``x`` when it is a JSON object (kind Mapping) or array (kind list), else ParseError."""
-    if not isinstance(x, kind):
-        name = "object" if kind is Mapping else "array"
-        raise ParseError(f"{where} is not a JSON {name}: {x!r}")
+def _json_object(x, where: str) -> Mapping:
+    """``x`` when it is a JSON object, else ParseError."""
+    if not isinstance(x, Mapping):
+        raise ParseError(f"{where} is not a JSON object: {x!r}")
     return x
 
 
@@ -126,7 +121,7 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _json_int(x, where: str) -> int:
-    """A point id or relabeling entry: a JSON integer in the int64 range, not a float or a boolean."""
+    """A point id: a JSON integer in the int64 range, not a float or a boolean."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ParseError(f"{where}: not an integer: {x!r}")
     if not _INT64.min <= x <= _INT64.max:
@@ -156,9 +151,10 @@ class Instance:
     """Parsed instance file: base points, a ground cost per base point, and named measures.
 
     In the shared-fiber form every base point maps to one GroundCost object.
-    A base point of weight 0 whose fiber entry is omitted has no cost.  The
-    base weights live in the measures, which keep only the base points of
-    positive normalized weight: those alone carry fibers.
+    A base point whose weight normalizes to 0 and whose fiber entry is
+    omitted has no cost.  The base weights live in the measures, which keep
+    only the base points of positive normalized weight: those alone carry
+    fibers.
     """
 
     base_ids: tuple[str, ...]
@@ -191,62 +187,49 @@ def _parse_atoms(raw, where: str) -> DiscreteMeasure:
 
 
 def parse_instance(doc: Mapping) -> Instance:
+    """The Instance of a JSON document; see the module docstring for the schema.
+
+    A fiber entry and each measure are required only at the base points of
+    positive normalized weight; one that is present elsewhere is still parsed.
+    """
     try:
         base = [(str(e["id"]), parse_extended_float(e["sigma"], f"base point {e['id']!r}"))
                 for e in doc["base"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad or missing 'base' section: {exc}") from None
+    if "relabelings" in doc:
+        raise ParseError("the instance key 'relabelings' is not supported")
     base_ids = [b for b, _ in base]
-    sigma = np.array([s for _, s in base])
-    fibers_doc = _json_node(doc.get("fibers", {}), Mapping, "'fibers'")
-    fibers = {b: _json_node(fibers_doc[b], Mapping, f"fiber {b!r}")
+    sigma = [s for _, s in base]
+    fibers_doc = _json_object(doc.get("fibers", {}), "'fibers'")
+    fibers = {b: _json_object(fibers_doc[b], f"fiber {b!r}")
               for b in base_ids if b in fibers_doc}
-    measures_at = {b: _json_node(f.get("measures", {}), Mapping, f"'measures' of fiber {b!r}")
+    measures_at = {b: _json_object(f.get("measures", {}), f"'measures' of fiber {b!r}")
                    for b, f in fibers.items()}
+    positive = set(positive_base(base_ids, sigma)[0])
     if "cost" in doc:
-        cost = _cost(doc["cost"], "the top-level 'cost'")
-        # a relabeling is checked and then dropped: no solver reads it
-        for bid, perm in _json_node(doc.get("relabelings", {}), Mapping, "'relabelings'").items():
-            if bid not in base_ids:
-                raise ParseError(f"relabeling at {bid!r} names no base point")
-            where = f"relabeling at {bid!r}"
-            perm = _json_node(perm, list, where)
-            g = np.array([_json_int(i, where) for i in perm], dtype=np.int64)
-            if sorted(g.tolist()) != list(range(cost.n)):
-                raise InvalidGroundCost(f"relabeling at {bid!r} is not a permutation")
-            if not np.array_equal(cost.d[np.ix_(g, g)], cost.d):
-                raise InvalidGroundCost(f"relabeling at {bid!r} does not preserve the cost")
-        costs = dict.fromkeys(base_ids, cost)
+        costs = dict.fromkeys(base_ids, _cost(doc["cost"], "the top-level 'cost'"))
     else:
-        if doc.get("relabelings"):
-            raise ParseError("relabelings need the shared-fiber form, with one top-level 'cost'")
         costs = {}
         for b in base_ids:
-            if sigma[base_ids.index(b)] <= 0.0 and b not in fibers:
+            if b not in fibers:
+                if b in positive:
+                    raise ParseError(f"no fiber entry for base point {b!r}")
                 continue
             try:
-                fd = fibers[b]
-            except KeyError:
-                raise ParseError(f"no fiber entry for base point {b!r}") from None
-            try:
-                costs[b] = _cost(fd["cost"], f"the cost of fiber {b!r}")
+                costs[b] = _cost(fibers[b]["cost"], f"the cost of fiber {b!r}")
             except KeyError:
                 raise ParseError(f"fiber {b!r} lacks a cost matrix") from None
-    # collect measure names across fibers
-    names: list[str] = []
-    for b in base_ids:
-        for name in measures_at.get(b, {}):
-            if name not in names:
-                names.append(name)
     measures = {}
-    positive = [b for b, s in base if s > 0.0]
-    for name in names:
+    # measure names in the order they first appear
+    for name in dict.fromkeys(itertools.chain.from_iterable(measures_at.values())):
         fibs = {}
-        for b in positive:
+        for b in base_ids:
             md = measures_at.get(b, {})
-            if name not in md:
+            if name in md:
+                fibs[b] = _parse_atoms(md[name], f"measure {name!r} at base point {b!r}")
+            elif b in positive:
                 raise ParseError(f"measure {name!r} missing at base point {b!r}")
-            fibs[b] = _parse_atoms(md[name], f"measure {name!r} at base point {b!r}")
         measures[name] = FiberedMeasure(base_ids, sigma, fibs)
     return Instance(base_ids=tuple(base_ids), costs=costs, measures=measures)
 

@@ -221,37 +221,47 @@ def validate_ground_cost(d: Sequence[Sequence[float]] | np.ndarray) -> Validatio
     return ValidationReport(tuple(out))
 
 
+def positive_base(base_ids: Sequence[str], sigma: Sequence[float]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The base points of positive normalized weight, in order, and those weights.
+
+    A disintegration is defined only sigma-almost everywhere, so these base
+    points alone carry fibers.  Raises BaseMismatch when the lengths differ
+    or a base point is listed twice, NegativeWeight on a negative weight, and
+    the errors of the normalization.
+    """
+    bids = [str(b) for b in base_ids]
+    s = np.asarray(sigma, dtype=np.float64)
+    if len(bids) != s.size:
+        raise BaseMismatch("base_ids and sigma lengths differ")
+    if len(set(bids)) < len(bids):
+        dup = next(b for i, b in enumerate(bids) if b in bids[:i])
+        raise BaseMismatch(f"base point {dup!r} is listed more than once")
+    if s.size and s.min() < 0.0:
+        raise NegativeWeight("negative base weight")
+    s = _normalized(s, "base weights", "base weights have no positive mass")
+    keep = s > 0.0
+    return tuple(b for b, k in zip(bids, keep) if k), s[keep]
+
+
 class FiberedMeasure(_Frozen):
     """Base weights ``sigma`` plus one conditional DiscreteMeasure per base point.
 
-    Base points with zero sigma carry no fiber measure and are dropped, so the
-    pushforward onto the base equals sigma by construction and every stored
-    fiber sums to 1.  A base point listed twice raises BaseMismatch.
+    Base points whose sigma normalizes to zero carry no fiber measure and are
+    dropped (see :func:`positive_base`), so the pushforward onto the base
+    equals sigma by construction and every stored fiber sums to 1.
     """
 
     __slots__ = ("base_ids", "sigma", "fibers")
 
     def __init__(self, base_ids: Sequence[str], sigma: Sequence[float], fibers: Mapping[str, DiscreteMeasure]):
-        bids = [str(b) for b in base_ids]
-        s = np.asarray(sigma, dtype=np.float64)
-        if len(bids) != s.size:
-            raise BaseMismatch("base_ids and sigma lengths differ")
-        if len(set(bids)) < len(bids):
-            dup = next(b for i, b in enumerate(bids) if b in bids[:i])
-            raise BaseMismatch(f"base point {dup!r} is listed more than once")
-        if s.size and s.min() < 0.0:
-            raise NegativeWeight("negative base weight")
-        s = _normalized(s, "base weights", "base weights have no positive mass")
-        keep = s > 0.0
-        bids = [b for b, k in zip(bids, keep) if k]
-        s = s[keep]
+        bids, s = positive_base(base_ids, sigma)
         fib = {}
         for b in bids:
             if b not in fibers:
                 raise BaseMismatch(f"base point {b!r} has positive mass but no fiber measure")
             fib[b] = fibers[b]
         s.setflags(write=False)
-        object.__setattr__(self, "base_ids", tuple(bids))
+        object.__setattr__(self, "base_ids", bids)
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "fibers", fib)
 

@@ -119,14 +119,13 @@ class TestIO:
             "base": [{"id": "a", "sigma": 0.5}, {"id": "b", "sigma": 0.5}],
             "points": [0.0, 1.0],
             "cost": [[0.0, 1.0], [1.0, 0.0]],
-            "relabelings": {"b": [1, 0]},
             "fibers": {
                 "a": {"measures": {"m": [{"point": 0, "w": 1.0}]}},
                 "b": {"measures": {"m": [{"point": 1, "w": 1.0}]}},
             },
         }
         inst = parse_instance(doc)
-        # one cost object for every base point; the relabeling is checked, not kept
+        # one cost object for every base point
         assert inst.costs["a"] is inst.costs["b"]
         assert inst.costs["a"].d.tolist() == doc["cost"]
         fiber = inst.measure("m").fiber("b")
@@ -427,24 +426,24 @@ class TestCLI:
         assert code == got_code == 0
         assert got == want
 
-    def test_bad_relabelings_exit_2(self, tmp_path, capsys):
-        doc = {
-            "base": [{"id": "a", "sigma": 0.5}, {"id": "b", "sigma": 0.5}],
-            "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
-            "fibers": {
-                b: {"measures": {"m": [{"point": 0, "w": 1.0}], "n": [{"point": 2, "w": 1.0}]}}
-                for b in ("a", "b")
-            },
-        }
-        for perm, message in (
-            ([0, 2, 2], "relabeling at 'b' is not a permutation"),
-            ([1, 0, 2], "relabeling at 'b' does not preserve the cost"),
-        ):
-            path = self._write(tmp_path, {**doc, "relabelings": {"b": perm}})
-            assert main(["dist", "--input", path]) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
-        path = self._write(tmp_path, {**doc, "relabelings": {"b": [2, 1, 0]}})
-        assert main(["dist", "--input", path]) == 0
+    @pytest.mark.parametrize("entry", [("measures", "m1"), ()], ids=["measure", "fiber_entry"])
+    def test_base_point_that_normalizes_to_zero_may_omit_its_entries(
+        self, tmp_path, monkeypatch, capsys, entry
+    ):
+        # w1's weight 5e-324 normalizes to 0, so neither its measure m1 nor
+        # its whole fiber entry is needed: the report is that of the file
+        # without w1
+        two = generate_instance(seed=9, n_fibers=2, n_atoms=4)
+        two["base"][0]["sigma"], two["base"][1]["sigma"] = 5e-324, 2.0
+        one = json.loads(dump_text(two))
+        del one["base"][0], one["fibers"]["w1"]
+        _drop(two, "fibers", "w1", *entry)
+        argv = ["dist", "--m", "m1", "--n", "m2", "--p", "2", "--q", "2"]
+        (code, want), (got_code, got) = self._reports_on(
+            tmp_path, monkeypatch, capsys, [one, two], argv
+        )
+        assert code == got_code == 0
+        assert got == want
 
     @pytest.mark.parametrize("field, value, message", [
         ("point", 0.9, "measure 'm' at base point 'a': not an integer: 0.9"),
@@ -452,7 +451,6 @@ class TestCLI:
         ("point", "2", "measure 'm' at base point 'a': not an integer: '2'"),
         ("w", True, "measure 'm' at base point 'a': not a number: True"),
         ("sigma", True, "base point 'a': not a number: True"),
-        ("relabeling", [1.7, 0.2, 2.0], "relabeling at 'b': not an integer: 1.7"),
         ("w", "0.25", "measure 'm' at base point 'a': not a number: '0.25'"),
         ("w", "1_0", "measure 'm' at base point 'a': not a number: '1_0'"),
         ("w", "Infinity", "measure 'm' at base point 'a': not a number: 'Infinity'"),
@@ -470,35 +468,12 @@ class TestCLI:
         }
         if field == "sigma":
             doc["base"][0]["sigma"] = value
-        elif field == "relabeling":
-            doc["relabelings"] = {"b": value}
         else:
             doc["fibers"]["a"]["measures"]["m"][0][field] = value
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
         assert main(["dist", "--input", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-
-    def test_relabeling_of_an_unknown_base_point_exits_2(self, tmp_path, capsys):
-        doc = generate_instance(seed=3, n_fibers=2, n_atoms=3, kind="interval")
-        shared = {"base": doc["base"], "cost": doc["fibers"]["w1"]["cost"],
-                  "fibers": {b: {"measures": f["measures"]} for b, f in doc["fibers"].items()}}
-        n = len(shared["cost"])
-        path = self._write(tmp_path, {**shared, "relabelings": {"w9": list(range(n))}})
-        assert main(["dist", "--input", path, "--m", "m1", "--n", "m2"]) == 2
-        assert capsys.readouterr().err == "error: relabeling at 'w9' names no base point\n"
-        with pytest.raises(ParseError):
-            load_instance(path)
-
-    def test_relabelings_in_the_per_fiber_form_exit_2(self, tmp_path, capsys):
-        doc = generate_instance(seed=3, n_fibers=1, n_atoms=3, kind="interval")
-        path = self._write(tmp_path, {**doc, "relabelings": {"w1": [0, 0, 7]}})
-        assert main(["dist", "--input", path, "--m", "m1", "--n", "m2"]) == 2
-        assert capsys.readouterr().err == (
-            "error: relabelings need the shared-fiber form, with one top-level 'cost'\n"
-        )
-        with pytest.raises(ParseError):
-            load_instance(path)
 
     def test_example_intervals(self, capsys):
         code = main(["example", "2.2", "--n", "20"])
@@ -960,6 +935,14 @@ ERROR_PATHS = {
                  "need at least 2 measure names, got ['m1']"),
     "--mu-csv alone": (None, {"mu.csv": "0.0,1.0\n"}, ["ot", "--mu-csv", "{dir}/mu.csv"],
                        "--mu-csv and --nu-csv must be given together"),
+    "--input beside the CSVs": (
+        _two_fibers(), {"mu.csv": "0.0,1.0\n", "nu.csv": "1.0,1.0\n"},
+        ["ot", "--input", "{inst}", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+        "ot with --mu-csv and --nu-csv does not read --input"),
+    "--fiber beside the CSVs": (
+        None, {"mu.csv": "0.0,1.0\n", "nu.csv": "1.0,1.0\n"},
+        ["ot", "--fiber", "w1", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+        "ot with --mu-csv and --nu-csv does not read --fiber"),
     "ot without --fiber": (_two_fibers(), {}, ["ot", "--input", "{inst}", "--mu", "m1", "--nu", "m2"],
                            "--fiber is required on a multi-fiber instance"),
     "--fiber names no base point": (
@@ -976,6 +959,14 @@ ERROR_PATHS = {
     "negative weight in a file": (
         _set(_two_fibers(), -0.5, "fibers", "w1", "measures", "m1", 0, "w"), {},
         ["dist", "--input", "{inst}"], "measure 'm1' at base point 'w1': weight -0.5 at point 0"),
+    # a measure that is present is read even where no fiber is required
+    "negative weight where the base weight normalizes to 0": (
+        _set(_set(_set(_two_fibers(), 5e-324, "base", 0, "sigma"), 2.0, "base", 1, "sigma"),
+             -0.5, "fibers", "w1", "measures", "m1", 0, "w"), {},
+        ["dist", "--input", "{inst}"], "measure 'm1' at base point 'w1': weight -0.5 at point 0"),
+    "negative weight where the base weight is 0": (
+        _set(_set(_two_fibers(), 0.0, "base", 0, "sigma"), -0.5, "fibers", "w1", "measures", "m1", 0, "w"),
+        {}, ["dist", "--input", "{inst}"], "measure 'm1' at base point 'w1': weight -0.5 at point 0"),
     "all-zero measure in a file": (
         _set(_two_fibers(), [{"point": 0, "w": 0.0}], "fibers", "w1", "measures", "m1"), {},
         ["dist", "--input", "{inst}"], "measure 'm1' at base point 'w1': measure has no positive mass"),
@@ -1006,12 +997,13 @@ ERROR_PATHS = {
     "measures not an object": (_set(_two_fibers(), "m1", "fibers", "w1", "measures"), {},
                                ["dist", "--input", "{inst}"],
                                "'measures' of fiber 'w1' is not a JSON object: 'm1'"),
-    "relabelings not an object": (_set(_shared_fiber(), [1, 0], "relabelings"), {},
-                                  ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
-                                  "'relabelings' is not a JSON object: [1, 0]"),
-    "relabeling not an array": (_set(_shared_fiber(), {"w1": 5}, "relabelings"), {},
-                                ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
-                                "relabeling at 'w1' is not a JSON array: 5"),
+    # relabelings have no reader, in either form
+    "relabelings in the shared form": (_set(_shared_fiber(), {"w1": [0, 1, 2]}, "relabelings"), {},
+                                       ["dist", "--input", "{inst}", "--m", "m1", "--n", "m2"],
+                                       "the instance key 'relabelings' is not supported"),
+    "relabelings in the per-fiber form": (_set(_two_fibers(), {"w1": [0, 1, 2]}, "relabelings"),
+                                          {}, ["dist", "--input", "{inst}"],
+                                          "the instance key 'relabelings' is not supported"),
     "non-number string": (
         {"base": [{"id": "w", "sigma": "heavy"}], "fibers": {}}, {}, ["dist", "--input", "{inst}"],
         "base point 'w': not a number: 'heavy'"),
@@ -1058,6 +1050,19 @@ def test_error_paths_exit_2(tmp_path, capsys, case):
     fill = {"inst": str(tmp_path / "inst.json"), "dir": str(tmp_path)}
     assert main([a.format(**fill) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(**fill)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "2.2", "--n", str(10**17)],
+    ["generate", "--atoms", str(10**17)],
+    ["generate", "--fibers", str(10**17)],
+], ids=["example_n", "generate_atoms", "generate_fibers"])
+def test_size_numpy_refuses_exits_2(capsys, argv):
+    # 10**17 float64 entries are past any address space, so numpy refuses at once
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestStartup:

@@ -12,13 +12,13 @@ from disot.errors import (
     InvalidGroundCost,
     NegativeWeight,
 )
-from disot.io import parse_instance
 from disot.measures import (
     DiscreteMeasure,
     FiberedMeasure,
     GroundCost,
     Violation,
     dirac,
+    positive_base,
     validate_ground_cost,
 )
 
@@ -234,6 +234,13 @@ class TestDisintegrate:
         with pytest.raises(BaseMismatch):
             fm.fiber("w2")
 
+    def test_weight_that_normalizes_to_zero_carries_no_fiber(self):
+        # 5e-324 / 2 rounds to 0: the rule the instance parser applies too
+        bids, sigma = positive_base(["w1", "w2"], [5e-324, 2.0])
+        assert bids == ("w2",) and sigma.tolist() == [1.0]
+        fm = FiberedMeasure(["w1", "w2"], [5e-324, 2.0], {"w2": dirac(0)})
+        assert fm.base_ids == bids and fm.sigma.tolist() == [1.0]
+
     def test_errors(self):
         with pytest.raises(AllZeroMass):
             FiberedMeasure(["w1"], [0.0], {"w1": dirac(0)})
@@ -252,22 +259,3 @@ class TestDisintegrate:
         assert abs(fm.sigma.sum() - 1.0) <= 1e-12
         for b in fm.base_ids:
             assert abs(fm.fiber(b).weights.sum() - 1.0) <= 1e-12
-
-
-class TestReferenceDelta:
-    def test_relabeling_must_preserve_cost(self):
-        # relabelings of a shared fiber are checked where the instance is parsed
-        pts = np.array([0.0, 1.0, 3.0])
-        doc = {
-            "base": [{"id": "w", "sigma": 1.0}],
-            "cost": np.abs(pts[:, None] - pts[None, :]).tolist(),
-            "fibers": {"w": {"measures": {"m": [{"point": 0, "w": 1.0}]}}},
-        }
-        for perm, match in (
-            ([1, 0, 2], "relabeling at 'w' does not preserve the cost"),
-            ([0, 0, 2], "relabeling at 'w' is not a permutation"),
-            ([0, 1], "relabeling at 'w' is not a permutation"),
-        ):
-            with pytest.raises(InvalidGroundCost, match=match):
-                parse_instance({**doc, "relabelings": {"w": perm}})
-        assert parse_instance({**doc, "relabelings": {"w": [0, 1, 2]}}).costs["w"].n == 3
