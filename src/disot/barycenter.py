@@ -159,10 +159,8 @@ def _result(problem: BarycenterProblem, minimizer, value, log, profile=None, **s
     if profile is None:
         dists = np.array([scrmk(mk, minimizer, problem.config, problem.costs) for mk in problem.inputs])
     else:
-        dists = np.array([
-            lq_norm(np.array([d for _, d in pk]), mk.sigma, problem.config.q)
-            for mk, pk in zip(problem.inputs, profile)
-        ])
+        dists = np.array([lq_norm(pk, mk.sigma, problem.config.q)
+                          for mk, pk in zip(problem.inputs, profile)])
     return BarycenterResult(
         minimizer=minimizer, value=value, per_k_distances=dists, solver_log=log, **status
     )
@@ -476,26 +474,25 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def disint_barycenter(
-    problem: BarycenterProblem,
-    start: Mapping[str, np.ndarray] | None = None,
-    max_iter: int = MAX_ITER,
-    tol: float = CERT_TOL,
+    problem: BarycenterProblem, max_iter: int = MAX_ITER, tol: float = CERT_TOL
 ) -> BarycenterResult:
     """Barycenter in the disintegrated metric.
 
     q = p (per-fiber LPs) and q = inf (one minimax LP) return the exact LP
-    optimum with gap 0 and ignore ``start``, ``max_iter`` and ``tol``.  For
-    p < q < inf projected subgradient descent takes Polyak steps toward the
-    best certified dual bound and stops once a dual certificate bounds the
-    gap by tol * (1 + value) (:func:`disot.tolerances.gap_allowance`).  The
-    certificate is checked at the first iteration, every CERT_EVERY
-    iterations, and at once when an iterate's value reaches the bound, which
-    weak duality makes optimal.  Hitting the iteration cap returns the best
-    iterate flagged as non-certified.  On this route a ``max_iter`` below 1
-    or a NaN or negative ``tol`` raises ValueError.  Each iteration solves
-    one transport per (fiber, input) from the input's atoms to the current
-    weights at a fixed cost, warm-started from that transport's optimal tree
-    at the previous iteration (the ``basis`` of :func:`disot.ot.transport`).
+    optimum with gap 0 and ignore ``max_iter`` and ``tol``.  For p < q < inf
+    projected subgradient descent, started from uniform weights on every
+    fiber's support, takes Polyak steps toward the best certified dual bound
+    and stops once a dual certificate bounds the gap by tol * (1 + value)
+    (:func:`disot.tolerances.gap_allowance`).  The certificate is checked at
+    the first iteration, every CERT_EVERY iterations, and at once when an
+    iterate's value reaches the bound, which weak duality makes optimal.
+    Hitting the iteration cap returns the best iterate flagged as
+    non-certified.  On this route a ``max_iter`` below 1 or a NaN or negative
+    ``tol`` raises ValueError.  Each iteration solves one transport per
+    (fiber, input) from the input's atoms to the current weights at a fixed
+    cost, warm-started from that transport's optimal tree at the previous
+    iteration (the ``basis`` of :func:`disot.ot.transport`).  The uniqueness
+    probe's random starts call the subgradient route directly.
 
     ``certificate`` is the dual certificate at the minimizer, from the LP
     duals or from the last check (extracted anew if the minimizer moved since);
@@ -504,7 +501,7 @@ def disint_barycenter(
     """
     if _lp_route(problem):
         return _lp_barycenter(problem)
-    return _subgradient_barycenter(problem, start, max_iter, tol)
+    return _subgradient_barycenter(problem, None, max_iter, tol)
 
 
 def _certificate_at(problem: BarycenterProblem, minimizer: FiberedMeasure):
@@ -515,7 +512,7 @@ def _certificate_at(problem: BarycenterProblem, minimizer: FiberedMeasure):
     """
     p, q = problem.config.p, problem.config.q
     prof = [fiber_distance_profile(mk, minimizer, p, problem.costs) for mk in problem.inputs]
-    zeta = _unit_zeta(problem, np.array([[d for _, d in pk] for pk in prof]) ** (q - p))
+    zeta = _unit_zeta(problem, np.array(prof) ** (q - p))
     return extract_certificate(problem, zeta, fiber_lps(problem, zeta)[2]), prof
 
 
@@ -535,7 +532,7 @@ def _subgradient_barycenter(problem, start, max_iter, tol):
     if start is None:
         w = {b: np.full(supports[b].size, 1.0 / supports[b].size) for b in base_ids}
     else:
-        w = {b: project_simplex(np.asarray(start[b], dtype=np.float64)) for b in base_ids}
+        w = {b: project_simplex(start[b]) for b in base_ids}
 
     best_val, best_w = math.inf, None
     # the weights of the last check, their certificate and distance profile
@@ -633,8 +630,9 @@ def _resolve(
     support subset, or a random start), which is then re-solved one way.
     The LP routes (q = p, q = inf), which the tilt serves, solve only the LP
     weights: a full solve's certificate and distances would be discarded.
-    The subgradient route (p < q < inf), which the random start serves,
-    solves within ``max_iter`` and ``tol``.
+    The subgradient route (p < q < inf), which the random start serves, is
+    called directly with that start (``None`` in the other modes, for
+    uniform weights) and solves within ``max_iter`` and ``tol``.
     """
     start = None
     if mode == "tilt":
@@ -657,7 +655,7 @@ def _resolve(
         start = {b: rng.dirichlet(np.ones(problem.support[b].size)) for b in problem.base_ids}
     if _lp_route(problem):
         return _assemble(problem, _lp_weights(problem)[0])
-    return disint_barycenter(problem, start=start, max_iter=max_iter, tol=tol).minimizer
+    return _subgradient_barycenter(problem, start, max_iter, tol).minimizer
 
 
 def check_probe_settings(trials: int, radius: float) -> None:

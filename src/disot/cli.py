@@ -150,8 +150,8 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
     if args.mu_csv or args.nu_csv:
         if not (args.mu_csv and args.nu_csv):
             raise ParseError("--mu-csv and --nu-csv must be given together")
-        for flag, value in (("--input", args.input), ("--fiber", args.fiber)):
-            if value is not None:
+        for flag in ("--input", "--fiber", "--mu", "--nu"):
+            if getattr(args, flag[2:]) is not None:
                 raise ParseError(f"ot with --mu-csv and --nu-csv does not read {flag}")
         xs, mu = load_csv_measure(args.mu_csv)
         ys, nu = load_csv_measure(args.nu_csv)
@@ -165,7 +165,7 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
         if not args.input:
             raise ParseError("ot needs --input or a pair of CSV files")
         instance = load_instance(args.input)
-        m = instance.measure(args.mu)
+        m = instance.measure("mu" if args.mu is None else args.mu)
         # only base points of positive normalized weight carry fibers
         fiber = args.fiber or (m.base_ids[0] if len(m.base_ids) == 1 else None)
         if fiber is None:
@@ -173,7 +173,7 @@ def _cmd_ot(args: argparse.Namespace) -> tuple[dict, int]:
         if fiber not in instance.base_ids:
             raise ParseError(f"base point {fiber!r} not in instance (has: {list(instance.base_ids)})")
         mu = m.fiber(fiber)
-        nu = instance.measure(args.nu).fiber(fiber)
+        nu = instance.measure("nu" if args.nu is None else args.nu).fiber(fiber)
         cost = instance.costs[fiber]
         source = {"input": args.input, "fiber": fiber}
     res = solve_ot(mu, nu, cost, args.p)
@@ -199,8 +199,8 @@ def _cmd_dist(args: argparse.Namespace) -> tuple[dict, int]:
     profile = fiber_distance_profile(m, n, config.p, instance.costs)
     # the norm scrmk takes of this same profile
     results = {
-        "distance": lq_norm(np.array([d for _, d in profile]), m.sigma, config.q),
-        "profile": dict(profile),
+        "distance": lq_norm(profile, m.sigma, config.q),
+        "profile": dict(zip(m.base_ids, profile.tolist())),
     }
     conf = {"p": config.p, "q": config.q, "input": args.input, "m": args.mu, "n": args.nu}
     return {"command": "dist", "config": conf, "results": results}, EXIT_OK
@@ -422,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ot", help="transport distance between two measures on one fiber")
     _add_common(sp, input_required=False, q_flag=False)
     sp.add_argument("--fiber", help="base point to use on multi-fiber instances")
-    sp.add_argument("--mu", default="mu", help="name of the source measure")
-    sp.add_argument("--nu", default="nu", help="name of the target measure")
+    # no defaults, so that a name given beside the CSV pair is refused
+    sp.add_argument("--mu", help="name of the source measure (default mu)")
+    sp.add_argument("--nu", help="name of the target measure (default nu)")
     sp.add_argument("--mu-csv", dest="mu_csv", help="1-d CSV (coordinate, weight) source")
     sp.add_argument("--nu-csv", dest="nu_csv", help="1-d CSV (coordinate, weight) target")
 

@@ -150,10 +150,11 @@ def generate_instance(
         else:
             pts = rng.random((n_atoms, 2))
             dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        measures = {}
-        for m in range(n_measures):
-            w = rng.dirichlet(np.ones(n_atoms)).tolist()
-            measures[f"m{m + 1}"] = [{"point": j, "w": w[j]} for j in range(n_atoms)]
+        # one draw for all measures: its rows equal one draw per measure, and a
+        # size numpy cannot allocate fails at once instead of looping
+        weights = rng.dirichlet(np.ones(n_atoms), size=n_measures).tolist()
+        measures = {f"m{m + 1}": [{"point": j, "w": x} for j, x in enumerate(w)]
+                    for m, w in enumerate(weights)}
         # tolist() hands io.dumps plain Python floats, which it formats a row
         # at a time
         doc["fibers"][f"w{i + 1}"] = {

@@ -252,7 +252,8 @@ def load_csv_measure(path: str):
     """1-d point cloud CSV: rows of (coordinate, weight).
 
     Returns (coordinates, DiscreteMeasure over row indices).  A non-numeric
-    first row is treated as a header.  An error in the weights names ``path``.
+    first row is treated as a header.  A malformed row or a coordinate that is
+    not finite names ``path:line``; an error in the weights names ``path``.
     """
     rows: list[tuple[float, float]] = []
     try:
@@ -266,6 +267,8 @@ def load_csv_measure(path: str):
                     if lineno == 0:
                         continue  # header
                     raise ParseError(f"{path}:{lineno + 1}: expected 'coordinate,weight'") from None
+                if not math.isfinite(x):
+                    raise ParseError(f"{path}:{lineno + 1}: coordinate {x} is not finite")
                 rows.append((x, w))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None

@@ -60,7 +60,11 @@ def cost_at(costs: CostTable, base_id: str) -> GroundCost:
         raise FiberMismatch(f"no ground cost for base point {base_id!r}") from None
 
 
-def _fiber_mk(a, b, cost: GroundCost, p: float) -> float:
+def _fiber_mk(m: FiberedMeasure, n: FiberedMeasure, base_id: str, costs: CostTable, p: float) -> float:
+    cost = cost_at(costs, base_id)
+    a, b = m.fiber(base_id), n.fiber(base_id)
+    if any(f.point_ids.size and f.point_ids[-1] >= cost.n for f in (a, b)):
+        raise FiberMismatch(f"fiber atoms at {base_id!r} outside the shared point set")
     # canonical orientation: the solver sees the same (mu, nu) pair regardless
     # of argument order, which makes the distance bitwise symmetric
     ka = (tuple(a.point_ids.tolist()), tuple(a.weights.tolist()))
@@ -72,23 +76,15 @@ def _fiber_mk(a, b, cost: GroundCost, p: float) -> float:
 
 def fiber_distance_profile(
     m: FiberedMeasure, n: FiberedMeasure, p: float, costs: CostTable
-) -> list[tuple[str, float]]:
-    """Exact per-fiber transport distance MK_p(m^w, n^w), one entry per base point.
+) -> np.ndarray:
+    """Exact per-fiber transport distance MK_p(m^w, n^w), one entry per ``m.base_ids``.
 
-    Base points of zero sigma mass never appear (they carry no fiber).
+    The array is in base order, like ``m.sigma``.  Base points of zero sigma
+    mass never appear (they carry no fiber).
     """
     if not m.same_base(n):
         raise BaseMismatch("measures have different base points or base weights")
-    profile = []
-    for base_id in m.base_ids:
-        cost = cost_at(costs, base_id)
-        fa, fb = m.fiber(base_id), n.fiber(base_id)
-        if (fa.point_ids.size and fa.point_ids[-1] >= cost.n) or (
-            fb.point_ids.size and fb.point_ids[-1] >= cost.n
-        ):
-            raise FiberMismatch(f"fiber atoms at {base_id!r} outside the shared point set")
-        profile.append((base_id, _fiber_mk(fa, fb, cost, p)))
-    return profile
+    return np.array([_fiber_mk(m, n, b, costs, p) for b in m.base_ids])
 
 
 def lq_norm(values: np.ndarray, sigma: np.ndarray, q: float) -> float:
@@ -100,6 +96,4 @@ def lq_norm(values: np.ndarray, sigma: np.ndarray, q: float) -> float:
 
 def scrmk(m: FiberedMeasure, n: FiberedMeasure, config: DisintConfig, costs: CostTable) -> float:
     """Disintegrated (p, q) distance: the L^q(sigma) norm of the fiber profile."""
-    profile = fiber_distance_profile(m, n, config.p, costs)
-    vals = np.array([d for _, d in profile])
-    return lq_norm(vals, m.sigma, config.q)
+    return lq_norm(fiber_distance_profile(m, n, config.p, costs), m.sigma, config.q)

@@ -280,8 +280,7 @@ class TestDisintBarycenter:
         ms, costs = random_fibered_instance(rng, 2, 3, 4)
         prob = BarycenterProblem(ms, [0.3, 0.7], DisintConfig(2.0, math.inf), costs)
         plain = disint_barycenter(prob)
-        start = {b: rng.dirichlet(np.ones(prob.support[b].size)) for b in prob.base_ids}
-        tuned = disint_barycenter(prob, start=start, max_iter=1, tol=0.5)
+        tuned = disint_barycenter(prob, max_iter=1, tol=0.5)
         assert tuned.value == plain.value
         assert tuned.minimizer.base_ids == plain.minimizer.base_ids
         assert np.array_equal(tuned.minimizer.sigma, plain.minimizer.sigma)

@@ -256,6 +256,34 @@ class TestGenerate:
                     seed=0, n_atoms=ORACLE_GENERAL_BOUND + 1, kind=kind, oracle_checkable=True
                 )
 
+    @staticmethod
+    def _per_measure_reference(seed, n_fibers, n_atoms, n_measures, kind):
+        # the generator as it was, one Dirichlet draw per measure
+        rng = np.random.default_rng(seed)
+        sigma = rng.dirichlet(np.ones(n_fibers))
+        doc = {"base": [{"id": f"w{i + 1}", "sigma": float(s)} for i, s in enumerate(sigma)],
+               "fibers": {}}
+        for i in range(n_fibers):
+            if kind == "interval":
+                pts = np.sort(rng.random(n_atoms))
+                dmat = np.abs(pts[:, None] - pts[None, :])
+            else:
+                pts = rng.random((n_atoms, 2))
+                dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+            measures = {}
+            for m in range(n_measures):
+                w = rng.dirichlet(np.ones(n_atoms)).tolist()
+                measures[f"m{m + 1}"] = [{"point": j, "w": w[j]} for j in range(n_atoms)]
+            doc["fibers"][f"w{i + 1}"] = {"points": pts.tolist(), "cost": dmat.tolist(),
+                                          "measures": measures}
+        return doc
+
+    @pytest.mark.parametrize("kind", ["interval", "square"])
+    def test_measures_equal_one_draw_per_measure(self, kind):
+        for seed in range(3):
+            doc = generate_instance(seed=seed, n_fibers=2, n_atoms=4, n_measures=3, kind=kind)
+            assert doc == self._per_measure_reference(seed, 2, 4, 3, kind)
+
     def test_generated_instances_parse(self, tmp_path):
         for kind in ("interval", "square"):
             doc = generate_instance(seed=3, n_fibers=2, n_atoms=4, kind=kind)
@@ -791,14 +819,13 @@ class TestCLI:
         doc = generate_instance(seed=5, n_fibers=3, n_atoms=8, kind="square")
         path = self._write(tmp_path, doc)
         seen = []
-        solve = barycenter.disint_barycenter
+        solve = barycenter._subgradient_barycenter
 
-        def spy(problem, start=None, max_iter=cli.MAX_ITER, tol=cli.CERT_TOL):
+        def spy(problem, start, max_iter, tol):
             seen.append((max_iter, tol))
-            return solve(problem, start=start, max_iter=max_iter, tol=tol)
+            return solve(problem, start, max_iter, tol)
 
-        monkeypatch.setattr(barycenter, "disint_barycenter", spy)
-        monkeypatch.setattr(cli, "disint_barycenter", spy)
+        monkeypatch.setattr(barycenter, "_subgradient_barycenter", spy)
         argv = ["--p", "2", "--q", "4", "--max-iter", "3", "--tol", "0.5", "--trials", "3"]
         assert main(["probe-uniqueness", "--input", path, *argv]) == 0
         capsys.readouterr()
@@ -943,6 +970,14 @@ ERROR_PATHS = {
         None, {"mu.csv": "0.0,1.0\n", "nu.csv": "1.0,1.0\n"},
         ["ot", "--fiber", "w1", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
         "ot with --mu-csv and --nu-csv does not read --fiber"),
+    "--mu beside the CSVs": (
+        None, {"mu.csv": "0.0,1.0\n", "nu.csv": "1.0,1.0\n"},
+        ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv", "--mu", "zz"],
+        "ot with --mu-csv and --nu-csv does not read --mu"),
+    "--nu beside the CSVs": (
+        None, {"mu.csv": "0.0,1.0\n", "nu.csv": "1.0,1.0\n"},
+        ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv", "--nu", "yy"],
+        "ot with --mu-csv and --nu-csv does not read --nu"),
     "ot without --fiber": (_two_fibers(), {}, ["ot", "--input", "{inst}", "--mu", "m1", "--nu", "m2"],
                            "--fiber is required on a multi-fiber instance"),
     "--fiber names no base point": (
@@ -976,6 +1011,12 @@ ERROR_PATHS = {
     "NaN weight in a CSV": (None, {"mu.csv": "0.0,nan\n1.0,1.0\n", "nu.csv": "1.0,1.0\n"},
                             ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
                             "{dir}/mu.csv: weights and their sum must be finite"),
+    "NaN coordinate in a CSV": (None, {"mu.csv": "0.0,0.5\nnan,0.5\n", "nu.csv": "1.0,1.0\n"},
+                                ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+                                "{dir}/mu.csv:2: coordinate nan is not finite"),
+    "infinite coordinate in a CSV": (None, {"mu.csv": "1.0,1.0\n", "nu.csv": "0.0,0.5\ninf,0.5\n"},
+                                     ["ot", "--mu-csv", "{dir}/mu.csv", "--nu-csv", "{dir}/nu.csv"],
+                                     "{dir}/nu.csv:2: coordinate inf is not finite"),
     "unknown measure": (_two_fibers(), {}, ["dist", "--input", "{inst}", "--m", "m1", "--n", "m9"],
                         "measure 'm9' not in instance (has: ['m1', 'm2'])"),
     "no base": (_drop(_two_fibers(), "base"), {}, ["dist", "--input", "{inst}"],
@@ -1056,13 +1097,41 @@ def test_error_paths_exit_2(tmp_path, capsys, case):
     ["example", "2.2", "--n", str(10**17)],
     ["generate", "--atoms", str(10**17)],
     ["generate", "--fibers", str(10**17)],
-], ids=["example_n", "generate_atoms", "generate_fibers"])
+    ["generate", "--measures", str(10**17)],
+], ids=["example_n", "generate_atoms", "generate_fibers", "generate_measures"])
 def test_size_numpy_refuses_exits_2(capsys, argv):
     # 10**17 float64 entries are past any address space, so numpy refuses at once
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _certify_q_inf(tmp_path, capsys, seed, j):
+    """``certify --p 2 --q inf`` on a one-fiber square instance with every cost times 2**j."""
+    doc = generate_instance(seed=seed, n_fibers=1, n_atoms=4, kind="square")
+    for fiber in doc["fibers"].values():
+        fiber["cost"] = [[c * 2.0**j for c in row] for row in fiber["cost"]]
+    path = tmp_path / f"scaled{j}.json"
+    save_document(str(path), doc)
+    code = main(["certify", "--input", str(path), "--p", "2", "--q", "inf"])
+    out = capsys.readouterr().out
+    return code, json.loads(out)["results"] if out else None
+
+
+# ROADMAP item 1: HiGHS's tolerances and limits are absolute, so the minimax LP
+# is not solved alike at every cost scale.  Item 1's fix removes these markers.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: at 2**-66 the primal is 2.83x (seed 1) or 1.16x (seed 2) the optimum "
+    "and still certified; at 2**66 HiGHS exits with status 2 (model error)"))
+@pytest.mark.parametrize("seed, j", [(1, -66), (2, -66), (0, 66), (1, 66), (2, 66)])
+def test_certify_q_inf_scales_with_the_cost(tmp_path, capsys, seed, j):
+    # powers of two scale every cost exactly, so MK_2^2 scales by exactly 2**(2j)
+    code0, plain = _certify_q_inf(tmp_path, capsys, seed, 0)
+    code, scaled = _certify_q_inf(tmp_path, capsys, seed, j)
+    assert code == code0
+    for key in ("primal", "dual"):
+        assert scaled[key] == pytest.approx(plain[key] * 2.0 ** (2 * j), rel=1e-9, abs=0.0)
 
 
 class TestStartup:

@@ -44,18 +44,19 @@ class TestProfile:
     def test_identical_measures(self, rng):
         (m, _), costs = random_fibered_instance(rng, 2, 3, 4)
         prof = fiber_distance_profile(m, m, 2.0, costs)
-        assert all(d == 0.0 for _, d in prof)
+        assert all(d == 0.0 for _, d in zip(m.base_ids, prof))
 
     def test_dirac_distances(self):
         m, n, costs = two_dirac_fibers()
-        prof = dict(fiber_distance_profile(m, n, 2.0, costs))
-        assert prof == pytest.approx({"w1": 1.0, "w2": 2.0})
+        prof = fiber_distance_profile(m, n, 2.0, costs)
+        assert isinstance(prof, np.ndarray)
+        assert dict(zip(m.base_ids, prof)) == pytest.approx({"w1": 1.0, "w2": 2.0})
 
     def test_matches_oracle_per_fiber(self, rng):
         for _ in range(10):
             (m, n), costs = random_fibered_instance(rng, 2, 2, 3)
             p = float(rng.choice([1.0, 2.0]))
-            for b, d in fiber_distance_profile(m, n, p, costs):
+            for b, d in zip(m.base_ids, fiber_distance_profile(m, n, p, costs)):
                 oracle = brute_force_ot(m.fiber(b), n.fiber(b), costs[b], p) ** (1.0 / p)
                 assert d == pytest.approx(oracle, abs=1e-9)
 
