@@ -49,11 +49,11 @@ class BarycenterProblem:
     """K >= 2 input measures, simplex weights, exponents, and candidate supports.
 
     The constructor converts every argument once: ``inputs`` to a tuple,
-    ``lambdas`` to a float array, ``costs`` (any cost table) to a dict from
-    each base point to its ground cost, and ``support``, a map from each base
-    point to the candidate point ids the barycenter may charge, to sorted
-    unique int arrays.  ``support`` defaults to every point of each fiber's
-    cost matrix.  ``blocks[b][k]`` is the cost block d(f_k^b, support_b)**p
+    ``lambdas`` to a float array, ``costs``, the cost table (a dict from
+    base point to GroundCost), to a dict of the inputs' base points alone,
+    and ``support``, a map from each base point to the candidate point ids
+    the barycenter may charge, to sorted unique int arrays.  ``support``
+    defaults to every point of each fiber's cost matrix.  ``blocks[b][k]`` is the cost block d(f_k^b, support_b)**p
     from the k-th input's atoms at base point b to its candidate support,
     built once here for every solve on the problem.
     """
@@ -134,7 +134,7 @@ def classical_problem(
     """Wrap plain discrete measures as a one-point-base fibered problem."""
     fibered = [FiberedMeasure([_ONE_POINT_BASE], [1.0], {_ONE_POINT_BASE: mu}) for mu in mus]
     sup = None if support is None else {_ONE_POINT_BASE: support}
-    return BarycenterProblem(fibered, lambdas, DisintConfig(p, p), cost, sup)
+    return BarycenterProblem(fibered, lambdas, DisintConfig(p, p), {_ONE_POINT_BASE: cost}, sup)
 
 
 @dataclass(frozen=True)

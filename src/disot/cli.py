@@ -66,17 +66,22 @@ def _parse_q(text: str) -> float:
     return q
 
 
-def _integer(flag: str, least: int):
-    """The argparse type of ``flag``: an integer of at least ``least`` (0 or 1), else ParseError."""
-    kind = "nonnegative" if least == 0 else "positive"
+def _integer(flag: str, least: int, convert=int):
+    """The argparse type of ``flag``: a number of at least ``least`` (0 or 1), else ParseError.
 
-    def parse(text: str) -> int:
+    ``convert`` reads the text: int for an integer flag, float for any
+    number but NaN.
+    """
+    kind = "nonnegative" if least == 0 else "positive"
+    noun = "integer" if convert is int else "number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = least - 1
-        if value < least:
-            raise ParseError(f"{flag} must be a {kind} integer, got {text!r}")
+            value = math.nan
+        if not value >= least:
+            raise ParseError(f"{flag} must be a {kind} {noun}, got {text!r}")
         return value
 
     return parse
@@ -403,10 +408,9 @@ def _add_weights(sp: argparse.ArgumentParser):
 
 
 def _add_solver(sp: argparse.ArgumentParser):
-    sp.add_argument(
-        "--tol", type=float, default=CERT_TOL, help="relative certification tolerance at p < q"
-    )
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=MAX_ITER)
+    sp.add_argument("--tol", type=_integer("--tol", 0, float), default=CERT_TOL,
+                    help="relative certification tolerance at p < q")
+    sp.add_argument("--max-iter", dest="max_iter", type=_integer("--max-iter", 1), default=MAX_ITER)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # inside the try: --q, --lambda, --seed and generate's sizes raise ParseError
-    # while they are parsed; a size numpy cannot allocate raises MemoryError
+    # inside the try: --q, --lambda, --seed, --tol, --max-iter and generate's
+    # sizes raise ParseError while they are parsed; a size numpy cannot
+    # allocate raises MemoryError
     try:
         return run(build_parser().parse_args(argv))
     except (DisotError, ValueError, OSError, MemoryError) as exc:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
 from .errors import BaseMismatch, FiberMismatch
 from .measures import FiberedMeasure, GroundCost
 from .ot import solve_ot
-
-CostTable = Union[Mapping[str, GroundCost], GroundCost]
 
 
 @dataclass(frozen=True)
@@ -51,16 +49,18 @@ class DisintConfig:
         return r / (r - 1.0)
 
 
-def cost_at(costs: CostTable, base_id: str) -> GroundCost:
-    if isinstance(costs, GroundCost):
-        return costs
+def cost_at(costs: Mapping[str, GroundCost], base_id: str) -> GroundCost:
+    """The ground cost of ``base_id`` in a cost table, a dict from base point to GroundCost.
+
+    Raises FiberMismatch when the table has no entry for ``base_id``.
+    """
     try:
         return costs[base_id]
     except KeyError:
         raise FiberMismatch(f"no ground cost for base point {base_id!r}") from None
 
 
-def _fiber_mk(m: FiberedMeasure, n: FiberedMeasure, base_id: str, costs: CostTable, p: float) -> float:
+def _fiber_mk(m: FiberedMeasure, n: FiberedMeasure, base_id: str, costs: Mapping[str, GroundCost], p: float) -> float:
     cost = cost_at(costs, base_id)
     a, b = m.fiber(base_id), n.fiber(base_id)
     if any(f.point_ids.size and f.point_ids[-1] >= cost.n for f in (a, b)):
@@ -75,7 +75,7 @@ def _fiber_mk(m: FiberedMeasure, n: FiberedMeasure, base_id: str, costs: CostTab
 
 
 def fiber_distance_profile(
-    m: FiberedMeasure, n: FiberedMeasure, p: float, costs: CostTable
+    m: FiberedMeasure, n: FiberedMeasure, p: float, costs: Mapping[str, GroundCost]
 ) -> np.ndarray:
     """Exact per-fiber transport distance MK_p(m^w, n^w), one entry per ``m.base_ids``.
 
@@ -94,6 +94,6 @@ def lq_norm(values: np.ndarray, sigma: np.ndarray, q: float) -> float:
     return math.fsum(sigma * values**q) ** (1.0 / q)
 
 
-def scrmk(m: FiberedMeasure, n: FiberedMeasure, config: DisintConfig, costs: CostTable) -> float:
+def scrmk(m: FiberedMeasure, n: FiberedMeasure, config: DisintConfig, costs: Mapping[str, GroundCost]) -> float:
     """Disintegrated (p, q) distance: the L^q(sigma) norm of the fiber profile."""
     return lq_norm(fiber_distance_profile(m, n, config.p, costs), m.sigma, config.q)

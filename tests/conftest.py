@@ -16,6 +16,7 @@ import scipy.optimize
 
 from disot import barycenter, ot
 from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost
+from disot.metric import DisintConfig, scrmk
 
 
 def metric_cost(rng: np.random.Generator, n: int, kind: str = "interval") -> GroundCost:
@@ -59,6 +60,40 @@ def random_fibered_instance(
                 per_input[k][b] = random_measure(rng, n_atoms)
     measures = [FiberedMeasure(base_ids, sigma, per_input[k]) for k in range(n_inputs)]
     return measures, costs
+
+
+def geodesic_problem(seed: int, kind: str, p: float, q: float, t: float = 0.3):
+    """(problem, J*): two inputs, weights (1 - t, t), whose optimum J* is known at every q.
+
+    On each of two base points, mu_0 and mu_1 carry 4 random atoms of the
+    line ("interval") or the unit square, and the fiber's point set adds the
+    displacement interpolants (1 - s*) x_i + s* y_j of every cell (i, j) of
+    their optimal p-cost plan, at s* = t^e / (t^e + (1 - t)^e), e = 1/(p - 1).
+    Each interpolant scales every fiber distance by s* toward mu_0 and by
+    1 - s* toward mu_1 (McCann 1997), so with D = MK_{p,q}(mu_0, mu_1) it
+    attains J* = (1 - t)(s* D)^p + t((1 - s*) D)^p.  J* is also a lower bound
+    on any support, by the triangle inequality of MK_{p,q}.  Needs p > 1.
+    """
+    rng = np.random.default_rng(seed)
+    e = 1.0 / (p - 1.0)
+    s = t**e / (t**e + (1.0 - t) ** e)
+    base_ids = ["w1", "w2"]
+    fibers, costs = ({}, {}), {}
+    for b in base_ids:
+        x, y = (rng.random((4, 2 if kind == "square" else 1)) for _ in range(2))
+        a0, a1 = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+        d = np.linalg.norm(x[:, None] - y[None], axis=-1)
+        rows, cols = np.nonzero(ot.exact_transport(d**p, a0, a1)[1])
+        pts = np.concatenate([x, y, (1.0 - s) * x[rows] + s * y[cols]])
+        costs[b] = GroundCost(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+        fibers[0][b] = DiscreteMeasure(np.arange(4), a0)
+        fibers[1][b] = DiscreteMeasure(np.arange(4, 8), a1)
+    sigma = rng.dirichlet(np.ones(2))
+    inputs = [FiberedMeasure(base_ids, sigma, f) for f in fibers]
+    config = DisintConfig(p, q)
+    dist = scrmk(*inputs, config, costs)
+    optimum = (1.0 - t) * (s * dist) ** p + t * ((1.0 - s) * dist) ** p
+    return barycenter.BarycenterProblem(inputs, [1.0 - t, t], config, costs), optimum
 
 
 def joint_lp(prob, b, tau):

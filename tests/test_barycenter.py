@@ -33,11 +33,17 @@ from disot.errors import (
 from disot.instances import generate_instance, interval_pair, shared_fiber_nonuniqueness
 from disot.io import parse_instance
 from disot.measures import DiscreteMeasure, FiberedMeasure, GroundCost, dirac
-from disot.metric import DisintConfig
+from disot.metric import DisintConfig, scrmk
 from disot.ot import _vertex_min_exact, solve_ot, transport
-from disot.tolerances import NW_SLACK_ULPS, OPT_TOL
+from disot.tolerances import CERT_TOL, MAX_ITER, NW_SLACK_ULPS, OPT_TOL, PROBE_DIST_TOL, PROBE_RADIUS
 
-from conftest import assert_same_certificate, joint_lp, metric_cost, random_fibered_instance
+from conftest import (
+    assert_same_certificate,
+    geodesic_problem,
+    joint_lp,
+    metric_cost,
+    random_fibered_instance,
+)
 from reference_multimarginal import tuple_lp_value
 
 
@@ -215,12 +221,11 @@ class TestProblem:
     def test_costs_become_a_dict_per_base_point(self):
         cost = line_cost([0.0, 1.0, 2.0])
         args = self._case("valid")
-        for table in ({"w1": cost, "w2": cost, "w3": cost}, cost):
-            args["costs"] = table
-            prob = BarycenterProblem(config=DisintConfig(1.0, 2.0), **args)
-            assert type(prob.costs) is dict
-            assert list(prob.costs) == ["w1", "w2"]
-            assert all(prob.costs[b].d is cost.d for b in prob.costs)
+        args["costs"] = {"w1": cost, "w2": cost, "w3": cost}
+        prob = BarycenterProblem(config=DisintConfig(1.0, 2.0), **args)
+        assert type(prob.costs) is dict
+        assert list(prob.costs) == ["w1", "w2"]
+        assert all(prob.costs[b].d is cost.d for b in prob.costs)
 
 
 class TestDisintBarycenter:
@@ -319,7 +324,7 @@ class TestDisintBarycenter:
         else:
             inputs = [single_base(dirac(0)), single_base(DiscreteMeasure([1, 2], [0.25, 0.75]))]
             cost = GroundCost(np.zeros((3, 3)))
-        prob = BarycenterProblem(inputs, [0.5, 0.5], DisintConfig(2.0, 4.0), cost)
+        prob = BarycenterProblem(inputs, [0.5, 0.5], DisintConfig(2.0, 4.0), {"base": cost})
         res = disint_barycenter(prob)
         assert res.certified
         assert res.gap == 0.0 and res.value == 0.0 and res.dual_bound == 0.0
@@ -389,6 +394,36 @@ class TestDisintBarycenter:
         assert warm.certified == cold.certified
         assert abs(warm.value - cold.value) <= max(warm.gap, cold.gap)
         assert abs(warm.dual_bound - cold.dual_bound) <= max(warm.gap, cold.gap)
+
+
+class TestGeodesicOptimum:
+    """Two inputs on a support that holds their interpolants: the optimum J* is exact at every q."""
+
+    @pytest.mark.parametrize("kind", ["interval", "square"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_lp_routes_reach_the_optimum(self, kind, p):
+        for q in (p, math.inf):
+            prob, optimum = geodesic_problem(0, kind, p, q)
+            assert disint_barycenter(prob).value == pytest.approx(optimum, rel=1e-12, abs=0.0)
+
+    # the bracket holds at every iterate, so the capped solves check it on
+    # the uncertified return as well
+    @pytest.mark.parametrize("kind, max_iter", [
+        ("interval", 100), ("square", 100), ("interval", MAX_ITER),
+    ])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_subgradient_brackets_the_optimum(self, kind, max_iter, p):
+        prob, optimum = geodesic_problem(0, kind, p, 2.0 * p)
+        res = disint_barycenter(prob, max_iter=max_iter)
+        assert res.dual_bound <= optimum <= res.value
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 4: the gap rule tol * (1 + value) is absolute below a value of 1, "
+        "so this result says certified at 2.7% above J*"))
+    def test_certified_result_is_within_tol_of_the_optimum(self):
+        prob, optimum = geodesic_problem(0, "interval", 2.0, 4.0)
+        res = disint_barycenter(prob)
+        assert not res.certified or res.value - optimum <= CERT_TOL * optimum
 
 
 def pair_instance(kind, p, m1, m2, subset, tiny, seed):
@@ -740,6 +775,23 @@ class TestPricedJointLP:
         )
         assert at_w == pytest.approx(value, rel=1e-9, abs=tiny_cost + (K + 1) * slack)
 
+    @pytest.mark.parametrize("args", [
+        pytest.param((3, "interval", 2.0, False, False, 2997), id="stops_early",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "ROADMAP item 3: HiGHS stops with a w column priced at -5.4e-8, "
+                         "inside its own tolerance, and reports 2.8e-8 above the optimum"))),
+        pytest.param((3, "interval", 1.0, False, True, 411877), id="tiny_atoms",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "ROADMAP item 1: HiGHS's absolute tolerances drop the 1e-300 input "
+                         "atoms that carry the whole cost: 0.0 where the tuple LP gives 2.67e-301"))),
+    ])
+    def test_value_is_the_tuple_lp_value(self, args):
+        prob, tau = priced_instance(*args)
+        b = prob.base_ids[0]
+        want = float(_tuple_lp_fiber(prob, b, tau))
+        # abs=0, so that 0.0 cannot pass on the default absolute slack
+        assert joint_lp(prob, b, tau)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 def grid_search_oracle(prob, steps=32):
     """Exhaustive minimum over per-fiber simplex grids of the given pitch."""
@@ -925,3 +977,50 @@ class TestUniquenessProbe:
         assert probe.n_candidates >= 2
         assert probe.witness
         assert probe.max_pairwise_distance >= 0.25
+
+
+def tie_problem(seed):
+    """The two-input, two-fiber interval instance of ``generate --atoms 12`` at p = q = 2, equal weights."""
+    inst = parse_instance(generate_instance(seed=seed, n_fibers=2, n_atoms=12, kind="interval"))
+    inputs = [inst.measure(name) for name in sorted(inst.measures)]
+    return BarycenterProblem(inputs, [0.5, 0.5], DisintConfig(2.0, 2.0), inst.costs)
+
+
+def tied_selections(prob):
+    """Two minimizers from the same optimal pair-cost plans of every fiber.
+
+    Each positive cell (i, j) is pushed through the first and, in the
+    second, the last support point s at which c_1[i, s] + c_2[j, s] is
+    minimal, with c_k = lambda_k times the k-th cost block.
+    """
+    first, last = {}, {}
+    for b in prob.base_ids:
+        c1, c2 = (lam * blk for lam, blk in zip(prob.lambdas, prob.blocks[b]))
+        a = [mk.fiber(b).weights for mk in prob.inputs]
+        gamma = ot.exact_transport(barycenter._pair_cost(c1, c2), *a)[1]
+        first[b], last[b] = np.zeros(c1.shape[1]), np.zeros(c1.shape[1])
+        for i, j in zip(*np.nonzero(gamma)):
+            ties = np.flatnonzero(c1[i] + c2[j] == (c1[i] + c2[j]).min())
+            first[b][ties[0]] += gamma[i, j]
+            last[b][ties[-1]] += gamma[i, j]
+    return barycenter._assemble(prob, first), barycenter._assemble(prob, last)
+
+
+class TestTieWitness:
+    """Exact argmin ties of the two-input fiber LPs give distinct minimizers of equal value."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_selections_are_distinct_minimizers(self, seed):
+        prob = tie_problem(seed)
+        lo, hi = tied_selections(prob)
+        assert objective(prob, hi) == pytest.approx(objective(prob, lo), rel=1e-12, abs=0.0)
+        assert scrmk(lo, hi, prob.config, prob.costs) > PROBE_DIST_TOL
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 19: the probe's symmetric tilts keep every tie, and its support "
+        "trials leave the optimal face, so it reports witness false at distance 0"))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_probe_finds_the_tie(self, seed):
+        prob = tie_problem(seed)
+        res = disint_barycenter(prob)
+        assert uniqueness_probe(prob, res, trials=40, radius=PROBE_RADIUS, seed=seed).witness

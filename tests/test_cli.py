@@ -954,6 +954,21 @@ ERROR_PATHS = {
         "--seed must be a nonnegative integer, got '-3'"),
     "negative --seed on example 2.2": (None, {}, ["example", "2.2", "--seed", "-1"],
                                        "--seed must be a nonnegative integer, got '-1'"),
+    # the flags are refused while they are parsed, also at q = p and q = inf,
+    # where the solver reads neither
+    "--max-iter at q = p": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--q", "2",
+                                                "--max-iter", "0"],
+                            "--max-iter must be a positive integer, got '0'"),
+    "--tol on certify at q = p": (_two_fibers(), {}, ["certify", "--input", "{inst}", "--q", "2",
+                                                      "--tol", "-1"],
+                                  "--tol must be a nonnegative number, got '-1'"),
+    "NaN --tol at q = inf": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--q", "inf",
+                                                 "--tol", "nan", "--max-iter", "-3"],
+                             "--tol must be a nonnegative number, got 'nan'"),
+    "--tol on probe-uniqueness at q = p": (
+        _two_fibers(), {}, ["probe-uniqueness", "--input", "{inst}", "--q", "2", "--tol", "-1",
+                            "--max-iter", "0"],
+        "--tol must be a nonnegative number, got '-1'"),
     "bad --lambda": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--lambda", "0.5,x"],
                      "bad value for --lambda: '0.5,x'"),
     "--lambda length": (_two_fibers(), {}, ["disint-bary", "--input", "{inst}", "--lambda", "0.2,0.3,0.5"],

@@ -757,7 +757,7 @@ def _check_against_oracle(mu, nu, cost):
         try:
             want = brute_force_ot(mu, nu, cost, p)
             got = solve_ot(mu, nu, cost, p).value_p
-            dist = scrmk(*fibered, DisintConfig(p, p), cost)
+            dist = scrmk(*fibered, DisintConfig(p, p), {"w": cost})
         except DisotError:
             continue
         bound = 1e-12 * want + OPT_TOL * float(cost.powered(p).max())
